@@ -118,16 +118,15 @@ def _guarded(fn):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON or key=value config file.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Master seed; all randomness derives from it.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True, help="Output directory.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes for population-based fits.")
 @click.pass_context
-def main(ctx, config_path, seed, out_dir, threads):
+def main(ctx, config_path, seed, out_dir):
     """Number-resolved two-mode interference pipeline."""
     try:
         cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
     except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    ctx.obj = {"cfg": cfg, "seed": seed, "out": Path(out_dir), "threads": threads}
+    ctx.obj = {"cfg": cfg, "seed": seed, "out": Path(out_dir)}
 
 
 def _stamp(ctx_obj, payload: dict) -> dict:

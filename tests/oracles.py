@@ -137,6 +137,51 @@ def boundary_one(x: float) -> float:
     return (1.0 - math.sqrt(max(1.0 - x**2, 0.0))) / 2.0
 
 
+def _spin_hamiltonians(two_j: int, mu: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Jz - z)^2 - mu Jx for broadcast mu and z, with Jx = (J+ + J-)/2, basis m = -j..j."""
+    j = two_j / 2.0
+    m = np.arange(-two_j, two_j + 1, 2) / 2.0
+    j_plus = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)  # <m+1|J+|m>
+    jx = (j_plus + j_plus.T) / 2.0
+    mu, z = np.broadcast_arrays(mu, z)
+    h = np.eye(two_j + 1) * ((m - z[..., None]) ** 2)[..., None, :] - mu[..., None, None] * jx
+    return h, m
+
+
+def min_energy(two_j: int, mu) -> np.ndarray:
+    """min over spin-j states of Var(Jz) - mu <Jx>, for each mu.
+
+    Var(Jz) = min_z <(Jz - z)^2>, so this is min_z lambda_min((Jz - z)^2 - mu Jx),
+    even in z.  Dense scan of z in [0, j] at spacing 1/8, then 12 steps of a
+    safeguarded Newton search for a zero of the slope between the best scan
+    point's neighbours, with the exact derivatives of the lowest level
+    (Hellmann-Feynman slope, second-order perturbation curvature); a step
+    that leaves the slope-sign bracket is replaced by bisection.  Every
+    evaluated level is a value of the objective, so the result is the
+    smallest level seen.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    j = two_j / 2.0
+    zs = np.linspace(0.0, j, int(8 * j) + 1)
+    h, _ = _spin_hamiltonians(two_j, mu[:, None], zs[None, :])
+    levels = np.linalg.eigvalsh(h)[..., 0]
+    best = levels.min(axis=1)
+    z = zs[levels.argmin(axis=1)]
+    lo, hi = np.maximum(z - 0.125, 0.0), np.minimum(z + 0.125, j)
+    for _ in range(12):
+        h, m = _spin_hamiltonians(two_j, mu, z)
+        e, v = np.linalg.eigh(h)
+        best = np.minimum(best, e[:, 0])
+        jz_n0 = np.einsum("bkn,k,bk->bn", v, m, v[:, :, 0])  # <n|Jz|0>
+        slope = np.where(z > 0, 2.0 * (z - jz_n0[:, 0]), 0.0)  # exactly 0 at z = 0 by symmetry
+        curv = 2.0 - 8.0 * np.sum(jz_n0[:, 1:] ** 2 / (e[:, 1:] - e[:, :1]), axis=1)
+        lo, hi = np.where(slope <= 0, z, lo), np.where(slope > 0, z, hi)
+        newton = z - slope / np.where(curv > 0, curv, np.nan)
+        inside = (newton > lo) & (newton < hi)
+        z = np.where(inside, newton, 0.5 * (lo + hi))
+    return best
+
+
 def fisher_fit_scan(diffs, d2, quartic: bool, f_max: float = 400.0, levels: int = 5) -> float:
     """Global minimizer in F >= 0 of the unweighted Hellinger-parabola cost.
 

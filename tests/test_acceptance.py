@@ -19,7 +19,8 @@ from homsim import channel, detector, entanglement, fock, metrology, stats
 XI = math.asinh(math.sqrt(3.75))  # 7.5 atoms per shot on average
 EVEN_N = (2, 4, 6, 8, 10, 12)
 
-# central values of the measured collective-moment table
+# central values of the measured collective-moment table (also used by
+# test_entanglement and test_cli)
 TABLE_ROWS = [
     dict(n_total=2, jxjy2=1.892, var_jz=0.0176, parity_z=0.965, parity_x=0.892),
     dict(n_total=4, jxjy2=5.08, var_jz=0.025, parity_z=0.951, parity_x=0.821),

@@ -9,18 +9,9 @@ from click.testing import CliRunner
 
 from homsim import cli, detector, metrology, stats
 from homsim.cli import RunConfig
+from test_acceptance import TABLE_ROWS
 
 HOM = math.pi / 2.0
-
-# same collective-moment rows as test_entanglement.TABLE_ROWS
-ROWS = [
-    dict(n_total=2, jxjy2=1.892, var_jz=0.0176, parity_z=0.965, parity_x=0.892),
-    dict(n_total=4, jxjy2=5.08, var_jz=0.025, parity_z=0.951, parity_x=0.821),
-    dict(n_total=6, jxjy2=11.26, var_jz=0.029, parity_z=0.942, parity_x=0.833),
-    dict(n_total=8, jxjy2=19.0, var_jz=0.098, parity_z=0.806, parity_x=0.821),
-    dict(n_total=10, jxjy2=25.7, var_jz=0.091, parity_z=0.822, parity_x=0.872),
-    dict(n_total=12, jxjy2=33.7, var_jz=0.067, parity_z=0.862, parity_x=0.61),
-]
 
 NOISE_OFF = {
     "noise": "none",
@@ -257,7 +248,7 @@ def test_fisher_requires_exactly_one_source(runner, tmp_path):
 @pytest.fixture(scope="module")
 def rows_json(workdir):
     path = workdir / "rows.json"
-    path.write_text(json.dumps({"rows": ROWS}))
+    path.write_text(json.dumps({"rows": TABLE_ROWS}))
     return path
 
 

@@ -10,16 +10,7 @@ import oracles
 from homsim import entanglement as ent
 from homsim import fock, stats
 from homsim.fock import DomainError
-
-# Measured collective moments used for the frozen depth/witness checks.
-TABLE_ROWS = [
-    dict(n_total=2, jxjy2=1.892, var_jz=0.0176, parity_z=0.965, parity_x=0.892),
-    dict(n_total=4, jxjy2=5.08, var_jz=0.025, parity_z=0.951, parity_x=0.821),
-    dict(n_total=6, jxjy2=11.26, var_jz=0.029, parity_z=0.942, parity_x=0.833),
-    dict(n_total=8, jxjy2=19.0, var_jz=0.098, parity_z=0.806, parity_x=0.821),
-    dict(n_total=10, jxjy2=25.7, var_jz=0.091, parity_z=0.822, parity_x=0.872),
-    dict(n_total=12, jxjy2=33.7, var_jz=0.067, parity_z=0.862, parity_x=0.61),
-]
+from test_acceptance import TABLE_ROWS
 
 
 def table_data():
@@ -97,6 +88,35 @@ def test_boundary_shape_properties(j):
     assert np.all(np.diff(f) >= -1e-12)  # monotone
     assert np.all(np.diff(f, 2) >= -1e-9)  # convex
     assert np.all(f >= 0.0)
+
+
+@pytest.mark.parametrize("two_j", range(1, 14))
+def test_boundary_lines_never_above_exact_minimum(two_j):
+    """Each supporting line's offset is at most the exact min of Var(Jz) - mu <Jx>.
+
+    A line above the exact minimum lifts the boundary and over-certifies
+    depth; this compares lines on the solver's own mu grid, not F at x = 1.
+    """
+    slopes, offsets = ent._boundary_lines(two_j)
+    exact = oracles.min_energy(two_j, slopes[:-1]) / (two_j / 2.0)
+    excess = offsets[:-1] - exact
+    assert excess.max() <= 1e-10
+    assert excess.min() >= -1e-9  # every offset is a reached level, so it cannot sit far below
+
+
+def test_line_offsets_exact_at_the_solver_cap():
+    two_j = ent.MAX_BOUNDARY_DIM - 1
+    mus = np.array([1e-3, 0.03, 0.4, 1.0, 30.0, 1e3])
+    excess = (ent._line_offsets(two_j, mus) - oracles.min_energy(two_j, mus)) / (two_j / 2.0)
+    assert excess.max() <= 1e-10
+    assert excess.min() >= -1e-9
+
+
+def test_variance_depth_not_over_certified_at_half_integer_block():
+    # k = 9, N = 10: the boundary bound needs Var < 5 F_{9/2}(0.65) = 0.2378 (exact);
+    # a boundary 5e-3 too high at 2j = 9 reads 0.2640 and certifies depth 10.
+    data = ent.CollectiveData(n_total=10, jxjy2=28.55625, var_jz=0.2509)
+    assert ent.depth_variance(data).depth == 9
 
 
 def test_boundary_decreases_with_spin():
