@@ -19,16 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.stats import binom, norm, poisson
 
 from . import stats
 from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .metrology import ShotTable
+from .metrology import ShotTable, _hell2
 
 
 class ConvergenceError(RuntimeError):
@@ -37,6 +35,11 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def sigma_law(sigma0: float, c1: float, n) -> np.ndarray:
+    """Detection width sigma_n = sqrt(sigma0^2 + c1^2 * n) of n atoms, in atom units."""
+    return np.sqrt(sigma0**2 + c1**2 * np.asarray(n, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class BlurLaw:
     b: float = 0.0
 
     def sigma(self, n) -> np.ndarray:
-        return np.sqrt(self.sigma0**2 + self.c1**2 * np.asarray(n, dtype=float))
+        return sigma_law(self.sigma0, self.c1, n)
 
 
 # Reference calibration constants of the modelled experiment.
@@ -230,7 +233,7 @@ def _blur_matrix(n_max: int, sigma0: float, c1: float) -> np.ndarray:
     column sums to one exactly.
     """
     n = np.arange(n_max + 1)
-    sig = np.sqrt(sigma0**2 + c1**2 * n)
+    sig = sigma_law(sigma0, c1, n)
     edges = np.arange(n_max + 2) - 0.5
     b = np.zeros((n_max + 1, n_max + 1))
     for col, (mu, s) in enumerate(zip(n, sig)):
@@ -270,10 +273,6 @@ def empirical_grid(n_plus, n_minus, n_max: int) -> TwoModeDistribution:
     return TwoModeDistribution(grid=grid / grid.sum(), n_max=n_max)
 
 
-def _hellinger_sq_grid(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-
-
 @dataclass(frozen=True)
 class ChannelFit:
     """Per-angle best-fit rates with their across-angle spread."""
@@ -287,12 +286,11 @@ class ChannelFit:
 
 def fit(
     params0: NoiseModelParams,
-    data: Mapping[float, "ShotTable"],
+    data: Mapping[float, ShotTable],
     source: TwoModeDistribution,
     bounds=None,
     budget: int = 200,
     seed: int | None = 0,
-    workers: int = 1,
 ) -> ChannelFit:
     """Fit the four free rates to counting data, one fit per rotation angle.
 
@@ -314,14 +312,14 @@ def fit(
     objectives = {}
     converged = True
     for theta, shots in sorted(data.items()):
-        emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max)
+        emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid.ravel()
         rotated = apply_rotation(source, theta)
 
         def objective(x):
             trial = replace(params0, a_plus=x[0], a_minus=x[1], l_plus=x[2], l_minus=x[3])
-            return _hellinger_sq_grid(_post_rotation(rotated, trial).grid, emp.grid)
+            return float(_hell2(_post_rotation(rotated, trial).grid.ravel(), emp))
 
-        result = stats.differential_evolution(objective, bounds, budget=budget, seed=seed, workers=workers)
+        result = stats.differential_evolution(objective, bounds, budget=budget, seed=seed)
         converged &= result.converged
         per_theta[theta] = replace(
             params0, a_plus=result.x[0], a_minus=result.x[1], l_plus=result.x[2], l_minus=result.x[3]

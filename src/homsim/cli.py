@@ -264,20 +264,19 @@ def analyze(obj, dataset_dir):
         if hom_key is not None:
             ph = metrology.empirical_distribution(tables[hom_key], n)
             entry["fidelity_vs_ideal"] = metrology.fidelity(ph, fock.holland_burnett(n))
-            moments = fock.collective_moments(ph)
-            signs = (-1.0) ** (n - np.arange(n + 1))
-            samples = stats.multinomial_resample(ph.probs, ph.n_shots, plan) @ signs
-            lo, hi = stats.asymmetric_std(samples, center=moments.parity)
-            entry["parity_x"] = {"value": moments.parity, "err_minus": lo, "err_plus": hi}
-            entry["jxjy2"] = metrology.jxjy2_estimate(ph)
-            parity_rows.append((n, f"{moments.parity:.4f}", f"{lo:.4f}", f"{hi:.4f}"))
+            mh = fock.collective_moments(ph)
+            samples = fock.moments(stats.multinomial_resample(ph.probs, ph.n_shots, plan)).parity
+            lo, hi = stats.asymmetric_std(samples, center=mh.parity)
+            entry["parity_x"] = {"value": mh.parity, "err_minus": lo, "err_plus": hi}
+            entry["jxjy2"] = metrology.jxjy2_estimate(mh)
+            parity_rows.append((n, f"{mh.parity:.4f}", f"{lo:.4f}", f"{hi:.4f}"))
         if zero_key is not None:
             p0 = metrology.empirical_distribution(tables[zero_key], n)
             m0 = fock.collective_moments(p0)
             entry["var_jz"] = m0.var_jz
             entry["parity_z"] = m0.parity
         if p0 is not None and ph is not None:
-            data = entanglement.collective_from_distributions(p0, ph)
+            data = entanglement.collective_rows(n, m0, mh)[0]
             entry["symmetry_J"] = data.symmetry_J
             collective_rows.append(data)
             weights.append(p0.n_shots)

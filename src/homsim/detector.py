@@ -24,7 +24,7 @@ from scipy.signal import find_peaks
 from scipy.stats import norm
 
 from . import stats
-from .channel import BlurLaw
+from .channel import sigma_law
 
 
 class CalibrationError(RuntimeError):
@@ -55,13 +55,7 @@ class DetectorCalibration:
     c1_err: float = float("nan")
 
     def sigma(self, n) -> np.ndarray:
-        return np.sqrt(self.sigma0**2 + self.c1**2 * np.asarray(n, dtype=float))
-
-    def peak_center(self, n) -> np.ndarray:
-        return self.b + np.asarray(n, dtype=float) * self.g
-
-    def blur_law(self) -> BlurLaw:
-        return BlurLaw(sigma0=self.sigma0, c1=self.c1, g=self.g, b=self.b)
+        return sigma_law(self.sigma0, self.c1, n)
 
     def to_json(self) -> dict:
         out = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
@@ -314,17 +308,19 @@ def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable,
     return out, reports
 
 
-def _histogram_model(x, params, n_fit, sigma_last):
-    """Sum of evenly spaced Gaussians; free widths enter as log(sigma) to stay
-    positive with a smooth jacobian."""
-    g, b = params[0], params[1]
-    heights = params[2 : 3 + n_fit]
-    sigmas = np.concatenate([np.exp(params[3 + n_fit :]), [sigma_last]])
+def _peak_comb(x, g, b, heights, sigmas):
+    """Evenly spaced Gaussians: peak n at b + n g, height heights[n], rms sigmas[n] g."""
     out = np.zeros_like(x)
-    for n in range(n_fit + 1):
-        w = sigmas[n] * g
-        out = out + heights[n] * np.exp(-0.5 * ((x - b - n * g) / w) ** 2)
+    for n, (h, s) in enumerate(zip(heights, sigmas)):
+        out = out + h * np.exp(-0.5 * ((x - b - n * g) / (s * g)) ** 2)
     return out
+
+
+def _histogram_model(x, params, n_fit, sigma_last):
+    """The peak comb with free widths entering as log(sigma), which keeps them
+    positive with a smooth jacobian."""
+    sigmas = np.concatenate([np.exp(params[3 + n_fit :]), [sigma_last]])
+    return _peak_comb(x, params[0], params[1], params[2 : 3 + n_fit], sigmas)
 
 
 def fit_histogram(values: np.ndarray, n_max_fit: int | None = None) -> DetectorCalibration:
@@ -371,7 +367,7 @@ def fit_histogram(values: np.ndarray, n_max_fit: int | None = None) -> DetectorC
     sigma0, c1 = 0.15, 0.02
     cov = None
     for _ in range(3):
-        sigma_last = math.sqrt(sigma0**2 + c1**2 * n_max_fit)
+        sigma_last = sigma_law(sigma0, c1, n_max_fit)
 
         def model(xx, pp):
             return _histogram_model(xx, pp, n_max_fit, sigma_last)
@@ -392,7 +388,7 @@ def fit_histogram(values: np.ndarray, n_max_fit: int | None = None) -> DetectorC
         c1=c1,
         n_max_fit=n_max_fit,
         peak_heights=p[2 : 3 + n_max_fit].copy(),
-        peak_sigmas=np.concatenate([free_sigmas, [math.sqrt(sigma0**2 + c1**2 * n_max_fit)]]),
+        peak_sigmas=np.concatenate([free_sigmas, [sigma_law(sigma0, c1, n_max_fit)]]),
         peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
         g_err=float(err[0]),
         b_err=float(err[1]),
@@ -456,12 +452,9 @@ def histogram_table(values: np.ndarray, calib: DetectorCalibration, bins_per_pea
     nbins = int(np.ceil((hi - lo) * bins_per_peak / calib.g))
     counts, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=nbins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    model = np.zeros_like(centers)
-    if calib.peak_heights is not None:
-        for n, h in enumerate(calib.peak_heights):
-            w = calib.peak_sigmas[n] * calib.g
-            model += h * np.exp(-0.5 * ((centers - calib.b - n * calib.g) / w) ** 2)
-    return centers, counts, model
+    if calib.peak_heights is None:
+        return centers, counts, np.zeros_like(centers)
+    return centers, counts, _peak_comb(centers, calib.g, calib.b, calib.peak_heights, calib.peak_sigmas)
 
 
 def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import stats
-from .fock import DomainError, FixedNDistribution, collective_moments
+from .fock import CollectiveMoments, DomainError, FixedNDistribution, collective_moments, moments
 from .metrology import jxjy2_estimate
 
 MAX_BOUNDARY_DIM = 64  # largest (2j+1) the boundary solver will diagonalize
@@ -91,25 +91,26 @@ def ideal_twin_fock_data(n_total: int) -> CollectiveData:
     )
 
 
-def collective_from_distributions(p_unrotated: FixedNDistribution, post_hom: FixedNDistribution) -> CollectiveData:
-    """Assemble witness inputs from the two measured J_z histograms.
+def collective_rows(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) -> list[CollectiveData]:
+    """Witness inputs from the moments of the two measured J_z histograms.
 
-    The unrotated histogram supplies Var(J_z) and the z product parity; the
-    post-pi/2 histogram supplies <Jx^2+Jy^2> and the x parity (J_x has been
-    mapped onto the measured axis).
+    The unrotated histogram (m0) supplies Var(J_z) and the z product parity;
+    the post-pi/2 histogram (mh) supplies <Jx^2+Jy^2> and the x parity (J_x
+    has been mapped onto the measured axis).  Stacked moments give one row
+    per resample, single-histogram moments a list of one.
     """
+    cols = (jxjy2_estimate(mh), m0.var_jz, m0.parity, mh.parity, m0.mean_jz)
+    return [
+        CollectiveData(n_total=n_total, jxjy2=jxjy2, var_jz=var, parity_z=pz, parity_x=px, mean_jz=mean)
+        for jxjy2, var, pz, px, mean in zip(*(np.atleast_1d(c).tolist() for c in cols))
+    ]
+
+
+def collective_from_distributions(p_unrotated: FixedNDistribution, post_hom: FixedNDistribution) -> CollectiveData:
+    """:func:`collective_rows` of the two histograms themselves."""
     if p_unrotated.n_total != post_hom.n_total:
         raise ValueError("histograms belong to different N")
-    m0 = collective_moments(p_unrotated)
-    mh = collective_moments(post_hom)
-    return CollectiveData(
-        n_total=p_unrotated.n_total,
-        jxjy2=jxjy2_estimate(post_hom),
-        var_jz=m0.var_jz,
-        parity_z=m0.parity,
-        parity_x=mh.parity,
-        mean_jz=m0.mean_jz,
-    )
+    return collective_rows(p_unrotated.n_total, collective_moments(p_unrotated), collective_moments(post_hom))[0]
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class WitnessResult:
     value: float
     entangled: bool
     threshold: float
-    error: float = float("nan")
     per_n: dict = field(default_factory=dict)
 
 
@@ -346,20 +346,8 @@ def depth_with_resampling(
     phs = stats.multinomial_resample(
         post_hom.probs, post_hom.n_shots, stats.ResamplePlan(plan.n_samples, plan.seed + 1)
     )
-    jz = p_unrotated.jz_values
-    signs = (-1.0) ** (n - np.arange(n + 1))
     depths = np.empty(plan.n_samples, dtype=int)
-    for i in range(plan.n_samples):
-        mean = float(p0s[i] @ jz)
-        var = float(p0s[i] @ jz**2 - mean**2)
-        sample = CollectiveData(
-            n_total=n,
-            jxjy2=float(2.0 * phs[i] @ jz**2),
-            var_jz=max(var, 0.0),
-            parity_z=float(np.clip(p0s[i] @ signs, -1.0, 1.0)),
-            parity_x=float(np.clip(phs[i] @ signs, -1.0, 1.0)),
-            mean_jz=mean,
-        )
+    for i, sample in enumerate(collective_rows(n, moments(p0s), moments(phs))):
         if method == "parity":
             k = _parity_depth_k(sample)
             depths[i] = (k + 1) if k is not None else _variance_depth_k(sample)[0] + 1

@@ -125,10 +125,6 @@ class FixedNDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    @property
-    def jz_values(self) -> np.ndarray:
-        return np.arange(self.n_total + 1) - self.n_total / 2.0
-
     def validate(self, atol: float = _NORM_ATOL) -> None:
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
@@ -162,6 +158,8 @@ class SqueezedSource:
 
 @dataclass(frozen=True)
 class CollectiveMoments:
+    """Jz moments of one histogram (floats) or of a stack of them (arrays)."""
+
     mean_jz: float
     jz2: float
     var_jz: float
@@ -271,23 +269,35 @@ def holland_burnett(n_total: int) -> FixedNDistribution:
     return FixedNDistribution(n_total=n_total, probs=probs)
 
 
-def collective_moments(dist: FixedNDistribution) -> CollectiveMoments:
+def moments(probs) -> CollectiveMoments:
     """Mean, second moment, variance of Jz, and the occupation parity.
 
-    The parity of a fixed-N outcome is (-1)^(N/2 - Jz) = (-1)^(N - n_plus),
-    an integer power for odd totals too.
+    ``probs[..., k]`` belongs to Jz = k - N/2; leading axes are a stack
+    (e.g. resamples) and each field has their shape.  The parity of a
+    fixed-N outcome is (-1)^(N/2 - Jz) = (-1)^(N - n_plus), an integer power
+    for odd totals too.  Round-off is kept inside the physical range: the
+    variance is clamped at zero and the parity clipped to [-1, 1].  Every
+    row is reduced by the same pairwise sum, so a stacked row gives the same
+    bits as the row on its own.
     """
-    p = dist.probs
-    jz = dist.jz_values
-    mean = float(p @ jz)
-    jz2 = float(p @ jz**2)
-    signs = np.where((dist.n_total - np.arange(dist.n_total + 1)) % 2 == 0, 1.0, -1.0)
+    p = np.asarray(probs, dtype=float)
+    n_total = p.shape[-1] - 1
+    jz = np.arange(n_total + 1) - n_total / 2.0
+    signs = np.where((n_total - np.arange(n_total + 1)) % 2 == 0, 1.0, -1.0)
+    mean = (p * jz).sum(axis=-1)
+    jz2 = (p * jz**2).sum(axis=-1)
     return CollectiveMoments(
         mean_jz=mean,
         jz2=jz2,
-        var_jz=jz2 - mean**2,
-        parity=float(p @ signs),
+        var_jz=np.maximum(jz2 - mean**2, 0.0),
+        parity=np.clip((p * signs).sum(axis=-1), -1.0, 1.0),
     )
+
+
+def collective_moments(dist: FixedNDistribution) -> CollectiveMoments:
+    """:func:`moments` of one distribution, as plain floats."""
+    m = moments(dist.probs)
+    return CollectiveMoments(*(float(v) for v in (m.mean_jz, m.jz2, m.var_jz, m.parity)))
 
 
 def mixture_over_pairs(weights: np.ndarray, n_max: int = DEFAULT_N_MAX) -> TwoModeDistribution:

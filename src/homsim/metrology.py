@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import stats
-from .fock import FixedNDistribution, TwoModeDistribution
+from .fock import CollectiveMoments, FixedNDistribution, TwoModeDistribution, collective_moments
 
 # Default probe grid of the small-rotation interferometer sequences (rad).
 SMALL_ROTATION_ANGLES = (0.0, 0.14, 0.20, 0.28, 0.35)
@@ -114,22 +114,24 @@ def fidelity(p: FixedNDistribution, q: FixedNDistribution) -> float:
 
 def hellinger_sq(p: FixedNDistribution, q: FixedNDistribution) -> float:
     _check_same_n(p, q)
-    return _hell2(p.probs, q.probs)
+    return float(_hell2(p.probs, q.probs))
 
 
-def _hell2(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
+def _hell2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared Hellinger distance over the last axis; leading axes are a stack."""
+    return 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
 
 
-def jxjy2_estimate(post_hom: FixedNDistribution) -> float:
+def jxjy2_estimate(post_hom: FixedNDistribution | CollectiveMoments):
     """<J_x^2 + J_y^2> inferred from the J_z histogram taken after pi/2 coupling.
 
     The beam-splitter pulse maps J_x onto the measured J_z; the state's
     exchange symmetry makes the J_y moment equal to the J_x one, hence the
-    factor two.
+    factor two.  Takes the histogram or its (possibly stacked) moments.
     """
-    jz = post_hom.jz_values
-    return float(2.0 * np.sum(post_hom.probs * jz**2))
+    if isinstance(post_hom, FixedNDistribution):
+        post_hom = collective_moments(post_hom)
+    return 2.0 * post_hom.jz2
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,9 @@ class FisherFit:
     stderr: float
     intercept: float
     quartic: bool
-    theta1: float | None = None
 
 
-def fit_fisher(diffs, d2, sigma=None, quartic: bool = False, theta1: float | None = None) -> FisherFit:
+def fit_fisher(diffs, d2, sigma=None, quartic: bool = False) -> FisherFit:
     """Fit d^2 = (F/8) x^2 + b, optionally minus (F^2/256 - F/192) x^4.
 
     ``diffs`` are signed angle differences theta1 - theta2; ``sigma`` are
@@ -230,7 +231,7 @@ def fit_fisher(diffs, d2, sigma=None, quartic: bool = False, theta1: float | Non
     grad = uc + 2.0 * f * vc
     info = dot(grad, grad)
     stderr = math.sqrt(chi2 / (len(y) - 2) / info) if info > 0 else float("nan")
-    return FisherFit(fisher=max(float(f), 0.0), stderr=stderr, intercept=float(b), quartic=quartic, theta1=theta1)
+    return FisherFit(fisher=max(float(f), 0.0), stderr=stderr, intercept=float(b), quartic=quartic)
 
 
 def aggregate_fisher(fits) -> tuple[float, float]:
@@ -261,24 +262,10 @@ class ScalingFit:
     s: float
     r_err: float
     s_err: float
-    cov: np.ndarray
-    n_values: tuple
-    fbar: tuple
-    dfbar: tuple | None
 
     def predict(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
         return self.r * (n**self.s / 2.0 + n)
-
-    def band(self, n_grid, level: float = 0.68, n_draws: int = 2000, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise confidence band from Gaussian parameter draws."""
-        rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-        draws = rng.multivariate_normal([self.r, self.s], self.cov, size=n_draws)
-        n_grid = np.asarray(n_grid, dtype=float)
-        curves = draws[:, 0:1] * (n_grid[None, :] ** draws[:, 1:2] / 2.0 + n_grid[None, :])
-        lo = np.percentile(curves, 50 * (1 - level), axis=0)
-        hi = np.percentile(curves, 50 * (1 + level), axis=0)
-        return lo, hi
 
 
 # Exponent range searched by ``fit_scaling`` and the number of grid points
@@ -351,10 +338,6 @@ def fit_scaling(n_values, fbar, dfbar=None) -> ScalingFit:
         s=float(s),
         r_err=float(math.sqrt(cov[0, 0])),
         s_err=float(math.sqrt(cov[1, 1])),
-        cov=cov,
-        n_values=tuple(int(v) for v in n),
-        fbar=tuple(float(v) for v in f),
-        dfbar=None if dfbar is None else tuple(float(v) for v in dfbar),
     )
 
 
@@ -396,6 +379,21 @@ def _angles_for(n_total: int, angles, exclusions) -> list[float]:
     return [a for a in angles if all(abs(a - d) > 1e-12 for d in dropped)]
 
 
+def _parabola_sigmas(sigma_of, n_total, t1, grid):
+    """Per-point spreads of one parabola, or None for an unweighted fit.
+
+    A spread of at most 1e-12 is unresolved (e.g. d^2 pinned at 0 or 1 when
+    the supports coincide as deltas or are disjoint); such a point takes the
+    smallest resolved spread of the same parabola, so it cannot outweigh the
+    measured points.  With no point resolved the fit is unweighted.
+    """
+    if sigma_of is None:
+        return None
+    sig = np.array([sigma_of(n_total, t1, t2) for t2 in grid])
+    resolved = sig > 1e-12
+    return np.where(resolved, sig, sig[resolved].min()) if resolved.any() else None
+
+
 def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions, fit_exponent) -> FisherEstimate:
     est = FisherEstimate(quartic=quartic, exclusions=dict(exclusions) if exclusions else {})
     for n_total in sorted(n_values):
@@ -404,10 +402,7 @@ def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions, fit_ex
         for t1 in grid:
             x = np.array([t1 - t2 for t2 in grid])
             y = np.array([d2_of(n_total, t1, t2) for t2 in grid])
-            sig = None
-            if sigma_of is not None:
-                sig = np.array([max(sigma_of(n_total, t1, t2), 1e-12) for t2 in grid])
-            fits[t1] = fit_fisher(x, y, sigma=sig, quartic=quartic, theta1=t1)
+            fits[t1] = fit_fisher(x, y, sigma=_parabola_sigmas(sigma_of, n_total, t1, grid), quartic=quartic)
         est.per_theta[n_total] = fits
         est.aggregated[n_total] = aggregate_fisher(fits.values())
     if fit_exponent and len(est.aggregated) >= 3:
@@ -450,7 +445,7 @@ def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stat
         raise ValueError("resampling needs the original sample sizes")
     ps = stats.multinomial_resample(p.probs, p.n_shots, plan)
     qs = stats.multinomial_resample(q.probs, q.n_shots, stats.ResamplePlan(plan.n_samples, plan.seed + 1))
-    d2 = 0.5 * np.sum((np.sqrt(ps) - np.sqrt(qs)) ** 2, axis=1)
+    d2 = _hell2(ps, qs)
     return float(d2.mean()), float(d2.std(ddof=1)) if len(d2) > 1 else 0.0
 
 

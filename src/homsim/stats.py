@@ -130,10 +130,9 @@ class DEResult:
     fun: float
     converged: bool
     nfev: int
-    message: str
 
 
-def differential_evolution(func, bounds, budget: int = 200, seed: int = 0, workers: int = 1) -> DEResult:
+def differential_evolution(func, bounds, budget: int = 200, seed: int = 0) -> DEResult:
     """Global minimization with fixed, reproducible hyperparameters.
 
     ``budget`` is the generation limit.  Non-convergence is reported through
@@ -152,13 +151,10 @@ def differential_evolution(func, bounds, budget: int = 200, seed: int = 0, worke
         seed=seed,
         polish=True,
         init="latinhypercube",
-        workers=workers,
-        updating="deferred" if workers != 1 else "immediate",
     )
     return DEResult(
         x=np.asarray(res.x, dtype=float),
         fun=float(res.fun),
         converged=bool(res.success),
         nfev=int(res.nfev),
-        message=str(res.message),
     )

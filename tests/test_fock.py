@@ -188,3 +188,29 @@ def test_collective_moments_bounds(weights):
     assert -1.0 - 1e-12 <= m.parity <= 1.0 + 1e-12
     assert m.var_jz >= -1e-12
     assert abs(m.mean_jz) <= n / 2 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_total=st.integers(min_value=1, max_value=14),
+    rows=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_moments_of_a_stack_equal_the_rows(n_total, rows, seed):
+    # multinomial frequencies, as the resampling paths produce them
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_total + 1))
+    stack = rng.multinomial(200, probs, size=rows) / 200
+    stacked = fock.moments(stack)
+    for i, row in enumerate(stack):
+        one = fock.moments(row)
+        for name in ("mean_jz", "jz2", "var_jz", "parity"):
+            assert getattr(stacked, name)[i] == getattr(one, name)  # same bits
+        jz = [k - n_total / 2 for k in range(n_total + 1)]
+        mean = sum(p * z for p, z in zip(row, jz))
+        jz2 = sum(p * z * z for p, z in zip(row, jz))
+        parity = sum(p * (-1) ** (n_total - k) for k, p in enumerate(row))
+        assert one.mean_jz == pytest.approx(mean, abs=1e-12)
+        assert one.jz2 == pytest.approx(jz2, abs=1e-12)
+        assert one.var_jz == pytest.approx(max(jz2 - mean**2, 0.0), abs=1e-12)
+        assert one.parity == pytest.approx(parity, abs=1e-12)

@@ -242,21 +242,6 @@ def test_fisher_pipeline_agrees_across_kernels():
         assert abs(ours.scaling.s - ref.scaling.s) < 1e-12
 
 
-def test_scaling_band_is_deterministic_and_ordered():
-    n = np.array([2, 4, 6, 8, 10, 12], dtype=float)
-    rng = np.random.default_rng(2)
-    f = (n**2 / 2 + n) * (1 + rng.normal(0, 0.03, len(n)))
-    fit = metrology.fit_scaling(n, f, dfbar=0.05 * f)
-    grid = np.linspace(2, 14, 7)
-    lo1, hi1 = fit.band(grid, seed=3)
-    lo2, hi2 = fit.band(grid, seed=3)
-    np.testing.assert_array_equal(lo1, lo2)
-    np.testing.assert_array_equal(hi1, hi2)
-    assert np.all(hi1 >= lo1)
-    wide_lo, wide_hi = fit.band(grid, level=0.95, seed=3)
-    assert np.all(wide_hi >= hi1 - 1e-12) and np.all(wide_lo <= lo1 + 1e-12)
-
-
 def test_resampled_hellinger_bias_and_determinism():
     p = fock.FixedNDistribution(n_total=4, probs=fock.holland_burnett(4).probs, n_shots=500)
     plan = stats.ResamplePlan(n_samples=300, seed=9)
@@ -268,6 +253,35 @@ def test_resampled_hellinger_bias_and_determinism():
     bare = fock.holland_burnett(4)
     with pytest.raises(ValueError):
         metrology.resampled_hellinger(bare, bare, plan)  # sample sizes unknown
+
+
+def test_hell2_of_a_stack_equals_the_rows():
+    rng = np.random.default_rng(4)
+    ps = rng.multinomial(300, rng.dirichlet(np.ones(9)), size=50) / 300
+    qs = rng.multinomial(300, rng.dirichlet(np.ones(9)), size=50) / 300
+    stacked = metrology._hell2(ps, qs)
+    assert stacked.shape == (50,)
+    for i in range(50):
+        assert stacked[i] == metrology._hell2(ps[i], qs[i])  # same bits
+    grids = ps.reshape(50, 3, 3)
+    assert metrology._hell2(grids, grids[::-1]).shape == (50, 3)
+
+
+def _counts_table(counts_by_n_plus, n_total, theta):
+    n_plus = np.repeat(np.arange(n_total + 1), counts_by_n_plus)
+    return metrology.ShotTable(n_plus=n_plus, n_minus=n_total - n_plus, theta=theta)
+
+
+def test_fisher_from_shots_keeps_unresolved_points_from_dominating():
+    # all shots at theta = 0 fall in the central bin and the largest angle
+    # never hits it: d^2 of those pairs is 0 or 1 in every resample, so its
+    # spread vanishes; the fit must still report a finite, honest F_err
+    counts = {0.0: [0, 0, 300, 0, 0], 0.14: [4, 30, 232, 30, 4], 0.2: [8, 50, 184, 50, 8],
+              0.28: [20, 70, 120, 70, 20], 0.35: [60, 90, 0, 90, 60]}
+    tables = {t: _counts_table(c, 4, t) for t, c in counts.items()}
+    est = metrology.fisher_from_shots(tables, [4], plan=stats.ResamplePlan(n_samples=100, seed=0))
+    for fit in est.per_theta[4].values():
+        assert fit.stderr >= 1e-6 * fit.fisher
 
 
 def test_ideal_pipeline_scaling_exponents_frozen():
