@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
-from scipy.stats import norm
 
 from . import stats
 from .channel import sigma_law
@@ -187,6 +185,41 @@ def synthesize_signals(
     )
 
 
+def _peaks(x: np.ndarray, distance: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of x at least ``distance`` bins apart, and their prominences.
+
+    The peaks of ``scipy.signal.find_peaks(x, distance=distance,
+    prominence=0)``, in the same order: a flat top counts once, at its middle;
+    of two maxima closer than ``distance`` the lower goes (the order of
+    ``np.argsort`` breaks ties); a prominence is the height above the higher
+    of the lowest points on either side before the signal rises above the peak.
+    """
+    edge = np.flatnonzero(np.diff(x)) + 1
+    start = np.concatenate(([0], edge))
+    end = np.concatenate((edge, [len(x)])) - 1
+    level = x[start]  # one entry per flat run; neighbouring runs differ
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (start[top] + end[top]) // 2
+
+    keep = np.ones(len(peaks), dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            near = np.abs(peaks - peaks[j]) < distance
+            near[j] = False
+            keep[near] = False
+    peaks = peaks[keep]
+
+    prominence = np.empty(len(peaks))
+    for i, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        lo = higher[higher < p]
+        hi = higher[higher > p]
+        left = x[(lo[-1] + 1 if len(lo) else 0): p + 1].min()
+        right = x[p: (hi[0] if len(hi) else len(x))].min()
+        prominence[i] = x[p] - max(left, right)
+    return peaks, prominence
+
+
 def _coarse_scale(values: np.ndarray) -> tuple[float, float]:
     """First-pass (g, b): peak spacing and zero-peak location of the histogram.
 
@@ -204,10 +237,9 @@ def _coarse_scale(values: np.ndarray) -> tuple[float, float]:
     centers = 0.5 * (edges[:-1] + edges[1:])
     binw = edges[1] - edges[0]
     smooth = np.convolve(counts, np.ones(3) / 3.0, mode="same")
-    peaks, props = find_peaks(smooth, prominence=1e-9, distance=max(3, nbins // 60))
-    if len(peaks):
-        floor = np.maximum(5.0 * np.sqrt(smooth[peaks] / 3.0 + 1.0), 0.02 * smooth.max())
-        peaks = peaks[props["prominences"] >= floor]
+    peaks, prominence = _peaks(smooth, distance=max(3, nbins // 60))
+    floor = np.maximum(5.0 * np.sqrt(smooth[peaks] / 3.0 + 1.0), 0.02 * smooth.max())
+    peaks = peaks[prominence >= floor]
     if len(peaks) < 2:
         raise CalibrationError("histogram does not resolve at least two peaks")
     g0 = float(np.median(np.diff(peaks)) * binw)
@@ -480,6 +512,8 @@ def detection_fidelity(n: int, calib: DetectorCalibration) -> float:
     Gaussian mass of peak n inside the symmetric half-count window; at n = 0
     this is conservative because nothing lies below the lowest peak.
     """
+    from scipy.special import ndtr
+
     if n < 0:
         raise ValueError("occupation must be non-negative")
-    return float(1.0 - 2.0 * norm.cdf(-0.5 / calib.sigma(n)))
+    return float(1.0 - 2.0 * ndtr(-0.5 / calib.sigma(n)))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 DEFAULT_N_MAX = 20
 # Untruncated source mass beyond the grid above this level sets a warning flag.
@@ -220,6 +219,8 @@ def _kernel(n_total: int, theta: float) -> np.ndarray:
     symmetric and doubly stochastic.  Valid for odd N as well (half-integer
     j), which the noise pipeline needs.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n_total == 0:
         return np.ones((1, 1))
     j = n_total / 2.0

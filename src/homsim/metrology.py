@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import stats
 from .fock import CollectiveMoments, FixedNDistribution, TwoModeDistribution, collective_moments
@@ -286,6 +285,8 @@ def fit_scaling(n_values, fbar, dfbar=None) -> ScalingFit:
     scaled by the reduced chi-square.  Raises ``stats.FitError`` when no
     minimum is bracketed or the cost at an end of the range is lower.
     """
+    from scipy.optimize import brentq
+
     n = np.asarray(n_values, dtype=float)
     f = np.asarray(fbar, dtype=float)
     if len(n) < 3:

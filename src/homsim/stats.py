@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 class FitError(RuntimeError):
@@ -29,10 +28,11 @@ class ResamplePlan:
             raise ValueError("n_samples must be positive")
 
 
-def _stream(seed: int, i: int) -> np.random.Generator:
-    # One counter-based stream per resample index: reproducible regardless of
-    # draw order and safe to shard across workers.
-    return np.random.default_rng(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+def _philox_state(seed: int, i: int) -> dict:
+    """State of a freshly built ``Philox(key=[seed, i])``: counter and buffer zeroed."""
+    zeros = np.zeros(4, dtype=np.uint64)
+    return {"bit_generator": "Philox", "state": {"counter": zeros, "key": np.array([seed, i], dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) -> np.ndarray:
@@ -51,9 +51,16 @@ def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) ->
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     probs = probs / total
+    # One counter-based stream per resample index, reproducible regardless of
+    # draw order: any index range can be redrawn on its own, so the family
+    # can be split across workers.  One generator is re-keyed per index,
+    # which draws the same numbers as a new Philox(key=[seed, i]) each time.
+    bits = np.random.Philox(key=np.array([plan.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
     out = np.empty((plan.n_samples, len(probs)))
     for i in range(plan.n_samples):
-        out[i] = _stream(plan.seed, i).multinomial(n_shots, probs) / n_shots
+        bits.state = _philox_state(plan.seed, i)
+        out[i] = rng.multinomial(n_shots, probs) / n_shots
     return out
 
 
@@ -98,6 +105,8 @@ def weighted_least_squares(model, x, y, p0, weights=None, bounds=None) -> tuple[
     with the covariance scaled by the reduced chi-square, matching the
     convention of textbook curve fitting.
     """
+    import scipy.optimize
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -139,6 +148,8 @@ def differential_evolution(func, bounds, budget: int = 200, seed: int = 0) -> DE
     the result flag rather than an exception so callers can decide whether a
     best-effort optimum is still usable.
     """
+    import scipy.optimize
+
     res = scipy.optimize.differential_evolution(
         func,
         bounds,

@@ -7,8 +7,10 @@ model against externally stated target windows that the model does not
 reach; they fail by design and their lines carry the measured numbers.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,16 +21,20 @@ from homsim import channel, detector, entanglement, fock, metrology, stats
 XI = math.asinh(math.sqrt(3.75))  # 7.5 atoms per shot on average
 EVEN_N = (2, 4, 6, 8, 10, 12)
 
-# central values of the measured collective-moment table (also used by
-# test_entanglement and test_cli)
-TABLE_ROWS = [
-    dict(n_total=2, jxjy2=1.892, var_jz=0.0176, parity_z=0.965, parity_x=0.892),
-    dict(n_total=4, jxjy2=5.08, var_jz=0.025, parity_z=0.951, parity_x=0.821),
-    dict(n_total=6, jxjy2=11.26, var_jz=0.029, parity_z=0.942, parity_x=0.833),
-    dict(n_total=8, jxjy2=19.0, var_jz=0.098, parity_z=0.806, parity_x=0.821),
-    dict(n_total=10, jxjy2=25.7, var_jz=0.091, parity_z=0.822, parity_x=0.872),
-    dict(n_total=12, jxjy2=33.7, var_jz=0.067, parity_z=0.862, parity_x=0.61),
-]
+
+def _script(name: str):
+    """Load ``scripts/<name>.py`` as a module without running its main()."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# central values of the measured collective-moment table, kept once in the
+# script that reproduces the depth tables (also used by test_entanglement
+# and test_cli)
+TABLE_ROWS = _script("reproduce_depth_tables").ROWS
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

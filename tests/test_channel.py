@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, norm, poisson
 
 import oracles
 from homsim import channel, fock, metrology
@@ -144,6 +145,38 @@ def test_blur_columns_match_quadrature():
     for n in (0, 1, 5, 12):
         np.testing.assert_allclose(b[:, n], oracles.blur_column_quadrature(n, 0.1466, 0.0114, 12), atol=1e-14)
     np.testing.assert_allclose(b.sum(axis=0), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("size", [21, 41])
+@pytest.mark.parametrize("l", [0.0, 4.2e-4, 0.011, 0.1, 1.0])
+def test_loss_matrix_matches_binomial_pmf(size, l):
+    b = channel._loss_matrix(l, size)
+    ref = np.zeros((size, size))
+    for k in range(size):
+        ref[: k + 1, k] = binom.pmf(np.arange(k + 1), k, 1.0 - l)
+    np.testing.assert_allclose(b, ref, rtol=0, atol=1e-14)
+    assert b.min() >= 0.0
+    np.testing.assert_allclose(b.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("size", [21, 41])
+@pytest.mark.parametrize("a", [0.0, 0.0218, 0.0551, 0.3])
+def test_influx_matrix_matches_poisson_pmf(size, a):
+    p = channel._influx_matrix(a, size)
+    m, k = np.indices((size, size))
+    ref = np.where(m >= k, poisson.pmf(m - k, a), 0.0)
+    np.testing.assert_allclose(p, ref, rtol=0, atol=1e-14)
+    assert p.min() >= 0.0
+
+
+@pytest.mark.parametrize("n_max, sigma0, c1", [(20, 0.1466, 0.0114), (20, 0.168, 0.027), (40, 0.3, 0.1)])
+def test_blur_matrix_matches_normal_cdf_differences(n_max, sigma0, c1):
+    b = channel._blur_matrix(n_max, sigma0, c1)
+    n = np.arange(n_max + 1)
+    cdf = norm.cdf(np.arange(n_max + 2)[:, None] - 0.5, n, channel.sigma_law(sigma0, c1, n))
+    cdf[0], cdf[-1] = 0.0, 1.0
+    np.testing.assert_allclose(b, np.diff(cdf, axis=0), rtol=0, atol=1e-14)
+    assert b.min() >= 0.0
 
 
 def test_predict_equals_manual_stage_composition():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from homsim import detector, metrology
 
@@ -148,6 +151,26 @@ def test_drift_correction_reports_empty_window():
     )
     with pytest.raises(detector.CalibrationError, match="window 1 .*minus"):
         detector.correct_drift(table)
+
+
+def assert_peaks_match_scipy(counts, distance):
+    x = np.convolve(counts, np.ones(3) / 3.0, mode="same")  # as _coarse_scale smooths
+    peaks, prominence = detector._peaks(x, distance)
+    ref, props = find_peaks(x, distance=distance, prominence=0)
+    np.testing.assert_array_equal(peaks, ref)
+    np.testing.assert_array_equal(prominence, props["prominences"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=3, max_size=80), st.integers(1, 9))
+def test_peaks_match_scipy_find_peaks(counts, distance):
+    # small integers give the flat tops, equal heights and ties find_peaks handles
+    assert_peaks_match_scipy(counts, distance)
+
+
+def test_peaks_match_scipy_on_a_signal_histogram(flat_signals):
+    _, table = flat_signals
+    assert_peaks_match_scipy(np.histogram(table.s_minus, bins=800)[0], 13)
 
 
 def test_histogram_fit_recovers_scale(flat_signals, fitted_minus):

@@ -1,0 +1,32 @@
+"""Import hygiene: scipy is loaded per command, never at package import."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from test_acceptance import TABLE_ROWS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+LIST_SCIPY = "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+
+
+def scipy_modules_after(code: str, *args) -> list:
+    """Names of the scipy modules loaded by ``code`` in a fresh interpreter."""
+    prog = f"import sys; sys.path.insert(0, sys.argv[1]); {code}; {LIST_SCIPY}"
+    out = subprocess.run([sys.executable, "-c", prog, str(SRC), *map(str, args)],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1].split()  # the listing is the last line
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import homsim, homsim.cli") == []
+
+
+def test_depth_and_witness_load_no_scipy(tmp_path):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": TABLE_ROWS}))
+    run = ("from homsim import cli; "
+           "[cli.main(['--out', sys.argv[2], c, sys.argv[3]], standalone_mode=False) for c in ('depth', 'witness')]")
+    assert scipy_modules_after(run, tmp_path, rows) == []

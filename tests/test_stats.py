@@ -33,6 +33,15 @@ def test_multinomial_resample_is_deterministic_per_index():
     assert not np.array_equal(b, c)
 
 
+def test_multinomial_resample_rows_equal_fresh_philox_streams():
+    probs = np.random.default_rng(0).random(13)
+    probs /= probs.sum()
+    out = stats.multinomial_resample(probs, 500, stats.ResamplePlan(n_samples=1000, seed=17))
+    for i in (0, 1, 999):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([17, i], dtype=np.uint64)))
+        np.testing.assert_array_equal(out[i], fresh.multinomial(500, probs) / 500)
+
+
 def test_multinomial_resample_normalizes_and_validates():
     plan = stats.ResamplePlan(n_samples=3, seed=0)
     out = stats.multinomial_resample([2.0, 2.0], 10, plan)  # unnormalized input ok
