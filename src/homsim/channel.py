@@ -12,7 +12,9 @@ and never produces negative entries.  Only the influx and loss rates are free
 parameters; the skew and blur settings are fixed properties of the
 calibration.  ``fit`` recovers the free parameters from counting data by
 minimising the squared Hellinger distance over the whole grid, odd totals
-included, with a seeded differential-evolution search.
+included: a bounded nonlinear least-squares problem in the residual
+sqrt(p) - sqrt(q), solved by a trust-region reflective search with an
+analytic Jacobian from a few fixed starts.
 
 The influx, loss and blur matrices are built in one broadcast each from
 closed forms, with ``xlogy``/``xlog1py`` keeping the rates 0 and 1 exact:
@@ -20,6 +22,11 @@ closed forms, with ``xlogy``/``xlog1py`` keeping the rates 0 and 1 exact:
     influx  P[m, k] = a^(m-k) e^(-a) / (m-k)!               (m >= k)
     loss    B[m, k] = C(k, m) (1-l)^m l^(k-m)               (m <= k)
     blur    B[m, n] = Phi((m+1/2-n)/sigma_n) - Phi((m-1/2-n)/sigma_n)
+
+Their rate derivatives are closed forms too:
+
+    dP/da[m, k] = P[m-1, k] - P[m, k]
+    dB/dl[:, k] = k (B[:, k-1] - B[:, k-1] shifted down one row)
 
 scipy is imported inside the functions that build the matrices, not at
 module import.
@@ -33,9 +40,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import stats
 from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
-from .metrology import ShotTable, _hell2
+from .metrology import ShotTable
 
 
 class ConvergenceError(RuntimeError):
@@ -141,12 +147,17 @@ def skew_shift_probability(skew: float) -> float:
     return float(np.sqrt(skew) - 1.0)
 
 
-def _renormalized(grid: np.ndarray, dist: TwoModeDistribution) -> TwoModeDistribution:
+def _normalize(grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """The grid scaled to unit mass, and the mass it had before."""
     total = grid.sum()
     if total <= 0:
         raise ValueError("stage removed all probability mass")
-    leak = max(0.0, 1.0 - total)
-    return TwoModeDistribution(grid=grid / total, n_max=dist.n_max, tail_mass=dist.tail_mass + leak)
+    return grid / total, total
+
+
+def _renormalized(grid: np.ndarray, dist: TwoModeDistribution) -> TwoModeDistribution:
+    grid, total = _normalize(grid)
+    return TwoModeDistribution(grid=grid, n_max=dist.n_max, tail_mass=dist.tail_mass + max(0.0, 1.0 - total))
 
 
 def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistribution:
@@ -172,13 +183,28 @@ def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistributi
     return _renormalized(out, dist)
 
 
+@lru_cache(maxsize=8)
+def _indices(size: int) -> np.ndarray:
+    """Read-only row and column index grids (m, k) of a size x size matrix."""
+    grids = np.indices((size, size))
+    grids.flags.writeable = False
+    return grids
+
+
 def _influx_matrix(a: float, size: int) -> np.ndarray:
     """P[m, k] = Poisson(m - k; a): the chance that k atoms become m after influx."""
     from scipy.special import gammaln, xlogy
 
-    m, k = np.indices((size, size))
+    m, k = _indices(size)
     added = np.maximum(m - k, 0)
     return np.where(m >= k, np.exp(xlogy(added, a) - a - gammaln(added + 1)), 0.0)
+
+
+def _influx_derivative(p: np.ndarray) -> np.ndarray:
+    """dP/da[m, k] = P[m-1, k] - P[m, k]: the Poisson pmf's slope in its mean."""
+    d = -p
+    d[1:] += p[:-1]
+    return d
 
 
 def convolve_poisson_influx(dist: TwoModeDistribution, a_plus: float, a_minus: float) -> TwoModeDistribution:
@@ -198,10 +224,18 @@ def _loss_matrix(l: float, size: int) -> np.ndarray:
     """
     from scipy.special import binom, xlog1py, xlogy
 
-    m, k = np.indices((size, size))
+    m, k = _indices(size)
     lost = np.maximum(k - m, 0)
     kept = np.minimum(m, k)
     return np.where(m <= k, binom(k, kept) * np.exp(xlog1py(kept, -l) + xlogy(lost, l)), 0.0)
+
+
+def _loss_derivative(b: np.ndarray) -> np.ndarray:
+    """dB/dl: column k is k (B[:, k-1] - B[:, k-1] shifted down one row)."""
+    d = np.zeros_like(b)
+    d[:, 1:] = b[:, :-1]
+    d[1:, 1:] -= b[:-1, :-1]
+    return d * np.arange(len(b))
 
 
 def convolve_binomial_loss(dist: TwoModeDistribution, l_plus: float, l_minus: float) -> TwoModeDistribution:
@@ -211,6 +245,21 @@ def convolve_binomial_loss(dist: TwoModeDistribution, l_plus: float, l_minus: fl
     size = dist.n_max + 1
     grid = _loss_matrix(l_plus, size) @ dist.grid @ _loss_matrix(l_minus, size).T
     return _renormalized(grid, dist)
+
+
+def _skew_map(g: np.ndarray, q: float) -> np.ndarray:
+    """The two calibration coins as a linear map on the last two axes of ``g``."""
+    # minus coin: n_minus -> n_minus + 1, clamped at the top edge
+    tmp = (1 - q) * g
+    shifted = q * g
+    tmp[..., :, 1:] += shifted[..., :, :-1]
+    tmp[..., :, -1] += shifted[..., :, -1]
+    # plus coin: n_plus -> n_plus - 1, clamped at the bottom edge
+    out = (1 - q) * tmp
+    shifted = q * tmp
+    out[..., :-1, :] += shifted[..., 1:, :]
+    out[..., 0, :] += shifted[..., 0, :]
+    return out
 
 
 def apply_calibration_skew(dist: TwoModeDistribution, skew: float) -> TwoModeDistribution:
@@ -223,19 +272,7 @@ def apply_calibration_skew(dist: TwoModeDistribution, skew: float) -> TwoModeDis
     q = skew_shift_probability(skew)
     if q == 0.0:
         return dist
-    g = dist.grid
-    # minus coin: n_minus -> n_minus + 1, clamped at the top edge
-    tmp = (1 - q) * g
-    shifted = q * g
-    tmp = tmp.copy()
-    tmp[:, 1:] += shifted[:, :-1]
-    tmp[:, -1] += shifted[:, -1]
-    # plus coin: n_plus -> n_plus - 1, clamped at the bottom edge
-    out = (1 - q) * tmp
-    shifted = q * tmp
-    out[:-1] += shifted[1:]
-    out[0] += shifted[0]
-    return _renormalized(out, dist)
+    return _renormalized(_skew_map(dist.grid, q), dist)
 
 
 @lru_cache(maxsize=64)
@@ -258,20 +295,56 @@ def _blur_matrix(n_max: int, sigma0: float, c1: float) -> np.ndarray:
     return b
 
 
+def _blur_map(g: np.ndarray, blur_minus: BlurLaw, blur_plus: BlurLaw) -> np.ndarray:
+    """The detection blur B+ g B-^T as a linear map on the last two axes of ``g``."""
+    n_max = g.shape[-1] - 1
+    bp = _blur_matrix(n_max, blur_plus.sigma0, blur_plus.c1)
+    bm = _blur_matrix(n_max, blur_minus.sigma0, blur_minus.c1)
+    return bp @ g @ bm.T
+
+
 def apply_detection_blur(
     dist: TwoModeDistribution, blur_minus: BlurLaw = DEFAULT_BLUR_MINUS, blur_plus: BlurLaw = DEFAULT_BLUR_PLUS
 ) -> TwoModeDistribution:
     """Reassign true counts to detected counts through the Gaussian peak overlap."""
-    bp = _blur_matrix(dist.n_max, blur_plus.sigma0, blur_plus.c1)
-    bm = _blur_matrix(dist.n_max, blur_minus.sigma0, blur_minus.c1)
-    return _renormalized(bp @ dist.grid @ bm.T, dist)
+    return _renormalized(_blur_map(dist.grid, blur_minus, blur_plus), dist)
+
+
+_RATES = ("a_plus", "a_minus", "l_plus", "l_minus")
+
+
+def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = False):
+    """Influx, loss, skew and blur on a raw grid at the rates x = (a+, a-, l+, l-).
+
+    Only the skew and blur of ``params`` are read.  Returns the detected grid
+    p, the mass the stages pushed off the grid and, with ``jac``, the
+    derivatives dp/dx stacked on a leading axis of length 4 (else None).
+    Each stage renormalizes as its stage function does.  Loss, skew and blur
+    conserve mass for every rate, so their normalizations are constants in
+    the chain rule; the influx's is not: dG = (dU - G sum(dU)) / sum(U).
+    """
+    size = len(grid)
+    pp, pm = _influx_matrix(x[0], size), _influx_matrix(x[1], size)
+    bp, bm = _loss_matrix(x[2], size), _loss_matrix(x[3], size)
+    q = skew_shift_probability(params.skew)
+    g1, s1 = _normalize(pp @ grid @ pm.T)
+    g2, s2 = _normalize(bp @ g1 @ bm.T)
+    g3, s3 = _normalize(_skew_map(g2, q))
+    p, s4 = _normalize(_blur_map(g3, params.blur_minus, params.blur_plus))
+    leak = sum(max(0.0, 1.0 - s) for s in (s1, s2, s3, s4))
+    if not jac:
+        return p, leak, None
+    du = np.stack([_influx_derivative(pp) @ grid @ pm.T, pp @ grid @ _influx_derivative(pm).T])
+    dg1 = (du - g1 * du.sum(axis=(1, 2))[:, None, None]) / s1
+    dg2 = np.concatenate([bp @ dg1 @ bm.T, [_loss_derivative(bp) @ g1 @ bm.T, bp @ g1 @ _loss_derivative(bm).T]])
+    dp = _blur_map(_skew_map(dg2 / s2, q) / s3, params.blur_minus, params.blur_plus) / s4
+    return p, leak, dp
 
 
 def _post_rotation(dist: TwoModeDistribution, params: NoiseModelParams) -> TwoModeDistribution:
-    out = convolve_poisson_influx(dist, params.a_plus, params.a_minus)
-    out = convolve_binomial_loss(out, params.l_plus, params.l_minus)
-    out = apply_calibration_skew(out, params.skew)
-    return apply_detection_blur(out, params.blur_minus, params.blur_plus)
+    rates = [getattr(params, k) for k in _RATES]
+    grid, leak, _ = _noise_forward(dist.grid, rates, params)
+    return TwoModeDistribution(grid=grid, n_max=dist.n_max, tail_mass=dist.tail_mass + leak)
 
 
 def predict(dist_ideal: TwoModeDistribution, theta: float, params: NoiseModelParams) -> TwoModeDistribution:
@@ -286,14 +359,46 @@ def empirical_grid(n_plus, n_minus, n_max: int) -> TwoModeDistribution:
     return TwoModeDistribution(grid=grid / grid.sum(), n_max=n_max)
 
 
+def _hellinger_residual(rotated: np.ndarray, emp: np.ndarray, params: NoiseModelParams):
+    """Residual sqrt(p(x)) - sqrt(q) over the raveled grid and its Jacobian.
+
+    Half the squared residual norm is the squared Hellinger distance.  The
+    factor 1/(2 sqrt(p)) of d sqrt(p) is set to 0 on bins where p vanishes.
+    """
+    sqrt_q = np.sqrt(emp.ravel())
+
+    def residual(x):
+        return np.sqrt(_noise_forward(rotated, x, params)[0].ravel()) - sqrt_q
+
+    def jacobian(x):
+        p, _, dp = _noise_forward(rotated, x, params, jac=True)
+        sqrt_p = np.sqrt(p.ravel())
+        half_inv = np.divide(0.5, sqrt_p, out=np.zeros_like(sqrt_p), where=sqrt_p > 0)
+        return dp.reshape(len(dp), -1).T * half_inv[:, None]
+
+    return residual, jacobian
+
+
+# Seeded starts of each per-angle search, besides the reference rates.
+_SEEDED_STARTS = 3
+
+
 @dataclass(frozen=True)
 class ChannelFit:
-    """Per-angle best-fit rates with their across-angle spread."""
+    """Per-angle best-fit rates with their across-angle spread.
+
+    ``objectives`` holds each angle's least-squares cost, the squared
+    Hellinger distance; ``nfev`` its model evaluations over all starts
+    (residuals plus Jacobians); ``status`` the ``least_squares`` status of
+    its best start, 0 when that start hit its evaluation cap.
+    """
 
     per_theta: dict
     mean: NoiseModelParams
     std: dict
     objectives: dict
+    nfev: dict
+    status: dict
     converged: bool
 
 
@@ -307,43 +412,55 @@ def fit(
 ) -> ChannelFit:
     """Fit the four free rates to counting data, one fit per rotation angle.
 
-    The objective is the squared Hellinger distance between the predicted and
-    the empirical joint grid (normalized over all outcomes, odd N included).
-    Rotation, skew, and blur do not depend on the free parameters, so the
-    rotated source is computed once per angle.  Raises
-    :class:`ConvergenceError` carrying the best parameters found if any
-    per-angle search flags non-convergence.
+    The objective is the squared Hellinger distance 1/2 |sqrt(p(x)) - sqrt(q)|^2
+    between the predicted grid p and the empirical grid q (normalized over
+    all outcomes, odd N included): a least-squares problem in four rates
+    with box ``bounds`` (Beran, Ann. Statist. 5, 445 (1977)).  Each angle is
+    solved by trust-region reflective least squares with the analytic
+    Jacobian of the noise stages, from the rates of ``params0`` clipped into
+    the bounds and from three starts drawn uniformly within them by a
+    generator seeded with ``seed``; the lowest cost wins.  ``budget`` caps
+    the residual evaluations of each start, and a start evaluates its
+    Jacobian at most once per residual.  Rotation, skew, and blur do not
+    depend on the free parameters, so the rotated source is computed once
+    per angle.  Raises :class:`ConvergenceError` carrying the whole fit if
+    the best start of any angle hit its cap.
     """
+    from scipy.optimize import least_squares
+
     if not data:
         raise ValueError("need at least one dataset")
     if bounds is None:
         hi_a = max(0.3, 4 * max(params0.a_plus, params0.a_minus))
         hi_l = max(0.1, 4 * max(params0.l_plus, params0.l_minus))
         bounds = [(0.0, hi_a), (0.0, hi_a), (0.0, hi_l), (0.0, hi_l)]
+    lo, hi = np.asarray(bounds, dtype=float).T
+    starts = np.vstack([np.clip([getattr(params0, k) for k in _RATES], lo, hi),
+                        np.random.default_rng(seed).uniform(lo, hi, size=(_SEEDED_STARTS, len(_RATES)))])
 
-    per_theta = {}
-    objectives = {}
-    converged = True
+    per_theta, objectives, nfev, status = {}, {}, {}, {}
     for theta, shots in sorted(data.items()):
-        emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid.ravel()
-        rotated = apply_rotation(source, theta)
+        emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid
+        residual, jacobian = _hellinger_residual(apply_rotation(source, theta).grid, emp, params0)
+        runs = [least_squares(residual, x0, jac=jacobian, bounds=(lo, hi), method="trf", max_nfev=budget)
+                for x0 in starts]
+        best = min(runs, key=lambda r: r.cost)
+        per_theta[theta] = replace(params0, **dict(zip(_RATES, map(float, best.x))))
+        objectives[theta] = float(best.cost)
+        nfev[theta] = sum(r.nfev + r.njev for r in runs)
+        status[theta] = int(best.status)
 
-        def objective(x):
-            trial = replace(params0, a_plus=x[0], a_minus=x[1], l_plus=x[2], l_minus=x[3])
-            return float(_hell2(_post_rotation(rotated, trial).grid.ravel(), emp))
-
-        result = stats.differential_evolution(objective, bounds, budget=budget, seed=seed)
-        converged &= result.converged
-        per_theta[theta] = replace(
-            params0, a_plus=result.x[0], a_minus=result.x[1], l_plus=result.x[2], l_minus=result.x[3]
-        )
-        objectives[theta] = result.fun
-
-    stacked = np.array([[p.a_plus, p.a_minus, p.l_plus, p.l_minus] for p in per_theta.values()])
-    mean = replace(params0, a_plus=stacked[:, 0].mean(), a_minus=stacked[:, 1].mean(),
-                   l_plus=stacked[:, 2].mean(), l_minus=stacked[:, 3].mean())
-    std = dict(zip(("a_plus", "a_minus", "l_plus", "l_minus"), stacked.std(axis=0, ddof=1) if len(stacked) > 1 else np.zeros(4)))
-    fit_result = ChannelFit(per_theta=per_theta, mean=mean, std=std, objectives=objectives, converged=converged)
+    stacked = np.array([[getattr(p, k) for k in _RATES] for p in per_theta.values()])
+    mean = replace(params0, **dict(zip(_RATES, stacked.mean(axis=0))))
+    std = dict(zip(_RATES, stacked.std(axis=0, ddof=1) if len(stacked) > 1 else np.zeros(4)))
+    converged = all(s > 0 for s in status.values())
+    fit_result = ChannelFit(per_theta=per_theta, mean=mean, std=std, objectives=objectives, nfev=nfev,
+                            status=status, converged=converged)
     if not converged:
-        raise ConvergenceError("differential evolution exhausted its budget", best=fit_result)
+        stuck = [t for t, s in status.items() if s <= 0]
+        raise ConvergenceError(
+            f"noise fit reached its cap of {budget} evaluations per start without converging "
+            f"at theta = {', '.join(f'{t:.6g}' for t in stuck)}",
+            best=fit_result,
+        )
     return fit_result

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import stats
 from .channel import sigma_law
+from .metrology import read_csv_columns
 
 
 class CalibrationError(RuntimeError):
@@ -109,14 +110,8 @@ class SignalTable:
 
     @classmethod
     def from_csv(cls, path) -> "SignalTable":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        data = np.atleast_1d(data)
-        return cls(
-            shot_index=data["shot_index"].astype(int),
-            s_minus=data["s_minus"].astype(float),
-            s_zero=data["s_zero"].astype(float),
-            s_plus=data["s_plus"].astype(float),
-        )
+        shot_index, s_minus, s_zero, s_plus = read_csv_columns(path, ("shot_index", "s_minus", "s_zero", "s_plus"))
+        return cls(shot_index=shot_index.astype(int), s_minus=s_minus, s_zero=s_zero, s_plus=s_plus)
 
 
 @dataclass(frozen=True)

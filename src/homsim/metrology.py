@@ -29,6 +29,17 @@ SMALL_ROTATION_ANGLES = (0.0, 0.14, 0.20, 0.28, 0.35)
 DEFAULT_EXCLUSIONS: Mapping[int, tuple[float, ...]] = {14: (0.35,)}
 
 
+def read_csv_columns(path, names, dtype=float) -> list[np.ndarray]:
+    """The columns called ``names`` of a CSV file with one header line, in that order."""
+    with open(path) as fh:
+        header = [h.strip() for h in fh.readline().split(",")]
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise ValueError(f"{path}: no column {', '.join(missing)} in header {header}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=dtype)
+    return [np.ascontiguousarray(data[:, header.index(n)]) for n in names]
+
+
 @dataclass(frozen=True)
 class ShotTable:
     """Per-shot detected occupations of the two side modes.
@@ -73,8 +84,8 @@ class ShotTable:
 
     @classmethod
     def from_csv(cls, path, theta: float | None = None) -> "ShotTable":
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True, dtype=int))
-        return cls(n_plus=data["N_plus"], n_minus=data["N_minus"], theta=theta)
+        n_plus, n_minus = read_csv_columns(path, ("N_plus", "N_minus"), dtype=int)
+        return cls(n_plus=n_plus, n_minus=n_minus, theta=theta)
 
     @classmethod
     def sample(cls, dist: TwoModeDistribution, n_shots: int, seed: int = 0, theta: float | None = None) -> "ShotTable":

@@ -144,6 +144,7 @@ class DEResult:
 def differential_evolution(func, bounds, budget: int = 200, seed: int = 0) -> DEResult:
     """Global minimization with fixed, reproducible hyperparameters.
 
+    The tests check ``channel.fit``'s local least-squares optimum against it.
     ``budget`` is the generation limit.  Non-convergence is reported through
     the result flag rather than an exception so callers can decide whether a
     best-effort optimum is still usable.

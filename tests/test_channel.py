@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, norm, poisson
 
 import oracles
-from homsim import channel, fock, metrology
+from homsim import channel, fock, metrology, stats
 
 REF = channel.REFERENCE_PARAMS
 
@@ -255,12 +255,36 @@ def _sampled_table(pred: fock.TwoModeDistribution, n_shots: int, seed: int) -> m
     return metrology.ShotTable(n_plus=ip, n_minus=im, theta=math.pi / 2)
 
 
-def test_fit_recovers_rates_smoke():
-    truth = channel.NoiseModelParams(a_plus=0.06, a_minus=0.02, l_plus=0.001, l_minus=0.012)
+SMOKE_TRUTH = channel.NoiseModelParams(a_plus=0.06, a_minus=0.02, l_plus=0.001, l_minus=0.012)
+SMOKE_BOUNDS = [(0.0, 0.15), (0.0, 0.08), (0.0, 0.01), (0.0, 0.05)]
+HOM = math.pi / 2
+
+
+def _smoke_problem(n_shots: int) -> tuple[fock.TwoModeDistribution, metrology.ShotTable]:
+    """An n_max = 10 source and a pi/2 table sampled from it through SMOKE_TRUTH."""
     src = fock.tmsv_distribution(fock.SqueezedSource(xi=0.9), n_max=10)
-    tab = _sampled_table(channel.predict(src, math.pi / 2, truth), 4000, seed=3)
-    bounds = [(0.0, 0.15), (0.0, 0.08), (0.0, 0.01), (0.0, 0.05)]
-    res = channel.fit(truth, {math.pi / 2: tab}, src, bounds=bounds, budget=60, seed=1)
+    return src, _sampled_table(channel.predict(src, HOM, SMOKE_TRUTH), n_shots, seed=3)
+
+
+def _staged_objective(src: fock.TwoModeDistribution, tab: metrology.ShotTable):
+    """Squared Hellinger distance of the rates x, through the public stage functions."""
+    rotated = channel.apply_rotation(src, HOM)
+    emp = channel.empirical_grid(tab.n_plus, tab.n_minus, src.n_max).grid.ravel()
+
+    def objective(x):
+        out = channel.convolve_poisson_influx(rotated, x[0], x[1])
+        out = channel.convolve_binomial_loss(out, x[2], x[3])
+        out = channel.apply_calibration_skew(out, SMOKE_TRUTH.skew)
+        out = channel.apply_detection_blur(out, SMOKE_TRUTH.blur_minus, SMOKE_TRUTH.blur_plus)
+        return float(metrology._hell2(out.grid.ravel(), emp))
+
+    return objective
+
+
+def test_fit_recovers_rates_smoke():
+    truth = SMOKE_TRUTH
+    src, tab = _smoke_problem(4000)
+    res = channel.fit(truth, {math.pi / 2: tab}, src, bounds=SMOKE_BOUNDS, budget=60, seed=1)
     assert res.converged
     best = res.per_theta[math.pi / 2]
     assert res.objectives[math.pi / 2] < 0.01
@@ -269,13 +293,51 @@ def test_fit_recovers_rates_smoke():
     assert res.std["a_plus"] == 0.0
 
 
+def test_fit_not_above_de_oracle():
+    src, tab = _smoke_problem(4000)
+    res = channel.fit(SMOKE_TRUTH, {HOM: tab}, src, bounds=SMOKE_BOUNDS, budget=60, seed=1)
+    objective = _staged_objective(src, tab)
+    best = res.per_theta[HOM]
+    # the reported cost is the objective at the reported rates
+    assert res.objectives[HOM] == pytest.approx(
+        objective([best.a_plus, best.a_minus, best.l_plus, best.l_minus]), rel=0, abs=1e-15)
+    assert res.status[HOM] > 0
+    assert 0 < res.nfev[HOM] < 4 * 2 * 60
+    de = stats.differential_evolution(objective, SMOKE_BOUNDS, budget=60, seed=1)
+    assert res.objectives[HOM] <= de.fun + 1e-12
+
+
+def _one_sided_slope(f, x, step):
+    """Second-order forward difference (-3 f(x) + 4 f(x + h) - f(x + 2h)) / 2h."""
+    return (-3 * f(x) + 4 * f(x + step) - f(x + 2 * step)) / (2 * np.linalg.norm(step))
+
+
+@pytest.mark.parametrize("x", [[0.05, 0.03, 0.004, 0.02], [0.0, 0.0, 0.0, 0.0], [0.05, 0.0, 0.0, 0.02]])
+def test_noise_jacobian_matches_finite_differences(x):
+    # an interior point, then points on the lower bounds a = 0 and l = 0, where
+    # the rates can only grow and the differences are one-sided
+    src, tab = _smoke_problem(4000)
+    emp = channel.empirical_grid(tab.n_plus, tab.n_minus, src.n_max).grid
+    residual, jacobian = channel._hellinger_residual(channel.apply_rotation(src, HOM).grid, emp, SMOKE_TRUTH)
+    x = np.array(x)
+    jac = jacobian(x)
+    assert jac.shape == (emp.size, 4)
+    h = 1e-6
+    for i in range(4):
+        step = h * np.eye(4)[i]
+        if x[i] > h:
+            slope, atol = (residual(x + step) - residual(x - step)) / (2 * h), 1e-8
+        else:
+            # the truncation error is larger here: up to 3e-8 at x = 0
+            slope, atol = _one_sided_slope(residual, x, step), 3e-7
+        np.testing.assert_allclose(jac[:, i], slope, rtol=0, atol=atol)
+
+
 def test_fit_budget_exhaustion_raises_with_best():
-    truth = channel.NoiseModelParams(a_plus=0.06, a_minus=0.02, l_plus=0.001, l_minus=0.012)
-    src = fock.tmsv_distribution(fock.SqueezedSource(xi=0.9), n_max=10)
-    tab = _sampled_table(channel.predict(src, math.pi / 2, truth), 500, seed=3)
-    bounds = [(0.0, 0.15), (0.0, 0.08), (0.0, 0.01), (0.0, 0.05)]
+    truth = SMOKE_TRUTH
+    src, tab = _smoke_problem(500)
     with pytest.raises(channel.ConvergenceError) as err:
-        channel.fit(truth, {math.pi / 2: tab}, src, bounds=bounds, budget=1, seed=1)
+        channel.fit(truth, {math.pi / 2: tab}, src, bounds=SMOKE_BOUNDS, budget=1, seed=1)
     assert isinstance(err.value.best, channel.ChannelFit)
     assert not err.value.best.converged
 

@@ -72,6 +72,28 @@ def test_signal_table_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.s_plus, table.s_plus, atol=1e-5)
 
 
+def test_signal_table_csv_single_row_column_order_and_missing_column(tmp_path):
+    one = detector.SignalTable(shot_index=np.array([7]), s_minus=np.array([1.25]), s_zero=np.array([2.5]),
+                               s_plus=np.array([3.75]))
+    path = tmp_path / "one.csv"
+    one.to_csv(path)
+    back = detector.SignalTable.from_csv(path)
+    np.testing.assert_array_equal(back.shot_index, [7])
+    np.testing.assert_array_equal(back.s_plus, [3.75])
+    # columns are found by their header names, wherever they stand
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("s_plus,shot_index,s_zero,s_minus\n3.5,0,2.5,1.5\n7.25,4,6.25,5.25\n")
+    back = detector.SignalTable.from_csv(swapped)
+    np.testing.assert_array_equal(back.shot_index, [0, 4])
+    np.testing.assert_array_equal(back.s_minus, [1.5, 5.25])
+    np.testing.assert_array_equal(back.s_zero, [2.5, 6.25])
+    np.testing.assert_array_equal(back.s_plus, [3.5, 7.25])
+    missing = tmp_path / "missing.csv"
+    missing.write_text("shot_index,s_minus,s_plus\n0,1.0,2.0\n")
+    with pytest.raises(ValueError, match="s_zero"):
+        detector.SignalTable.from_csv(missing)
+
+
 def test_drift_offsets_sine_and_step():
     spec = detector.DriftSpec(peak_to_peak=100.0, period=400.0, step_at=10, step_size=7.0)
     off = spec.offsets(np.arange(20))

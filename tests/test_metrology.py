@@ -42,6 +42,25 @@ def test_shot_table_csv_round_trip(tmp_path):
     assert back.theta == 0.14
 
 
+def test_shot_table_csv_single_row_and_column_order(tmp_path):
+    one = metrology.ShotTable(n_plus=np.array([4]), n_minus=np.array([2]))
+    path = tmp_path / "one.csv"
+    one.to_csv(path)
+    back = metrology.ShotTable.from_csv(path)
+    np.testing.assert_array_equal(back.n_plus, [4])
+    np.testing.assert_array_equal(back.n_minus, [2])
+    # columns are found by their header names, wherever they stand
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("N_minus,N_plus\n1,3\n2,0\n")
+    back = metrology.ShotTable.from_csv(swapped)
+    np.testing.assert_array_equal(back.n_plus, [3, 0])
+    np.testing.assert_array_equal(back.n_minus, [1, 2])
+    missing = tmp_path / "missing.csv"
+    missing.write_text("N_plus,N_other\n1,3\n")
+    with pytest.raises(ValueError, match="N_minus"):
+        metrology.ShotTable.from_csv(missing)
+
+
 def test_shot_table_sampling_deterministic_with_mean():
     src = fock.tmsv_distribution(fock.SqueezedSource(xi=math.asinh(math.sqrt(3.75))), n_max=20)
     a = metrology.ShotTable.sample(src, 6000, seed=4)
