@@ -276,7 +276,7 @@ def analyze(obj, dataset_dir):
             entry["var_jz"] = m0.var_jz
             entry["parity_z"] = m0.parity
         if p0 is not None and ph is not None:
-            data = entanglement.collective_rows(n, m0, mh)[0]
+            data = entanglement.collective_data(n, m0, mh)
             entry["symmetry_J"] = data.symmetry_J
             collective_rows.append(data)
             weights.append(p0.n_shots)
@@ -288,8 +288,7 @@ def analyze(obj, dataset_dir):
                 entry["squeezing"] = {"notice": str(exc)}
             point_p = entanglement.depth_parity(data)
             point_v = entanglement.depth_variance(data)
-            conf_p = entanglement.depth_with_resampling(p0, ph, "parity", plan, cfg.confidence_level)
-            conf_v = entanglement.depth_with_resampling(p0, ph, "variance", plan, cfg.confidence_level)
+            conf_p, conf_v = entanglement.depth_with_resampling(p0, ph, plan, cfg.confidence_level)
             entry["depth"] = {
                 "parity_point": point_p.depth, "parity_method": point_p.method,
                 "variance_point": point_v.depth,

@@ -6,7 +6,9 @@ coupling pulse, and product parities <sigma_i^(xN)>.  From these the module
 certifies entanglement (parity-sum and indefinite-N variance witnesses) and
 lower-bounds the entanglement depth by two routes: a parity-assisted
 inequality valid for partitions with k >= N/2, and a variance criterion
-built on the minimal-variance boundary F_j of spin-j states.
+built on the minimal-variance boundary F_j of spin-j states.  Both routes run
+in one array routine over rows of moments: a point estimate is one row, and
+:func:`depth_with_resampling` returns both depths from one resample draw.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class CollectiveData:
 
     @property
     def symmetry_J(self) -> float:
-        return symmetry_parameter(self)
+        """Fraction of the maximal symmetric-subspace transverse spread, 1 = fully symmetric."""
+        return float(self.jxjy2 / (self.n_total * (self.n_total + 2) / 4.0))
 
     def to_json(self) -> dict:
         return {
@@ -91,26 +94,24 @@ def ideal_twin_fock_data(n_total: int) -> CollectiveData:
     )
 
 
-def collective_rows(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) -> list[CollectiveData]:
+def collective_data(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) -> CollectiveData:
     """Witness inputs from the moments of the two measured J_z histograms.
 
     The unrotated histogram (m0) supplies Var(J_z) and the z product parity;
     the post-pi/2 histogram (mh) supplies <Jx^2+Jy^2> and the x parity (J_x
-    has been mapped onto the measured axis).  Stacked moments give one row
-    per resample, single-histogram moments a list of one.
+    has been mapped onto the measured axis).
     """
-    cols = (jxjy2_estimate(mh), m0.var_jz, m0.parity, mh.parity, m0.mean_jz)
-    return [
-        CollectiveData(n_total=n_total, jxjy2=jxjy2, var_jz=var, parity_z=pz, parity_x=px, mean_jz=mean)
-        for jxjy2, var, pz, px, mean in zip(*(np.atleast_1d(c).tolist() for c in cols))
-    ]
+    return CollectiveData(
+        n_total=n_total, jxjy2=float(jxjy2_estimate(mh)), var_jz=float(m0.var_jz),
+        parity_z=float(m0.parity), parity_x=float(mh.parity), mean_jz=float(m0.mean_jz),
+    )
 
 
 def collective_from_distributions(p_unrotated: FixedNDistribution, post_hom: FixedNDistribution) -> CollectiveData:
-    """:func:`collective_rows` of the two histograms themselves."""
+    """:func:`collective_data` of the two histograms themselves."""
     if p_unrotated.n_total != post_hom.n_total:
         raise ValueError("histograms belong to different N")
-    return collective_rows(p_unrotated.n_total, collective_moments(p_unrotated), collective_moments(post_hom))[0]
+    return collective_data(p_unrotated.n_total, collective_moments(p_unrotated), collective_moments(post_hom))
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,6 @@ def parity_witness_xyz(data: CollectiveData) -> WitnessResult:
     """Sum of the three product-parity magnitudes; above one needs entanglement."""
     value = abs(data.parity_x) + abs(data.parity_y) + abs(data.parity_z)
     return WitnessResult(value=float(value), entangled=bool(value > 1.0), threshold=1.0)
-
-
-def symmetry_parameter(data: CollectiveData) -> float:
-    """Fraction of the maximal symmetric-subspace transverse spread, 1 = fully symmetric."""
-    n = data.n_total
-    return float(data.jxjy2 / (n * (n + 2) / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +186,30 @@ def _boundary_lines(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(mus, 1e9), np.append(_line_offsets(two_j, mus) / (two_j / 2.0), 0.5 - 1e9)
 
 
-def sm_boundary(j: float, x: float) -> float:
-    """Minimal Var(J_z)/j over spin-j states with <J_x>/j = x.
+def sm_boundary(j: float, x):
+    """Minimal Var(J_z)/j over spin-j states with <J_x>/j = x, elementwise in x.
 
     Convex, zero at x = 0, one half at x = 1.  Evaluated as the upper
-    envelope of cached supporting lines with exact offsets (:func:`_line_offsets`).
+    envelope of cached supporting lines with exact offsets (:func:`_line_offsets`),
+    in row chunks so that memory stays flat in the size of ``x``.  A scalar
+    ``x`` gives a float.
     """
     two_j = int(round(2 * j))
     if two_j < 1 or abs(2 * j - two_j) > 1e-12:
         raise DomainError("j must be a positive half-integer")
     if two_j + 1 > MAX_BOUNDARY_DIM:
         raise DomainError(f"spin too large: 2j+1 must stay <= {MAX_BOUNDARY_DIM}")
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("normalized mean spin must lie in [0, 1]")
     slopes, offsets = _boundary_lines(two_j)
-    return float(max(0.0, np.max(offsets + slopes * x)))
+    flat = x.ravel()
+    out = np.empty(len(flat))
+    chunk = max(1, _STACK_ENTRIES // len(slopes))
+    for s in range(0, len(flat), chunk):
+        out[s:s + chunk] = np.max(offsets + slopes * flat[s:s + chunk, None], axis=1)
+    out = np.maximum(out, 0.0).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +247,51 @@ class DepthResult:
         return out
 
 
-def _parity_depth_k(data: CollectiveData) -> int | None:
-    n = data.n_total
+def _pair_spread(n: int) -> float:
+    # max <Jx^2+Jy^2> of an n-atom block; odd blocks lose the quarter
+    v = (n / 2.0) * (n / 2.0 + 1.0)
+    return v if n % 2 == 0 else v - 0.25
+
+
+def _criteria(n: int, jxjy2, var_jz, parity_z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both depth criteria at atom number ``n``, one entry per row of moments.
+
+    Returns the largest block size k beaten by the parity inequality (-1 if
+    none), the largest beaten by the variance criterion (0 if none), and
+    whether any variance bound applies at each k >= 2 (column k - 2).  Only
+    block sizes are looped over; each boundary is evaluated at most once per
+    (k, bound), on the rows it decides: those not yet beaten whose
+    square-root argument lies below one.
+    """
+    jxjy2, var_jz, parity_z = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (jxjy2, var_jz, parity_z))
     jmax = n / 2.0
-    best = None
+    parity_k = np.full(len(jxjy2), -1)
     for k in range(math.ceil(n / 2), n):
-        if data.jxjy2 + k * (n - k) / 2.0 * abs(data.parity_z) > jmax * (jmax + 1):
-            best = k
-    return best
+        parity_k[jxjy2 + k * (n - k) / 2.0 * np.abs(parity_z) > jmax * (jmax + 1)] = k
+
+    variance_k = np.where((n - 1) * var_jz - jxjy2 + n / 2.0 < 0, 1, 0)
+    applies = np.zeros((len(jxjy2), n - 2), dtype=bool)
+    for k in range(2, n):
+        blocks = n // k
+        # the boundary bound, then the block-decomposition one; jmax - k/2 > 0 as k < n
+        num1 = jxjy2 - jmax * (k / 2.0 + 1.0)
+        num2 = jxjy2 - (blocks * _pair_spread(k) + _pair_spread(n - blocks * k))
+        violated = np.zeros(len(jxjy2), dtype=bool)
+        for num, arg in ((num1, np.sqrt(np.maximum(num1, 0.0) / (jmax * (jmax - k / 2.0)))),
+                         (num2, np.sqrt(np.maximum(num2, 0.0)) / jmax)):
+            violated |= (num > 0) & (arg >= 1.0)
+            below = (num > 0) & (arg < 1.0) & ~violated  # the boundary only where it decides
+            if below.any():
+                violated[below] = var_jz[below] < jmax * sm_boundary(k / 2.0, arg[below])
+            applies[:, k - 2] |= num > 0
+        variance_k[violated] = k
+    return parity_k, variance_k, applies
+
+
+def _point_criteria(data: CollectiveData) -> tuple[int, int, tuple]:
+    """:func:`_criteria` of one row, with the clamped (inapplicable) block sizes."""
+    parity_k, variance_k, applies = _criteria(data.n_total, data.jxjy2, data.var_jz, data.parity_z)
+    return int(parity_k[0]), int(variance_k[0]), tuple((np.flatnonzero(~applies[0]) + 2).tolist())
 
 
 def depth_parity(data: CollectiveData) -> DepthResult:
@@ -262,50 +303,10 @@ def depth_parity(data: CollectiveData) -> DepthResult:
     """
     if data.n_total % 2:
         raise DomainError("parity criterion defined for even N")
-    k = _parity_depth_k(data)
-    if k is None:
-        fb = depth_variance(data)
-        return DepthResult(
-            depth=fb.depth, method="fallback", n_total=data.n_total, clamped_k=fb.clamped_k
-        )
-    return DepthResult(depth=k + 1, method="parity", n_total=data.n_total)
-
-
-def _pair_spread(n: int) -> float:
-    # max <Jx^2+Jy^2> of an n-atom block; odd blocks lose the quarter
-    v = (n / 2.0) * (n / 2.0 + 1.0)
-    return v if n % 2 == 0 else v - 0.25
-
-
-def _variance_depth_k(data: CollectiveData) -> tuple[int, list]:
-    n = data.n_total
-    jmax = n / 2.0
-    best, clamped = 0, []
-    for k in range(1, n):
-        violated = False
-        applicable = False
-        if k == 1:
-            applicable = True
-            violated = (n - 1) * data.var_jz - data.jxjy2 + n / 2.0 < 0
-        else:
-            num = data.jxjy2 - jmax * (k / 2.0 + 1.0)
-            den = jmax * (jmax - k / 2.0)
-            if den > 0 and num > 0:
-                applicable = True
-                arg = math.sqrt(num / den)
-                violated = True if arg >= 1.0 else data.var_jz < jmax * sm_boundary(k / 2.0, arg)
-            blocks = n // k
-            x_bound = blocks * _pair_spread(k) + _pair_spread(n - blocks * k)
-            num2 = data.jxjy2 - x_bound
-            if num2 > 0:
-                applicable = True
-                arg2 = math.sqrt(num2) / jmax
-                violated = violated or (True if arg2 >= 1.0 else data.var_jz < jmax * sm_boundary(k / 2.0, arg2))
-        if violated:
-            best = k
-        elif not applicable and k > 1:
-            clamped.append(k)
-    return best, clamped
+    parity_k, variance_k, clamped = _point_criteria(data)
+    if parity_k < 0:
+        return DepthResult(depth=variance_k + 1, method="fallback", n_total=data.n_total, clamped_k=clamped)
+    return DepthResult(depth=parity_k + 1, method="parity", n_total=data.n_total)
 
 
 def depth_variance(data: CollectiveData) -> DepthResult:
@@ -317,48 +318,40 @@ def depth_variance(data: CollectiveData) -> DepthResult:
     exceeds anything k-producible: trivially violated.  Negative arguments
     make the criterion inapplicable at that k (recorded, not certified).
     """
-    best, clamped = _variance_depth_k(data)
-    return DepthResult(
-        depth=best + 1, method="variance", n_total=data.n_total, clamped_k=tuple(clamped)
-    )
+    _, variance_k, clamped = _point_criteria(data)
+    return DepthResult(depth=variance_k + 1, method="variance", n_total=data.n_total, clamped_k=clamped)
 
 
 def depth_with_resampling(
     p_unrotated: FixedNDistribution,
     post_hom: FixedNDistribution,
-    method: str = "parity",
     plan: stats.ResamplePlan | None = None,
     level: float = 0.68,
-) -> DepthResult:
-    """Depth at a confidence level via multinomial resampling of both histograms.
+) -> tuple[DepthResult, DepthResult]:
+    """Parity and variance depths at a confidence level, from one resample draw.
 
-    Each resample rebuilds the collective moments and re-runs the chosen
-    criterion; the reported depth is the largest one reached by at least
-    ``level`` of the samples.
+    Both histograms are resampled once (:func:`stats.resample_pair`) and both
+    criteria run on the whole stack of moments; the parity route falls back
+    to the variance one per sample, as :func:`depth_parity` does.  Each
+    reported depth is the largest one reached by at least ``level`` of the
+    samples.  Returns ``(parity, variance)``.
     """
-    if method not in ("parity", "variance"):
-        raise ValueError("method must be 'parity' or 'variance'")
-    plan = plan if plan is not None else stats.ResamplePlan()
-    if p_unrotated.n_shots is None or post_hom.n_shots is None:
-        raise ValueError("resampling needs the original sample sizes")
     n = p_unrotated.n_total
-    p0s = stats.multinomial_resample(p_unrotated.probs, p_unrotated.n_shots, plan)
-    phs = stats.multinomial_resample(
-        post_hom.probs, post_hom.n_shots, stats.ResamplePlan(plan.n_samples, plan.seed + 1)
-    )
-    depths = np.empty(plan.n_samples, dtype=int)
-    for i, sample in enumerate(collective_rows(n, moments(p0s), moments(phs))):
-        if method == "parity":
-            k = _parity_depth_k(sample)
-            depths[i] = (k + 1) if k is not None else _variance_depth_k(sample)[0] + 1
-        else:
-            depths[i] = _variance_depth_k(sample)[0] + 1
-    return DepthResult(
-        depth=stats.depth_confidence(depths, level=level),
-        method=method,
-        n_total=n,
-        samples=depths,
-        confidence_level=level,
+    if post_hom.n_total != n:
+        raise ValueError("histograms belong to different N")
+    if n < 2:
+        raise ValueError("need at least two atoms")
+    if n % 2:
+        raise DomainError("parity criterion defined for even N")
+    plan = plan if plan is not None else stats.ResamplePlan()
+    m0, mh = (moments(s) for s in stats.resample_pair(p_unrotated, post_hom, plan))
+    parity_k, variance_k, _ = _criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
+    variance = variance_k + 1
+    parity = np.where(parity_k >= 0, parity_k + 1, variance)
+    return tuple(
+        DepthResult(depth=stats.depth_confidence(depths, level=level), method=method, n_total=n,
+                    samples=depths, confidence_level=level)
+        for method, depths in (("parity", parity), ("variance", variance))
     )
 
 

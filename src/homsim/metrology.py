@@ -453,11 +453,7 @@ def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stat
     p = q); downstream fits absorb that through their free intercept.
     """
     _check_same_n(p, q)
-    if p.n_shots is None or q.n_shots is None:
-        raise ValueError("resampling needs the original sample sizes")
-    ps = stats.multinomial_resample(p.probs, p.n_shots, plan)
-    qs = stats.multinomial_resample(q.probs, q.n_shots, stats.ResamplePlan(plan.n_samples, plan.seed + 1))
-    d2 = _hell2(ps, qs)
+    d2 = _hell2(*stats.resample_pair(p, q, plan))
     return float(d2.mean()), float(d2.std(ddof=1)) if len(d2) > 1 else 0.0
 
 

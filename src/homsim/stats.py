@@ -64,6 +64,14 @@ def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) ->
     return out
 
 
+def resample_pair(p, q, plan: ResamplePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Resample stacks of two measured histograms: ``p`` from ``plan``'s streams, ``q`` from seed + 1's."""
+    if p.n_shots is None or q.n_shots is None:
+        raise ValueError("resampling needs the original sample sizes")
+    return (multinomial_resample(p.probs, p.n_shots, plan),
+            multinomial_resample(q.probs, q.n_shots, ResamplePlan(plan.n_samples, plan.seed + 1)))
+
+
 def asymmetric_std(samples: np.ndarray, center: float | None = None) -> tuple[float, float]:
     """One-sided spreads (minus, plus) of a possibly skewed sample cloud.
 

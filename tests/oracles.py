@@ -182,6 +182,56 @@ def min_energy(two_j: int, mu) -> np.ndarray:
     return best
 
 
+def parity_depth_k(n: int, jxjy2: float, parity_z: float):
+    """Largest block size k >= N/2 beaten by the parity inequality, or None: one row, scalar loop."""
+    jmax = n / 2.0
+    best = None
+    for k in range(math.ceil(n / 2), n):
+        if jxjy2 + k * (n - k) / 2.0 * abs(parity_z) > jmax * (jmax + 1):
+            best = k
+    return best
+
+
+def _pair_spread(n: int) -> float:
+    v = (n / 2.0) * (n / 2.0 + 1.0)
+    return v if n % 2 == 0 else v - 0.25
+
+
+def variance_depth_k(n: int, jxjy2: float, var_jz: float, boundary) -> tuple[int, list]:
+    """Largest block size beaten by the variance criterion and the clamped k: one row, scalar loop.
+
+    ``boundary(j, x)`` is the minimal-variance boundary F_j(x), called once
+    per scalar argument.
+    """
+    jmax = n / 2.0
+    best, clamped = 0, []
+    for k in range(1, n):
+        violated = False
+        applicable = False
+        if k == 1:
+            applicable = True
+            violated = (n - 1) * var_jz - jxjy2 + n / 2.0 < 0
+        else:
+            num = jxjy2 - jmax * (k / 2.0 + 1.0)
+            den = jmax * (jmax - k / 2.0)
+            if den > 0 and num > 0:
+                applicable = True
+                arg = math.sqrt(num / den)
+                violated = True if arg >= 1.0 else var_jz < jmax * boundary(k / 2.0, arg)
+            blocks = n // k
+            x_bound = blocks * _pair_spread(k) + _pair_spread(n - blocks * k)
+            num2 = jxjy2 - x_bound
+            if num2 > 0:
+                applicable = True
+                arg2 = math.sqrt(num2) / jmax
+                violated = violated or (True if arg2 >= 1.0 else var_jz < jmax * boundary(k / 2.0, arg2))
+        if violated:
+            best = k
+        elif not applicable and k > 1:
+            clamped.append(k)
+    return best, clamped
+
+
 def fisher_fit_scan(diffs, d2, quartic: bool, f_max: float = 400.0, levels: int = 5) -> float:
     """Global minimizer in F >= 0 of the unweighted Hellinger-parabola cost.
 

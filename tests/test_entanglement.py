@@ -131,6 +131,24 @@ def test_boundary_domain_guards():
         ent.sm_boundary(0.5, 1.2)
     with pytest.raises(DomainError):
         ent.sm_boundary(40.0, 0.5)  # 2j+1 exceeds the solver cap
+    xs = np.linspace(0.0, 1.0, 11)
+    xs[7] = 1.0 + 1e-12
+    with pytest.raises(DomainError):
+        ent.sm_boundary(1.5, xs)  # one element out of range fails the whole array
+    xs[7] = np.nan
+    with pytest.raises(DomainError):
+        ent.sm_boundary(1.5, xs)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 3.0, 6.0])
+def test_boundary_array_equals_scalar_calls(j):
+    xs = np.linspace(0.0, 1.0, 1001)
+    batched = ent.sm_boundary(j, xs)
+    assert isinstance(batched, np.ndarray) and batched.shape == xs.shape
+    scalar = [ent.sm_boundary(j, float(x)) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_array_equal(batched, scalar)
+    np.testing.assert_array_equal(batched, [_scalar_boundary(j, x) for x in xs])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -149,6 +167,31 @@ def test_depth_parity_frozen_table():
 
 def test_depth_variance_frozen_table():
     assert [ent.depth_variance(d).depth for d in table_data()] == [2, 4, 6, 8, 8, 10]
+
+
+def test_depth_beyond_the_solver_cap_for_ideal_rows():
+    # every bound at N = 66 is beaten outright (argument >= 1), so no block size
+    # k >= 64 reaches the boundary solver, whose cap is 2j + 1 <= 64
+    data = ent.ideal_twin_fock_data(66)
+    assert (ent.depth_parity(data).depth, ent.depth_parity(data).method) == (66, "parity")
+    assert ent.depth_variance(data).depth == 66
+
+
+def test_criteria_call_the_boundary_only_where_it_decides(monkeypatch):
+    calls = []
+
+    def counted(j, x):
+        assert len(x) > 0
+        calls.append((j, len(x)))
+        return real(j, x)
+
+    real = ent.sm_boundary
+    monkeypatch.setattr(ent, "sm_boundary", counted)
+    ideal, flat = ent.ideal_twin_fock_data(12), ent.CollectiveData(n_total=12, jxjy2=1.0, var_jz=0.5)
+    ent._criteria(12, [ideal.jxjy2, flat.jxjy2], [ideal.var_jz, flat.var_jz], [ideal.parity_z, flat.parity_z])
+    assert calls == []  # beaten outright, or inapplicable at every k >= 2
+    ent._criteria(12, [ideal.jxjy2, 30.0], [0.0, 0.2], [1.0, 0.0])
+    assert calls and all(rows == 1 for _, rows in calls)  # only the second row needs the boundary
 
 
 def test_depth_parity_rejects_odd_n():
@@ -170,18 +213,114 @@ def test_depth_with_resampling_ideal_and_determinism():
     p0 = fock.FixedNDistribution(n_total=n, probs=np.eye(n + 1)[n // 2], n_shots=3816)
     ph = fock.FixedNDistribution(n_total=n, probs=fock.holland_burnett(n).probs, n_shots=3816)
     plan = stats.ResamplePlan(n_samples=200, seed=2)
-    a = ent.depth_with_resampling(p0, ph, method="parity", plan=plan)
-    b = ent.depth_with_resampling(p0, ph, method="parity", plan=plan)
+    a, v = ent.depth_with_resampling(p0, ph, plan=plan)
+    b, _ = ent.depth_with_resampling(p0, ph, plan=plan)
     assert a.depth == b.depth == n
+    assert (a.method, v.method) == ("parity", "variance")
     np.testing.assert_array_equal(a.samples, b.samples)
-    assert a.confidence_level == 0.68
-    v = ent.depth_with_resampling(p0, ph, method="variance", plan=plan)
+    assert a.confidence_level == v.confidence_level == 0.68
     assert v.depth >= n - 1
-    with pytest.raises(ValueError):
-        ent.depth_with_resampling(p0, ph, method="bogus", plan=plan)
     bare = fock.holland_burnett(n)
     with pytest.raises(ValueError):
         ent.depth_with_resampling(bare, bare, plan=plan)
+
+
+def _mixed_pair():
+    """N = 8 histograms of 300 shots whose resamples reach depths 2..6, most through the fallback."""
+    n, shots = 8, 300
+    binom = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
+    p0 = 0.3 * binom
+    p0[n // 2] += 0.7
+    ph = 0.6 * fock.holland_burnett(n).probs + 0.4 * binom
+    return (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
+            fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
+
+
+def test_resampled_depths_equal_point_criteria_per_sample():
+    p0, ph = _mixed_pair()
+    plan = stats.ResamplePlan(n_samples=200, seed=5)
+    par, var = ent.depth_with_resampling(p0, ph, plan=plan)
+    p0s, phs = stats.resample_pair(p0, ph, plan)
+    methods = set()
+    for i in range(plan.n_samples):
+        data = ent.collective_data(p0.n_total, fock.moments(p0s[i]), fock.moments(phs[i]))
+        point = ent.depth_parity(data)
+        methods.add(point.method)
+        assert par.samples[i] == point.depth
+        assert var.samples[i] == ent.depth_variance(data).depth
+    assert methods == {"parity", "fallback"}  # both branches of the parity route are exercised
+    assert len(set(par.samples)) > 2
+
+
+@pytest.mark.parametrize("n0, nh, error, match", [
+    (5, 5, DomainError, "even N"), (1, 1, ValueError, "two atoms"), (0, 0, ValueError, "two atoms"),
+    (8, 6, ValueError, "different N"),
+])
+def test_depth_with_resampling_rejects_odd_tiny_or_mismatched_n(n0, nh, error, match):
+    p0, ph = (fock.FixedNDistribution(n_total=n, probs=np.full(n + 1, 1.0 / (n + 1)), n_shots=100) for n in (n0, nh))
+    with pytest.raises(error, match=match):
+        ent.depth_with_resampling(p0, ph, plan=stats.ResamplePlan(n_samples=10, seed=0))
+
+
+def _scalar_boundary(j, x):
+    """The envelope at one argument, evaluated as the scalar path did."""
+    slopes, offsets = ent._boundary_lines(int(round(2 * j)))
+    return max(0.0, float((offsets + slopes * x).max()))
+
+
+def _edge_rows(n, rng):
+    """(jxjy2, var_jz, parity_z) rows on each bound and one ulp to either side, plus clamped rows.
+
+    A variance row sits on jmax F_{k/2}(arg), with arg computed from the row
+    as the criteria compute it; a parity row sits on the k-th parity
+    threshold; a k = 1 row on its bound.  Rows of spread below N/2 leave every
+    k >= 2 clamped; rows of maximal spread put every boundary argument at one.
+    """
+    jmax = n / 2.0
+    rows = []
+    for k in range(2, n):
+        blocks = n // k
+        x_bound = blocks * ent._pair_spread(k) + ent._pair_spread(n - blocks * k)
+        den = jmax * (jmax - k / 2.0)
+        for t in rng.uniform(0.05, 0.95, 4):
+            # a spread whose argument is about t in the boundary bound, then in the block one
+            s1, s2 = jmax * (k / 2.0 + 1.0) + t**2 * den, x_bound + (t * jmax) ** 2
+            for s, arg in ((s1, math.sqrt((s1 - jmax * (k / 2.0 + 1.0)) / den)), (s2, math.sqrt(s2 - x_bound) / jmax)):
+                v = jmax * _scalar_boundary(k / 2.0, arg)
+                pz = rng.uniform(-1.0, 1.0)
+                rows += [(s, u, pz) for u in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+    for k in range(math.ceil(n / 2), n):
+        for pz in (-1.0, -0.5, 0.5, 1.0):
+            s = jmax * (jmax + 1) - k * (n - k) / 2.0 * abs(pz)  # exact in binary
+            rows += [(u, rng.uniform(0.0, jmax), pz) for u in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf))]
+    rows += zip(rng.uniform(0.0, 0.5 * n, 20), rng.uniform(0.0, jmax, 20), rng.uniform(-1.0, 1.0, 20))
+    for q in (0.125, 0.25):  # on the k = 1 bound (n - 1) var = jxjy2 - n/2, with k >= 2 clamped
+        rows += [(jmax + (n - 1) * q, u, 0.0) for u in (np.nextafter(q, -np.inf), q, np.nextafter(q, np.inf))]
+    rows += [(jmax * (jmax + 1), v, 0.0) for v in rng.uniform(0.0, jmax, 5)]
+    return rows
+
+
+def test_batched_criteria_match_scalar_reference():
+    rng = np.random.default_rng(2024)
+    total = clamped_all = on_edge = 0
+    for n in range(2, 15):
+        jmax, m = n / 2.0, 1500
+        rows = list(zip(rng.uniform(0.0, 1.1 * jmax * (jmax + 1), m), jmax * rng.uniform(0.0, 1.0, m) ** 3,
+                        rng.uniform(-1.0, 1.0, m)))
+        edge = _edge_rows(n, rng)
+        on_edge += len(edge)
+        jxjy2, var, parity_z = (np.array(c) for c in zip(*rows, *edge))
+        batched = zip(*(a.tolist() for a in ent._criteria(n, jxjy2, var, parity_z)))
+        for (p, v, applies), s, vz, pz in zip(batched, jxjy2.tolist(), var.tolist(), parity_z.tolist()):
+            ref_p = oracles.parity_depth_k(n, s, pz)
+            ref_v, ref_clamped = oracles.variance_depth_k(n, s, vz, _scalar_boundary)
+            assert p == (-1 if ref_p is None else ref_p)
+            assert v == ref_v
+            assert [k for k, a in enumerate(applies, start=2) if not a] == ref_clamped
+            clamped_all += n > 2 and len(ref_clamped) == n - 2
+        total += len(jxjy2)
+    assert total >= 20000
+    assert on_edge > 1000 and clamped_all >= 12 * 20
 
 
 def test_witness_indefinite_n_frozen_value():

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from test_acceptance import TABLE_ROWS
+from test_cli import NOISE_OFF, noise_off_config, runner, simulated, workdir  # noqa: F401 (fixtures)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,3 +31,12 @@ def test_depth_and_witness_load_no_scipy(tmp_path):
     run = ("from homsim import cli; "
            "[cli.main(['--out', sys.argv[2], c, sys.argv[3]], standalone_mode=False) for c in ('depth', 'witness')]")
     assert scipy_modules_after(run, tmp_path, rows) == []
+
+
+def test_analyze_loads_no_scipy(tmp_path, simulated):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({**NOISE_OFF, "resample_samples": 20}))
+    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
+    args = ("--config", config, "--out", tmp_path / "ana", "analyze", simulated)
+    assert scipy_modules_after(run, *args) == []
+    assert (tmp_path / "ana" / "depth.csv").exists()
