@@ -325,7 +325,7 @@ def depth_variance(data: CollectiveData) -> DepthResult:
 def depth_with_resampling(
     p_unrotated: FixedNDistribution,
     post_hom: FixedNDistribution,
-    plan: stats.ResamplePlan | None = None,
+    plan: stats.ResamplePlan,
     level: float = 0.68,
 ) -> tuple[DepthResult, DepthResult]:
     """Parity and variance depths at a confidence level, from one resample draw.
@@ -343,7 +343,6 @@ def depth_with_resampling(
         raise ValueError("need at least two atoms")
     if n % 2:
         raise DomainError("parity criterion defined for even N")
-    plan = plan if plan is not None else stats.ResamplePlan()
     m0, mh = (moments(s) for s in stats.resample_pair(p_unrotated, post_hom, plan))
     parity_k, variance_k, _ = _criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
     variance = variance_k + 1

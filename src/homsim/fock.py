@@ -15,15 +15,12 @@ the identical kernel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_N_MAX = 20
-# Untruncated source mass beyond the grid above this level sets a warning flag.
-TRUNCATION_WARN_LEVEL = 1e-6
 
 _NORM_ATOL = 1e-12
 
@@ -57,10 +54,6 @@ class TwoModeDistribution:
         g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
-
-    @property
-    def truncation_warning(self) -> bool:
-        return self.tail_mass > TRUNCATION_WARN_LEVEL
 
     def validate(self, atol: float = _NORM_ATOL) -> None:
         if np.any(self.grid < 0):
@@ -312,14 +305,3 @@ def mixture_over_pairs(weights: np.ndarray, n_max: int = DEFAULT_N_MAX) -> TwoMo
     idx = np.arange(len(w))
     grid[idx, idx] = w / w.sum()
     return TwoModeDistribution(grid=grid, n_max=n_max)
-
-
-def warn_if_truncated(dist: TwoModeDistribution) -> TwoModeDistribution:
-    """Emit a warning when the accumulated off-grid mass is non-negligible."""
-    if dist.truncation_warning:
-        warnings.warn(
-            f"off-grid probability mass {dist.tail_mass:.3g} exceeds "
-            f"{TRUNCATION_WARN_LEVEL:g}; consider a larger n_max",
-            stacklevel=2,
-        )
-    return dist

@@ -460,7 +460,7 @@ def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stat
 def fisher_from_shots(
     tables: Mapping[float, ShotTable],
     n_values,
-    plan: stats.ResamplePlan | None = None,
+    plan: stats.ResamplePlan,
     quartic: bool = True,
     exclusions: Mapping[int, tuple] | None = None,
 ) -> FisherEstimate:
@@ -469,7 +469,6 @@ def fisher_from_shots(
     Each unordered pair is resampled once and mirrored, so the input to the
     parabola fit is symmetric in (theta1, theta2) like the exact pipeline.
     """
-    plan = plan if plan is not None else stats.ResamplePlan(n_samples=200, seed=0)
     angles = sorted(tables)
     empirical = {(n, t): empirical_distribution(tables[t], n) for n in n_values for t in angles}
     pair: dict[tuple, tuple[float, float]] = {}

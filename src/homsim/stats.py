@@ -1,8 +1,9 @@
 """Shared numerics: resampling, error bars, and fit wrappers.
 
 Thin, opinionated front-ends over numpy/scipy so the analysis modules agree
-on conventions (counter-based resampling streams, scaled covariance, fixed
-global-optimizer hyperparameters) instead of each picking their own.
+on conventions (one seeded Philox stream per resample stack, scaled
+covariance, fixed global-optimizer hyperparameters) instead of each picking
+their own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """How many synthetic datasets to draw and from which stream family."""
+    """How many synthetic datasets to draw and from which seeded stream."""
 
     n_samples: int = 10000
     seed: int = 0
@@ -28,19 +29,12 @@ class ResamplePlan:
             raise ValueError("n_samples must be positive")
 
 
-def _philox_state(seed: int, i: int) -> dict:
-    """State of a freshly built ``Philox(key=[seed, i])``: counter and buffer zeroed."""
-    zeros = np.zeros(4, dtype=np.uint64)
-    return {"bit_generator": "Philox", "state": {"counter": zeros, "key": np.array([seed, i], dtype=np.uint64)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
 def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) -> np.ndarray:
     """Draw ``plan.n_samples`` multinomial frequency vectors of ``n_shots`` trials.
 
-    Returns an array (n_samples, len(probs)) of relative frequencies.  Sample
-    i is drawn from its own stream keyed (seed, i) so that subsets of the
-    resample family are reproducible in isolation.
+    Returns an array (n_samples, len(probs)) of relative frequencies, drawn
+    row by row from one Philox stream keyed by ``plan.seed``, so a smaller
+    ``n_samples`` gives the leading rows of a larger one.
     """
     probs = np.asarray(probs, dtype=float).ravel()
     if np.any(probs < 0):
@@ -50,22 +44,12 @@ def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) ->
         raise ValueError("probabilities sum to zero")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    probs = probs / total
-    # One counter-based stream per resample index, reproducible regardless of
-    # draw order: any index range can be redrawn on its own, so the family
-    # can be split across workers.  One generator is re-keyed per index,
-    # which draws the same numbers as a new Philox(key=[seed, i]) each time.
-    bits = np.random.Philox(key=np.array([plan.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    out = np.empty((plan.n_samples, len(probs)))
-    for i in range(plan.n_samples):
-        bits.state = _philox_state(plan.seed, i)
-        out[i] = rng.multinomial(n_shots, probs) / n_shots
-    return out
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(plan.seed)))
+    return rng.multinomial(n_shots, probs / total, size=plan.n_samples) / n_shots
 
 
 def resample_pair(p, q, plan: ResamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Resample stacks of two measured histograms: ``p`` from ``plan``'s streams, ``q`` from seed + 1's."""
+    """Resample stacks of two measured histograms: ``p`` from ``plan``'s seed, ``q`` from seed + 1."""
     if p.n_shots is None or q.n_shots is None:
         raise ValueError("resampling needs the original sample sizes")
     return (multinomial_resample(p.probs, p.n_shots, plan),
@@ -104,14 +88,14 @@ def depth_confidence(samples, level: float = 0.68) -> int:
     return best
 
 
-def weighted_least_squares(model, x, y, p0, weights=None, bounds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt fit of ``model(x, params)`` to ``y``.
+def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
+    """Trust-region reflective fit of ``model(x, params)`` to ``y``.
 
     ``weights`` multiply squared residuals (w = 1/sigma^2 for Gaussian
-    errors).  Box ``bounds`` switch the solver to a trust-region reflective
-    one, since plain LM cannot honor them.  Returns (params, covariance)
-    with the covariance scaled by the reduced chi-square, matching the
-    convention of textbook curve fitting.
+    errors).  ``bounds`` is a (lower, upper) box; the default leaves the
+    fit unbounded.  Returns (params, covariance) with the covariance scaled
+    by the reduced chi-square, matching the convention of textbook curve
+    fitting.
     """
     import scipy.optimize
 
@@ -123,10 +107,7 @@ def weighted_least_squares(model, x, y, p0, weights=None, bounds=None) -> tuple[
     def residual(p):
         return sw * (model(x, p) - y)
 
-    if bounds is None:
-        res = scipy.optimize.least_squares(residual, p0, method="lm", max_nfev=20000)
-    else:
-        res = scipy.optimize.least_squares(residual, p0, method="trf", bounds=bounds, max_nfev=20000)
+    res = scipy.optimize.least_squares(residual, p0, method="trf", bounds=bounds, max_nfev=20000)
     if not res.success:
         raise FitError(f"least squares did not converge: {res.message}")
     dof = len(y) - len(p0)

@@ -42,14 +42,6 @@ def test_tmsv_mean_pairs_closed_form():
     assert 0.004 < d.tail_mass < 0.008
 
 
-def test_truncation_warning_threshold():
-    strong = fock.tmsv_distribution(fock.SqueezedSource(xi=1.4), n_max=20)
-    weak = fock.tmsv_distribution(fock.SqueezedSource(xi=0.1), n_max=20)
-    assert strong.truncation_warning
-    assert not weak.truncation_warning
-    assert fock.warn_if_truncated(weak) is weak
-
-
 def test_tmsv_jitter_matches_dense_average():
     src = fock.SqueezedSource(xi=0.8, xi_jitter=0.1)
     d = fock.tmsv_distribution(src, n_max=12, quad_nodes=40)

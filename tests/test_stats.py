@@ -25,21 +25,27 @@ def test_multinomial_resample_shape_and_rows():
 
 
 def test_multinomial_resample_is_deterministic_per_index():
-    a = stats.multinomial_resample([0.5, 0.5], 100, stats.ResamplePlan(n_samples=20, seed=7))
-    b = stats.multinomial_resample([0.5, 0.5], 100, stats.ResamplePlan(n_samples=5, seed=7))
-    # prefix property: shrinking the family leaves earlier samples untouched
-    np.testing.assert_array_equal(a[:5], b)
-    c = stats.multinomial_resample([0.5, 0.5], 100, stats.ResamplePlan(n_samples=5, seed=8))
-    assert not np.array_equal(b, c)
+    thirteen = np.random.default_rng(0).random(13)
+    for probs in ([0.5, 0.5], thirteen / thirteen.sum()):
+        a = stats.multinomial_resample(probs, 100, stats.ResamplePlan(n_samples=20, seed=7))
+        b = stats.multinomial_resample(probs, 100, stats.ResamplePlan(n_samples=5, seed=7))
+        # prefix property: shrinking the family leaves earlier samples untouched
+        np.testing.assert_array_equal(a[:5], b)
+        c = stats.multinomial_resample(probs, 100, stats.ResamplePlan(n_samples=5, seed=8))
+        assert not np.array_equal(b, c)
 
 
-def test_multinomial_resample_rows_equal_fresh_philox_streams():
+def test_multinomial_resample_rows_have_multinomial_mean_and_covariance():
     probs = np.random.default_rng(0).random(13)
     probs /= probs.sum()
-    out = stats.multinomial_resample(probs, 500, stats.ResamplePlan(n_samples=1000, seed=17))
-    for i in (0, 1, 999):
-        fresh = np.random.Generator(np.random.Philox(key=np.array([17, i], dtype=np.uint64)))
-        np.testing.assert_array_equal(out[i], fresh.multinomial(500, probs) / 500)
+    n_shots, m = 500, 20000
+    out = stats.multinomial_resample(probs, n_shots, stats.ResamplePlan(n_samples=m, seed=17))
+    cov = (np.diag(probs) - np.outer(probs, probs)) / n_shots
+    var = np.diag(cov)
+    # five standard errors of the sample mean and of the sample covariance
+    assert np.all(np.abs(out.mean(axis=0) - probs) <= 5.0 * np.sqrt(var / m))
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / m)
+    assert np.all(np.abs(np.cov(out, rowvar=False) - cov) <= 5.0 * cov_se)
 
 
 def test_multinomial_resample_normalizes_and_validates():
