@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import stats
 from .fock import CollectiveMoments, DomainError, FixedNDistribution, collective_moments, moments
 from .metrology import jxjy2_estimate
 
-MAX_BOUNDARY_DIM = 64  # largest (2j+1) the boundary solver will diagonalize
+MAX_BOUNDARY_DIM = 64  # largest (2j+1) in the boundary table
 
 
 @dataclass(frozen=True)
@@ -132,65 +133,29 @@ def parity_witness_xyz(data: CollectiveData) -> WitnessResult:
 # minimal-variance boundary of spin-j states
 
 
-_STACK_ENTRIES = 1 << 16  # matrix entries per stacked eigvalsh call (512 KB)
-
-
-def _line_offsets(two_j: int, mus: np.ndarray) -> np.ndarray:
-    """Exact min over spin-j states of Var(Jz) - mu <Jx>, for each mu.
-
-    Var(Jz) = min_z <(Jz - z)^2>, so this is min_z f(z), f(z) the lowest
-    eigenvalue of the tridiagonal (Jz - z)^2 - mu Jx, even in z.  f is scanned
-    at z = 0 and at each eigenvalue m > 0 of Jz (the minimizers as mu -> 0);
-    golden sections refine each mu's best node.  f - z^2 is concave (lowest
-    eigenvalue of an operator affine in z), so f'' <= 2: z within 1e-6 of the
-    minimizer puts f within 1e-12 of the minimum.
-    """
-    dim, j = two_j + 1, two_j / 2.0
-    m = j - np.arange(dim)
-    jx_off = -0.5 * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    chunk = max(1, _STACK_ENTRIES // dim**2)
-
-    def lam(mu, z):  # paired (mu, z); stacks are capped so memory stays flat in 2j
-        out = np.empty(len(mu))
-        for s in range(0, len(mu), chunk):
-            h = np.zeros((len(mu[s:s + chunk]), dim * dim))
-            h[:, 1::dim + 1] = h[:, dim::dim + 1] = mu[s:s + chunk, None] * jx_off
-            h[:, ::dim + 1] = (m - z[s:s + chunk, None]) ** 2
-            out[s:s + chunk] = np.linalg.eigvalsh(h.reshape(-1, dim, dim))[:, 0]
-        return out
-
-    nodes = np.append(0.0, m[m > 0][::-1])
-    grid = lam(np.repeat(mus, len(nodes)), np.tile(nodes, len(mus))).reshape(len(mus), -1)
-    i = np.argmin(grid, axis=1)
-    lo, hi = nodes[np.maximum(i - 1, 0)], nodes[np.minimum(i + 1, len(nodes) - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-    fa, fb = lam(mus, a), lam(mus, b)
-    for _ in range(31):  # bracket width <= 2 g^31 < 1e-6
-        left = fa < fb  # the minimum lies in [lo, b]
-        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
-        a, b = np.where(left, hi - g * (hi - lo), b), np.where(left, a, lo + g * (hi - lo))
-        new = lam(mus, np.where(left, a, b))
-        fa, fb = np.where(left, new, fb), np.where(left, fa, new)
-    return np.minimum(grid.min(axis=1), np.minimum(fa, fb))
+_STACK_ENTRIES = 1 << 16  # array entries per envelope chunk (512 KB)
+BOUNDARY_TABLE = Path(__file__).with_name("boundary_lines.npy")
 
 
 @lru_cache(maxsize=None)
 def _boundary_lines(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Supporting lines v >= c(mu)/j + mu x of the boundary, mu on a log grid.
 
-    Their upper envelope is the boundary; a huge-mu line through the coherent
-    state along x (Var = j/2 at x = 1) closes it exactly at the right end.
+    c(mu) is the exact min over spin-j states of Var(Jz) - mu <Jx>.  The grid
+    (row 0) and the offsets c(mu)/j (row 2j) are read from a table that
+    ``scripts/boundary_table.py`` solves once and writes.  Their upper envelope
+    is the boundary; a huge-mu line through the coherent state along x
+    (Var = j/2 at x = 1) closes it exactly at the right end.
     """
-    mus = np.logspace(-3, 3, 512)
-    return np.append(mus, 1e9), np.append(_line_offsets(two_j, mus) / (two_j / 2.0), 0.5 - 1e9)
+    table = np.load(BOUNDARY_TABLE, mmap_mode="r", allow_pickle=False)
+    return np.append(table[0], 1e9), np.append(table[two_j], 0.5 - 1e9)
 
 
 def sm_boundary(j: float, x):
     """Minimal Var(J_z)/j over spin-j states with <J_x>/j = x, elementwise in x.
 
     Convex, zero at x = 0, one half at x = 1.  Evaluated as the upper
-    envelope of cached supporting lines with exact offsets (:func:`_line_offsets`),
+    envelope of tabulated supporting lines with exact offsets (:func:`_boundary_lines`),
     in row chunks so that memory stays flat in the size of ``x``.  A scalar
     ``x`` gives a float.
     """

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import oracles
 from homsim import entanglement as ent
 from homsim import fock, stats
 from homsim.fock import DomainError
-from test_acceptance import TABLE_ROWS
+from test_acceptance import TABLE_ROWS, _script
 
 
 def table_data():
@@ -104,12 +105,54 @@ def test_boundary_lines_never_above_exact_minimum(two_j):
     assert excess.min() >= -1e-9  # every offset is a reached level, so it cannot sit far below
 
 
-def test_line_offsets_exact_at_the_solver_cap():
-    two_j = ent.MAX_BOUNDARY_DIM - 1
-    mus = np.array([1e-3, 0.03, 0.4, 1.0, 30.0, 1e3])
-    excess = (ent._line_offsets(two_j, mus) - oracles.min_energy(two_j, mus)) / (two_j / 2.0)
+@pytest.mark.parametrize("two_j", sorted(set(range(14, ent.MAX_BOUNDARY_DIM, 7)) | {ent.MAX_BOUNDARY_DIM - 1}))
+def test_stored_rows_exact_at_sampled_mu(two_j):
+    """The rows above 2j = 13, on every 7th spin and the cap, at four grid mu across the range."""
+    slopes, offsets = ent._boundary_lines(two_j)
+    idx = np.array([0, 170, 341, 511])
+    excess = offsets[idx] - oracles.min_energy(two_j, slopes[idx]) / (two_j / 2.0)
     assert excess.max() <= 1e-10
     assert excess.min() >= -1e-9
+
+
+def test_generator_and_stored_table_agree():
+    gen = _script("boundary_table")
+    table = np.load(ent.BOUNDARY_TABLE, allow_pickle=False)
+    assert table.dtype == np.float64
+    np.testing.assert_array_equal(table[0], np.logspace(-3, 3, 512))
+    assert len(table[1:]) + 1 == ent.MAX_BOUNDARY_DIM
+    for two_j in range(1, 7):
+        np.testing.assert_allclose(table[two_j], gen.offsets(two_j), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] support is flagged beta
+def test_boundary_table_declared_as_package_data():
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    conf = pyproject.read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    assert ent.BOUNDARY_TABLE.name in conf["tool"]["setuptools"]["package-data"]["homsim"]
+    assert ent.BOUNDARY_TABLE.parent.name == "homsim"
+
+
+def test_depth_path_diagonalizes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagonalization on the depth path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    ent._boundary_lines.cache_clear()
+    data = ent.CollectiveData(n_total=10, jxjy2=28.55625, var_jz=0.2509)
+    assert ent.depth_variance(data).depth == 9
+    n, shots = 12, 400
+    binom = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
+    p0 = 0.2 * binom
+    p0[n // 2] += 0.8
+    ph = 0.8 * fock.holland_burnett(n).probs + 0.2 * binom
+    par, var = ent.depth_with_resampling(
+        fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
+        fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots),
+        plan=stats.ResamplePlan(n_samples=100, seed=3))
+    assert len(var.samples) == 100
+    assert ent._boundary_lines.cache_info().currsize > 1  # the boundary was read for several spins
 
 
 def test_variance_depth_not_over_certified_at_half_integer_block():
