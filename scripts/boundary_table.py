@@ -16,7 +16,6 @@ It takes about two minutes on two cores; most of it goes to 2j near the cap.
 
 import argparse
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -77,10 +76,8 @@ def table() -> np.ndarray:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", type=Path, default=entanglement.BOUNDARY_TABLE)
-    args = ap.parse_args()
-    np.save(args.out, table(), allow_pickle=False)
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    np.save(entanglement.BOUNDARY_TABLE, table(), allow_pickle=False)
 
 
 if __name__ == "__main__":

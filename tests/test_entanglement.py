@@ -147,7 +147,8 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     p0 = 0.2 * binom
     p0[n // 2] += 0.8
     ph = 0.8 * fock.holland_burnett(n).probs + 0.2 * binom
-    par, var = ent.depth_with_resampling(
+    ent._boundary_lines.cache_clear()
+    _, var = ent.depth_with_resampling(
         fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
         fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots),
         plan=stats.ResamplePlan(n_samples=100, seed=3))
