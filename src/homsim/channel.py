@@ -42,9 +42,10 @@ import numpy as np
 
 from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
 from .metrology import ShotTable
+from .stats import FitError
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(FitError):
     """Optimizer exhausted its budget; carries the best point found."""
 
     def __init__(self, message, best=None):

@@ -107,7 +107,7 @@ def _guarded(fn):
                 OSError, json.JSONDecodeError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (stats.FitError, channel.ConvergenceError) as exc:
+        except stats.FitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 

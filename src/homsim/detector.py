@@ -335,38 +335,32 @@ def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable,
     return out, reports
 
 
-def _peak_comb(x, g, b, heights, sigmas):
-    """Evenly spaced Gaussians: peak n at b + n g, height heights[n], rms sigmas[n] g."""
-    out = np.zeros_like(x)
-    for n, (h, s) in enumerate(zip(heights, sigmas)):
-        out = out + h * np.exp(-0.5 * ((x - b - n * g) / (s * g)) ** 2)
-    return out
+def _peak_shapes(x, g, b, sigmas):
+    """Unit-height Gaussians, one column per peak: peak n at b + n g with rms sigmas[n] g."""
+    return np.exp(-0.5 * ((x[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)) ** 2)
 
 
-def _histogram_model(x, params, n_fit, sigma_last):
-    """The peak comb with free widths entering as log(sigma), which keeps them
-    positive with a smooth jacobian."""
-    sigmas = np.concatenate([np.exp(params[3 + n_fit :]), [sigma_last]])
-    return _peak_comb(x, params[0], params[1], params[2 : 3 + n_fit], sigmas)
-
-
-def fit_histogram(values: np.ndarray, n_max_fit: int | None = None) -> DetectorCalibration:
+def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     """Fit the comb of per-occupation Gaussian peaks to a signal histogram.
 
     Bins are weighted by the inverse of the number of detection events in the
     peak they belong to, so sparse high-occupation peaks are not drowned out.
+    The peak heights enter the comb linearly and are projected out (variable
+    projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for
+    each trial (g, b, log widths) they are the weighted non-negative
+    least-squares solution, so the search covers only g, b and the widths.
     The last fitted peak's width is not free: it is pinned to the noise-law
-    prediction extrapolated from the lower peaks, iterating fit and noise law
-    to convergence.
+    prediction extrapolated from the lower peaks.  Fit and noise law
+    alternate for three passes, starting from sigma0 = 0.15, c1 = 0.02.
     """
+    from scipy.optimize import nnls
+
     values = np.asarray(values, dtype=float)
     g0, b0 = _coarse_scale(values)
     occ = np.maximum(0, np.round((values - b0) / g0)).astype(int)
     counts_per_peak = np.bincount(occ)
-    if n_max_fit is None:
-        eligible = np.nonzero(counts_per_peak >= 25)[0]
-        n_max_fit = int(eligible.max()) if len(eligible) else 1
-        n_max_fit = max(2, min(n_max_fit, 30))
+    eligible = np.nonzero(counts_per_peak >= 25)[0]
+    n_max_fit = max(2, min(int(eligible.max()) if len(eligible) else 1, 30))
 
     lo = b0 - 0.75 * g0
     hi = b0 + (n_max_fit + 0.75) * g0
@@ -380,41 +374,42 @@ def fit_histogram(values: np.ndarray, n_max_fit: int | None = None) -> DetectorC
     bin_peak = np.clip(np.round((x - b0) / g0), 0, n_max_fit).astype(int)
     events = np.array([max(counts_per_peak[n] if n < len(counts_per_peak) else 0, 1) for n in range(n_max_fit + 1)])
     weights = 1.0 / events[bin_peak]
+    sw = np.sqrt(weights)
 
-    heights0 = []
-    for n in range(n_max_fit + 1):
-        sel = np.abs(x - (b0 + n * g0)) < 0.5 * width
-        heights0.append(max(y[sel].max() if sel.any() else y.max() * 0.01, 1e-3))
-    p = np.concatenate([[g0, b0], heights0, np.full(n_max_fit, math.log(0.15))])
+    def shapes_and_heights(p, sigma_last):
+        shapes = _peak_shapes(x, p[0], p[1], np.append(np.exp(p[2:]), sigma_last))
+        return shapes, nnls(sw[:, None] * shapes, sw * y)[0]
 
-    # box bounds keep sparse-peak widths from collapsing onto single bins
-    lower = np.concatenate([[0.5 * g0, b0 - g0], np.zeros(n_max_fit + 1), np.full(n_max_fit, math.log(0.02))])
-    upper = np.concatenate([[1.5 * g0, b0 + g0], np.full(n_max_fit + 1, np.inf), np.full(n_max_fit, math.log(1.5))])
+    # (g, b, log sigma_n); box bounds keep sparse-peak widths from collapsing onto single bins
+    p = np.concatenate([[g0, b0], np.full(n_max_fit, math.log(0.15))])
+    lower = np.concatenate([[0.5 * g0, b0 - g0], np.full(n_max_fit, math.log(0.02))])
+    upper = np.concatenate([[1.5 * g0, b0 + g0], np.full(n_max_fit, math.log(1.5))])
 
     sigma0, c1 = 0.15, 0.02
-    cov = None
     for _ in range(3):
         sigma_last = sigma_law(sigma0, c1, n_max_fit)
 
         def model(xx, pp):
-            return _histogram_model(xx, pp, n_max_fit, sigma_last)
+            shapes, heights = shapes_and_heights(pp, sigma_last)
+            return shapes @ heights
 
         p, cov = stats.weighted_least_squares(model, x, y, p, weights=weights, bounds=(lower, upper))
-        free_sigmas = np.exp(p[3 + n_max_fit :])
+        # the n_max_fit + 1 projected heights were fitted too: take them off the degrees of freedom
+        cov *= (len(y) - len(p)) / (len(y) - len(p) - (n_max_fit + 1))
+        free_sigmas = np.exp(p[2:])
         # delta method: err(sigma) = sigma * err(log sigma)
-        sigma_errs = free_sigmas * np.sqrt(np.diag(cov)[3 + n_max_fit :])
+        sigma_errs = free_sigmas * np.sqrt(np.diag(cov)[2:])
         curve = fit_noise_curve(free_sigmas, sigma_errs=sigma_errs)
         sigma0, c1 = curve.sigma0, curve.c1
 
-    g, b = float(p[0]), float(p[1])
     err = np.sqrt(np.diag(cov))
     return DetectorCalibration(
-        g=g,
-        b=b,
+        g=float(p[0]),
+        b=float(p[1]),
         sigma0=sigma0,
         c1=c1,
         n_max_fit=n_max_fit,
-        peak_heights=p[2 : 3 + n_max_fit].copy(),
+        peak_heights=shapes_and_heights(p, sigma_last)[1],
         peak_sigmas=np.concatenate([free_sigmas, [sigma_law(sigma0, c1, n_max_fit)]]),
         peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
         g_err=float(err[0]),
@@ -476,12 +471,12 @@ def histogram_table(values: np.ndarray, calib: DetectorCalibration, bins_per_pea
     values = np.asarray(values, dtype=float)
     lo = calib.b - 0.75 * calib.g
     hi = calib.b + (calib.n_max_fit + 0.75) * calib.g
-    nbins = int(np.ceil((hi - lo) * bins_per_peak / calib.g))
+    nbins = math.ceil((calib.n_max_fit + 1.5) * bins_per_peak)  # (hi - lo) / g without its round-off
     counts, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=nbins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     if calib.peak_heights is None:
         return centers, counts, np.zeros_like(centers)
-    return centers, counts, _peak_comb(centers, calib.g, calib.b, calib.peak_heights, calib.peak_sigmas)
+    return centers, counts, _peak_shapes(centers, calib.g, calib.b, calib.peak_sigmas) @ calib.peak_heights
 
 
 def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:

@@ -406,7 +406,7 @@ def _parabola_sigmas(sigma_of, n_total, t1, grid):
     return np.where(resolved, sig, sig[resolved].min()) if resolved.any() else None
 
 
-def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions, fit_exponent) -> FisherEstimate:
+def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions) -> FisherEstimate:
     est = FisherEstimate(quartic=quartic, exclusions=dict(exclusions) if exclusions else {})
     for n_total in sorted(n_values):
         grid = _angles_for(n_total, angles, est.exclusions)
@@ -417,7 +417,7 @@ def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions, fit_ex
             fits[t1] = fit_fisher(x, y, sigma=_parabola_sigmas(sigma_of, n_total, t1, grid), quartic=quartic)
         est.per_theta[n_total] = fits
         est.aggregated[n_total] = aggregate_fisher(fits.values())
-    if fit_exponent and len(est.aggregated) >= 3:
+    if len(est.aggregated) >= 3:
         ns = sorted(est.aggregated)
         est.scaling = fit_scaling(
             ns, [est.aggregated[n][0] for n in ns], [est.aggregated[n][1] for n in ns]
@@ -430,7 +430,6 @@ def fisher_from_distributions(
     angles=SMALL_ROTATION_ANGLES,
     quartic: bool = True,
     exclusions: Mapping[int, tuple] | None = None,
-    fit_exponent: bool = True,
 ) -> FisherEstimate:
     """Run the full Hellinger pipeline on exact per-(N, theta) J_z distributions.
 
@@ -443,7 +442,7 @@ def fisher_from_distributions(
     def d2_of(n, t1, t2):
         return _hell2(np.asarray(dists[n][t1]), np.asarray(dists[n][t2]))
 
-    return _run_pipeline(d2_of, None, list(dists), angles, quartic, exclusions, fit_exponent)
+    return _run_pipeline(d2_of, None, list(dists), angles, quartic, exclusions)
 
 
 def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stats.ResamplePlan) -> tuple[float, float]:
@@ -484,5 +483,4 @@ def fisher_from_shots(
         angles,
         quartic,
         exclusions,
-        fit_exponent=len(n_values) >= 3,
     )

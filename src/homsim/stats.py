@@ -17,6 +17,9 @@ class FitError(RuntimeError):
     """A least-squares fit failed to converge or is degenerate."""
 
 
+MAX_MODEL_CALLS = 20000  # per weighted_least_squares fit, finite-difference Jacobian columns included
+
+
 @dataclass(frozen=True)
 class ResamplePlan:
     """How many synthetic datasets to draw and from which seeded stream."""
@@ -95,7 +98,8 @@ def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.in
     errors).  ``bounds`` is a (lower, upper) box; the default leaves the
     fit unbounded.  Returns (params, covariance) with the covariance scaled
     by the reduced chi-square, matching the convention of textbook curve
-    fitting.
+    fitting.  With its 2-point Jacobian an iteration calls ``model`` up to
+    len(p0) + 1 times; a fit that needs more than ``MAX_MODEL_CALLS`` raises.
     """
     import scipy.optimize
 
@@ -107,7 +111,8 @@ def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.in
     def residual(p):
         return sw * (model(x, p) - y)
 
-    res = scipy.optimize.least_squares(residual, p0, method="trf", bounds=bounds, max_nfev=20000)
+    res = scipy.optimize.least_squares(residual, p0, method="trf", bounds=bounds,
+                                       max_nfev=MAX_MODEL_CALLS // (len(p0) + 1))
     if not res.success:
         raise FitError(f"least squares did not converge: {res.message}")
     dof = len(y) - len(p0)

@@ -338,6 +338,7 @@ def test_fit_budget_exhaustion_raises_with_best():
     src, tab = _smoke_problem(500)
     with pytest.raises(channel.ConvergenceError) as err:
         channel.fit(truth, {math.pi / 2: tab}, src, bounds=SMOKE_BOUNDS, budget=1, seed=1)
+    assert isinstance(err.value, stats.FitError)
     assert isinstance(err.value.best, channel.ChannelFit)
     assert not err.value.best.converged
 

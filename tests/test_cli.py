@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homsim import cli, detector, metrology, stats
+from homsim import channel, cli, detector, metrology, stats
 from homsim.cli import RunConfig
 from test_acceptance import TABLE_ROWS
 
@@ -329,3 +329,4 @@ def test_guarded_maps_exceptions_to_exit_codes():
     assert trip(ValueError("bad input")) == 2
     assert trip(detector.CalibrationError("no peaks")) == 2
     assert trip(stats.FitError("no convergence")) == 3
+    assert trip(channel.ConvergenceError("budget exhausted")) == 3

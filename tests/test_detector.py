@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from homsim import detector, metrology
+from homsim import cli, detector, metrology
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
 CAL_P = detector.DEFAULT_CALIBRATION_PLUS
@@ -267,6 +267,16 @@ def test_histogram_table_shapes(flat_signals, fitted_minus):
     assert model.max() == pytest.approx(counts.max(), rel=0.5)
 
 
+def test_peak_shapes_times_heights_is_the_comb_summed_peak_by_peak(fitted_minus):
+    c = fitted_minus
+    x = np.linspace(c.b - c.g, c.b + (c.n_max_fit + 1) * c.g, 301)
+    comb = np.zeros_like(x)
+    for n, (h, s) in enumerate(zip(c.peak_heights, c.peak_sigmas)):
+        comb += h * np.exp(-0.5 * ((x - c.b - n * c.g) / (s * c.g)) ** 2)
+    np.testing.assert_allclose(detector._peak_shapes(x, c.g, c.b, c.peak_sigmas) @ c.peak_heights, comb,
+                               rtol=1e-12, atol=1e-12 * comb.max())
+
+
 def test_calibration_json_is_serializable(fitted_minus):
     import json
 
@@ -274,3 +284,40 @@ def test_calibration_json_is_serializable(fitted_minus):
     back = json.loads(blob)
     assert back["g"] == pytest.approx(fitted_minus.g)
     assert len(back["peak_sigmas"]) == fitted_minus.n_max_fit + 1
+
+
+def camera_run(seed: int, path) -> detector.SignalTable:
+    """The raw camera signals of one 26,712-shot run, as the benchmark synthesizes them.
+
+    The shots are those of ``simulate --seed SEED`` over seven angles.  The
+    signals follow the forward model of the module docstring at the default
+    calibrations, drift and crosstalk, drawn from ``default_rng(seed)``, and
+    are read back from a signal CSV, whose six decimals are what
+    ``calibrate`` sees.
+    """
+    angles = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
+    cfg = cli.RunConfig(angles=angles)
+    tables = [metrology.ShotTable.sample(cli._predicted(cfg, t), cfg.shots_per_angle,
+                                         seed=cli._angle_seed(seed, i), theta=t)
+              for i, t in enumerate(angles)]
+    rng = np.random.default_rng(seed)
+    idx = np.arange(len(angles) * cfg.shots_per_angle)
+    companion = detector.CompanionSpec()
+    s_zero = rng.normal(companion.mean, companion.spread, size=len(idx))
+    drift = detector.DriftSpec().offsets(idx)
+    signals = {}
+    for mode, calib in (("minus", CAL_M), ("plus", CAL_P)):
+        n = np.concatenate([getattr(t, f"n_{mode}") for t in tables])
+        noise = rng.normal(0.0, calib.sigma(n) * calib.g)
+        signals[f"s_{mode}"] = n * calib.g + calib.b + drift + detector.DEFAULT_CROSSTALK[mode] * s_zero + noise
+    detector.SignalTable(shot_index=idx, s_zero=s_zero, **signals).to_csv(path)
+    return detector.SignalTable.from_csv(path)
+
+
+def test_histogram_fit_converges_on_the_seed_409_run(tmp_path):
+    # the minus-mode fit of this run once searched without end
+    corrected, _ = detector.correct_crosstalk(camera_run(409, tmp_path / "signals.csv"))
+    corrected, _ = detector.correct_drift(corrected)
+    calib = detector.fit_histogram(corrected.s_minus)
+    for name in ("g", "sigma0", "c1"):
+        assert abs(getattr(calib, name) - getattr(CAL_M, name)) <= 3 * getattr(calib, f"{name}_err"), name

@@ -148,6 +148,27 @@ def test_wls_bounds_are_honored():
     assert p[0] == pytest.approx(2.0, abs=1e-8)  # clipped at the box edge
 
 
+def test_wls_model_calls_stay_within_the_cap(monkeypatch):
+    # two decaying exponentials from a far start: the fit converges, but
+    # needs more model calls than the lowered cap allows
+    x = np.linspace(0, 5, 40)
+    y = 2.0 * np.exp(-0.7 * x) + 1.0 * np.exp(-3.0 * x)
+    p0 = [0.5, 0.1, 0.5, 9.0]
+    calls = []
+
+    def model(xx, p):
+        calls.append(1)
+        return p[0] * np.exp(-p[1] * xx) + p[2] * np.exp(-p[3] * xx)
+
+    stats.weighted_least_squares(model, x, y, p0)
+    cap = len(calls) // 2
+    monkeypatch.setattr(stats, "MAX_MODEL_CALLS", cap)
+    calls.clear()
+    with pytest.raises(stats.FitError, match="did not converge"):
+        stats.weighted_least_squares(model, x, y, p0)
+    assert len(calls) <= cap  # the Jacobian's columns count against the cap too
+
+
 def test_wls_covariance_scale_matches_direct_formula():
     # straight-line fit with noise: cov = inv(J^T J) * chi2/dof in the
     # weighted metric; verify against the closed-form linear algebra
