@@ -17,7 +17,7 @@ sqrt(p) - sqrt(q), solved by a trust-region reflective search with an
 analytic Jacobian from a few fixed starts.
 
 The influx, loss and blur matrices are built in one broadcast each from
-closed forms, with ``xlogy``/``xlog1py`` keeping the rates 0 and 1 exact:
+closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
 
     influx  P[m, k] = a^(m-k) e^(-a) / (m-k)!               (m >= k)
     loss    B[m, k] = C(k, m) (1-l)^m l^(k-m)               (m <= k)
@@ -28,12 +28,12 @@ Their rate derivatives are closed forms too:
     dP/da[m, k] = P[m-1, k] - P[m, k]
     dB/dl[:, k] = k (B[:, k-1] - B[:, k-1] shifted down one row)
 
-scipy is imported inside the functions that build the matrices, not at
-module import.
+Only ``fit`` loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
@@ -56,6 +56,11 @@ class ConvergenceError(FitError):
 def sigma_law(sigma0: float, c1: float, n) -> np.ndarray:
     """Detection width sigma_n = sqrt(sigma0^2 + c1^2 * n) of n atoms, in atom units."""
     return np.sqrt(sigma0**2 + c1**2 * np.asarray(n, dtype=float))
+
+
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt 2) / 2, elementwise."""
+    return np.vectorize(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), otypes=[float])(x)
 
 
 @dataclass(frozen=True)
@@ -185,20 +190,20 @@ def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistributi
 
 
 @lru_cache(maxsize=8)
-def _indices(size: int) -> np.ndarray:
-    """Read-only row and column index grids (m, k) of a size x size matrix."""
-    grids = np.indices((size, size))
-    grids.flags.writeable = False
-    return grids
+def _tables(size: int) -> tuple[np.ndarray, ...]:
+    """Read-only index grids (m, k) of a size x size matrix, n! for n < size and C(k, m) at [m, k]."""
+    tables = (*np.indices((size, size)), np.array([math.factorial(n) for n in range(size)], dtype=float),
+              np.array([[math.comb(k, m) for k in range(size)] for m in range(size)], dtype=float))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _influx_matrix(a: float, size: int) -> np.ndarray:
     """P[m, k] = Poisson(m - k; a): the chance that k atoms become m after influx."""
-    from scipy.special import gammaln, xlogy
-
-    m, k = _indices(size)
+    m, k, factorials, _ = _tables(size)
     added = np.maximum(m - k, 0)
-    return np.where(m >= k, np.exp(xlogy(added, a) - a - gammaln(added + 1)), 0.0)
+    return np.where(m >= k, a**added * math.exp(-a) / factorials[added], 0.0)
 
 
 def _influx_derivative(p: np.ndarray) -> np.ndarray:
@@ -220,15 +225,11 @@ def convolve_poisson_influx(dist: TwoModeDistribution, a_plus: float, a_minus: f
 def _loss_matrix(l: float, size: int) -> np.ndarray:
     """B[m, k] = Binomial(m; k, 1 - l): the chance that m of k atoms survive.
 
-    The coefficient C(k, m) is the exact integer: exp of log-gammas would put
-    1e-14 errors into the column sums at 40 atoms.
+    The coefficient C(k, m) is the exact integer (0 for m > k): exp of
+    log-gammas would put 1e-14 errors into the column sums at 40 atoms.
     """
-    from scipy.special import binom, xlog1py, xlogy
-
-    m, k = _indices(size)
-    lost = np.maximum(k - m, 0)
-    kept = np.minimum(m, k)
-    return np.where(m <= k, binom(k, kept) * np.exp(xlog1py(kept, -l) + xlogy(lost, l)), 0.0)
+    m, k, _, comb = _tables(size)
+    return comb * (1 - l) ** np.minimum(m, k) * l ** np.maximum(k - m, 0)
 
 
 def _loss_derivative(b: np.ndarray) -> np.ndarray:
@@ -284,11 +285,9 @@ def _blur_matrix(n_max: int, sigma0: float, c1: float) -> np.ndarray:
     quantization interval of m; the first and last intervals are open so each
     column sums to one exactly.
     """
-    from scipy.special import ndtr
-
     n = np.arange(n_max + 1)
     edges = np.arange(n_max + 2) - 0.5
-    cdf = ndtr(np.subtract.outer(edges, n) / sigma_law(sigma0, c1, n))
+    cdf = normal_cdf(np.subtract.outer(edges, n) / sigma_law(sigma0, c1, n))
     cdf[0] = 0.0
     cdf[-1] = 1.0
     b = np.diff(cdf, axis=0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stats
-from .channel import sigma_law
+from .channel import normal_cdf, sigma_law
 from .metrology import read_csv_columns
 
 
@@ -364,8 +364,7 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
 
     lo = b0 - 0.75 * g0
     hi = b0 + (n_max_fit + 0.75) * g0
-    width = g0 / 12.0
-    nbins = int(np.ceil((hi - lo) / width))
+    nbins = 12 * n_max_fit + 18  # 12 bins per peak; (hi - lo) / (g0 / 12) without its round-off
     y, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=nbins, range=(lo, hi))
     x = 0.5 * (edges[:-1] + edges[1:])
     y = y.astype(float)
@@ -502,8 +501,6 @@ def detection_fidelity(n: int, calib: DetectorCalibration) -> float:
     Gaussian mass of peak n inside the symmetric half-count window; at n = 0
     this is conservative because nothing lies below the lowest peak.
     """
-    from scipy.special import ndtr
-
     if n < 0:
         raise ValueError("occupation must be non-negative")
-    return float(1.0 - 2.0 * ndtr(-0.5 / calib.sigma(n)))
+    return float(1.0 - 2.0 * normal_cdf(-0.5 / calib.sigma(n)))

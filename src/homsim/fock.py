@@ -212,14 +212,12 @@ def _kernel(n_total: int, theta: float) -> np.ndarray:
     symmetric and doubly stochastic.  Valid for odd N as well (half-integer
     j), which the noise pipeline needs.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     if n_total == 0:
         return np.ones((1, 1))
     j = n_total / 2.0
     m = np.arange(n_total + 1) - j
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    w, v = eigh_tridiagonal(np.zeros(n_total + 1), off)
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     u = (v * np.exp(-1j * theta * w)) @ v.T
     k = np.abs(u) ** 2
     np.clip(k, 0.0, 1.0, out=k)

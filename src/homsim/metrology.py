@@ -284,20 +284,31 @@ SCALING_EXPONENT_RANGE = (-2.0, 6.0)
 _SCALING_GRID_POINTS = 161
 
 
+def _bisect(f, a, b):
+    """A point x in [a, b] where f turns from <= 0 to > 0, to within 1e-15 + 4 eps |x|."""
+    for _ in range(200):  # 46 halvings reach the tolerance from a grid step of 0.05
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-15 + 4.0 * np.finfo(float).eps * abs(mid):
+            return mid
+        value = f(mid)
+        if math.isnan(value):
+            break
+        a, b = (mid, b) if value <= 0.0 else (a, mid)
+    raise stats.FitError("scaling fit: root search did not converge")
+
+
 def fit_scaling(n_values, fbar, dfbar=None) -> ScalingFit:
     """Weighted fit of the aggregated Fisher information versus atom number.
 
     The amplitude r is linear for a given exponent s and is eliminated, so
     the fit reduces to minimizing a cost in s alone.  Its minima are
     bracketed by sign changes of the slope on a grid over
-    ``SCALING_EXPONENT_RANGE`` and solved by Brent's method on compensated
-    sums, which keeps s reproducible to round-off; of several minima the one
-    of least cost is taken.  The covariance comes from the analytic Jacobian
-    scaled by the reduced chi-square.  Raises ``stats.FitError`` when no
-    minimum is bracketed or the cost at an end of the range is lower.
+    ``SCALING_EXPONENT_RANGE`` and bisected on compensated sums, which keeps
+    s reproducible to round-off; of several minima the one of least cost is
+    taken.  The covariance comes from the analytic Jacobian scaled by the
+    reduced chi-square.  Raises ``stats.FitError`` when no minimum is
+    bracketed, a bisection fails, or the cost at an end of the range is lower.
     """
-    from scipy.optimize import brentq
-
     n = np.asarray(n_values, dtype=float)
     f = np.asarray(fbar, dtype=float)
     if len(n) < 3:
@@ -326,11 +337,7 @@ def fit_scaling(n_values, fbar, dfbar=None) -> ScalingFit:
     minima = []
     for i in range(len(grid) - 1):
         if d[i] <= 0.0 < d[i + 1]:  # the cost stops falling and starts rising
-            t, info = brentq(slope, grid[i], grid[i + 1], xtol=1e-15,
-                             rtol=4.0 * np.finfo(float).eps, maxiter=200, full_output=True, disp=False)
-            if not info.converged:
-                raise stats.FitError(f"scaling fit: root search did not converge ({info.flag})")
-            minima.append(t)
+            minima.append(_bisect(slope, grid[i], grid[i + 1]))
     if not minima:
         raise stats.FitError(f"scaling fit: no cost minimum bracketed in s over {SCALING_EXPONENT_RANGE}")
     s = min(minima, key=cost)

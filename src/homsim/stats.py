@@ -1,9 +1,8 @@
 """Shared numerics: resampling, error bars, and fit wrappers.
 
-Thin, opinionated front-ends over numpy/scipy so the analysis modules agree
-on conventions (one seeded Philox stream per resample stack, scaled
-covariance, fixed global-optimizer hyperparameters) instead of each picking
-their own.
+One convention for every analysis module: one seeded Philox stream per
+resample stack, covariance scaled by the reduced chi-square, fixed global
+optimizer settings.  Only the fit wrappers load scipy, when called.
 """
 
 from __future__ import annotations

@@ -169,6 +169,16 @@ def test_influx_matrix_matches_poisson_pmf(size, a):
     assert p.min() >= 0.0
 
 
+@pytest.mark.parametrize("size", [21, 41])
+def test_noise_matrices_are_exact_at_the_edge_rates(size):
+    m, k = np.indices((size, size))
+    np.testing.assert_array_equal(channel._influx_matrix(0.0, size), poisson.pmf(m - k, 0.0))
+    for l in (0.0, 1.0):
+        np.testing.assert_array_equal(channel._loss_matrix(l, size), binom.pmf(m, k, 1.0 - l))
+    np.testing.assert_array_equal(channel._loss_matrix(0.0, size), np.eye(size))
+    np.testing.assert_array_equal(channel._loss_matrix(1.0, size)[0], np.ones(size))
+
+
 @pytest.mark.parametrize("n_max, sigma0, c1", [(20, 0.1466, 0.0114), (20, 0.168, 0.027), (40, 0.3, 0.1)])
 def test_blur_matrix_matches_normal_cdf_differences(n_max, sigma0, c1):
     b = channel._blur_matrix(n_max, sigma0, c1)

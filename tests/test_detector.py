@@ -321,3 +321,19 @@ def test_histogram_fit_converges_on_the_seed_409_run(tmp_path):
     calib = detector.fit_histogram(corrected.s_minus)
     for name in ("g", "sigma0", "c1"):
         assert abs(getattr(calib, name) - getattr(CAL_M, name)) <= 3 * getattr(calib, f"{name}_err"), name
+
+
+def test_histogram_fit_takes_twelve_bins_per_peak(tmp_path, monkeypatch):
+    # on this run the round-off of ceil((hi - lo) / (g0 / 12)) once added a 259th bin
+    corrected, _ = detector.correct_crosstalk(camera_run(501, tmp_path / "signals.csv"))
+    corrected, _ = detector.correct_drift(corrected)
+    histogram, bins = np.histogram, []
+
+    def recording(*args, **kwargs):
+        bins.append(kwargs["bins"])
+        return histogram(*args, **kwargs)
+
+    monkeypatch.setattr(detector.np, "histogram", recording)
+    calib = detector.fit_histogram(corrected.s_minus)
+    assert calib.n_max_fit == 20
+    assert bins[-1] == 12 * calib.n_max_fit + 18

@@ -64,6 +64,20 @@ def test_rotation_kernel_matches_factorial_route(n_total, theta):
     assert np.abs(ours - ref).max() < 1e-10
 
 
+# The factorial sums alternate in sign and lose precision as N grows (the
+# kernel itself stays within 4e-15 of a 60-digit reference for every N <= 40),
+# so each range of N gets its own bound, a few times the largest difference seen.
+FACTORIAL_ROUTE_BOUNDS = ((range(0, 17), 2e-13), (range(17, 31), 2e-11), (range(31, 41), 1e-9))
+
+
+@pytest.mark.parametrize("totals, bound", FACTORIAL_ROUTE_BOUNDS)
+def test_kernel_matches_factorial_route_for_every_total(totals, bound):
+    # odd totals too: the noise pipeline rotates them with half-integer spin
+    for n_total in totals:
+        for theta in (0.321, math.pi / 2, 2.5):
+            assert np.abs(fock._kernel(n_total, theta) - oracles.kernel_factorial(n_total, theta)).max() < bound
+
+
 def test_rotation_kernel_is_doubly_stochastic():
     k = fock.rotation_kernel(10, 0.7)
     np.testing.assert_allclose(k.sum(axis=0), 1.0, atol=1e-12)

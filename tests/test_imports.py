@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from homsim import cli
 from test_acceptance import TABLE_ROWS
 from test_cli import NOISE_OFF, noise_off_config, runner, simulated, workdir  # noqa: F401 (fixtures)
 
@@ -40,3 +43,23 @@ def test_analyze_loads_no_scipy(tmp_path, simulated):
     args = ("--config", config, "--out", tmp_path / "ana", "analyze", simulated)
     assert scipy_modules_after(run, *args) == []
     assert (tmp_path / "ana" / "depth.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def default_run(runner, tmp_path_factory):
+    """A simulate run with the default config (reference noise, all probe angles), made in-process."""
+    out = tmp_path_factory.mktemp("default") / "sim"
+    res = runner.invoke(cli.main, ["--seed", "5", "--out", str(out), "simulate"])
+    assert res.exit_code == 0, res.output
+    return out
+
+
+@pytest.mark.parametrize("command", ["simulate", "fisher --exact ideal", "fisher --exact model", "fisher --dataset"])
+def test_simulate_and_fisher_load_no_scipy(tmp_path, default_run, command):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"resample_samples": 20}))
+    args = command.split() + ([default_run] if command.endswith("--dataset") else [])
+    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
+    assert scipy_modules_after(run, "--config", config, "--out", tmp_path / "out", *args) == []
+    written = "metadata.json" if command == "simulate" else "fisher.json"
+    assert (tmp_path / "out" / written).exists()

@@ -247,6 +247,53 @@ def test_fit_scaling_stable_under_tiny_perturbations():
         assert abs(s - base) < 1e-12
 
 
+def sign_band(slope, s, reach=1024):
+    """Span of the floats within ``reach`` ulp of s from the first where slope > 0 to the last where it is <= 0."""
+    xs = s + np.arange(-reach, reach + 1) * np.spacing(s)
+    rising = np.array([slope(x) > 0.0 for x in xs])
+    lo, hi = xs[rising.argmax()], xs[len(xs) - 1 - (~rising)[::-1].argmax()]
+    return min(lo, hi), max(lo, hi)
+
+
+def test_fit_scaling_bisection_agrees_with_brentq(monkeypatch):
+    # Both root finders must stop at the same sign change of the same slope.
+    # Near the root the slope's float sign is round-off noise over up to a few
+    # hundred ulp, where brentq itself moves when only its bracket changes, so
+    # each must stop inside that band widened by their tolerance 1e-15 + 4 eps |s|.
+    from scipy.optimize import brentq
+
+    bisect, brackets = metrology._bisect, []
+
+    def recording(f, a, b):
+        brackets.append((f, a, b, bisect(f, a, b)))
+        return brackets[-1][-1]
+
+    monkeypatch.setattr(metrology, "_bisect", recording)
+    ns = np.arange(2, 15, 2, dtype=float)
+    rng = np.random.default_rng(1212)
+    for _ in range(40):
+        s_true = rng.uniform(1.0, 2.5)
+        clean = rng.uniform(0.5, 2.0) * (ns**s_true / 2 + ns)
+        rel = 10.0 ** rng.uniform(-14, -2)
+        metrology.fit_scaling(ns, clean * (1 + rel * rng.standard_normal(len(ns))), rel * clean)
+    for quartic, excl in ((False, None), (True, None), (True, metrology.DEFAULT_EXCLUSIONS)):
+        metrology.fisher_from_distributions(ideal_dists(), quartic=quartic, exclusions=excl)
+    assert len(brackets) >= 43
+    for f, a, b, s in brackets:
+        t = brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        tol = 1e-15 + 4.0 * np.finfo(float).eps * abs(t)
+        lo, hi = sign_band(f, t)
+        assert hi - lo < 512 * np.spacing(t)  # the band lies well inside the scanned window
+        assert lo - tol <= t <= hi + tol
+        assert lo - tol <= s <= hi + tol
+
+
+def test_bisect_raises_when_the_bracket_cannot_converge():
+    with pytest.raises(stats.FitError):
+        metrology._bisect(lambda s: float("nan") if s > 0.4 else s - 0.7, 0.0, 1.0)
+    assert metrology._bisect(lambda s: s - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=2e-15)
+
+
 def test_fisher_pipeline_agrees_across_kernels():
     # the factorial-sum oracle kernel and the eigh kernel differ at round-off
     # level only, so all three exponent variants must agree to far below 1e-9
