@@ -8,7 +8,6 @@ occupations against the ground truth.
 """
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
@@ -43,7 +42,6 @@ def main() -> None:
     print(f"{len(union.n_plus)} shots, crosstalk recovered "
           f"minus={kappas['minus']:.2e} plus={kappas['plus']:.2e}")
 
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for mode, ref in (("minus", detector.DEFAULT_CALIBRATION_MINUS),
                       ("plus", detector.DEFAULT_CALIBRATION_PLUS)):
@@ -56,10 +54,8 @@ def main() -> None:
               f"exact recovery {agree:.4f}")
         rows.append((mode, f"{calib.g:.3f}", f"{calib.sigma0:.5f}", f"{calib.c1:.5f}",
                      f"{kappas[mode]:.3e}", f"{agree:.5f}"))
-    with open(args.out / "roundtrip.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["mode", "g", "sigma0", "c1", "crosstalk", "exact_recovery"])
-        w.writerows(rows)
+    metrology.write_csv(args.out / "roundtrip.csv",
+                        ["mode", "g", "sigma0", "c1", "crosstalk", "exact_recovery"], rows)
     print(f"summary written to {args.out / 'roundtrip.csv'}")
 
 

@@ -76,9 +76,6 @@ class BlurLaw:
     g: float = 1.0
     b: float = 0.0
 
-    def sigma(self, n) -> np.ndarray:
-        return sigma_law(self.sigma0, self.c1, n)
-
 
 # Reference calibration constants of the modelled experiment.
 DEFAULT_BLUR_MINUS = BlurLaw(sigma0=0.1466, c1=0.0114, g=975.8)

@@ -8,7 +8,6 @@ input or config, 3 fit or optimizer non-convergence.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -140,14 +139,6 @@ def _dump_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _angle_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
@@ -204,16 +195,16 @@ def calibrate(obj, signals_csv):
         calib = detector.fit_histogram(leveled.signal(mode))
         report["modes"][mode] = calib.to_json()
         centers, counts, model = detector.histogram_table(leveled.signal(mode), calib)
-        _write_csv(out / f"histogram_{mode}.csv", ["signal", "count", "model"],
-                   [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
+        metrology.write_csv(out / f"histogram_{mode}.csv", ["signal", "count", "model"],
+                            [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
         ns = np.arange(calib.n_max_fit + 1)
-        _write_csv(out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
-                   [(int(n), f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
-                    for n, s, e in zip(ns, calib.peak_sigmas, calib.peak_sigma_errs)])
+        metrology.write_csv(out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
+                            [(int(n), f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
+                             for n, s, e in zip(ns, calib.peak_sigmas, calib.peak_sigma_errs)])
         d = drift[mode]
-        _write_csv(out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
-                   [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}")
-                    for s, c, k, e in zip(d.starts, d.centers, d.corrections, d.center_stderr)])
+        metrology.write_csv(out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
+                            [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}")
+                             for s, c, k, e in zip(d.starts, d.centers, d.corrections, d.center_stderr)])
         report["modes"][mode]["detection_fidelity_12"] = detector.detection_fidelity(12, calib)
     _dump_json(out / "calibration.json", _stamp(obj, report))
     click.echo(f"calibration written to {out / 'calibration.json'}")
@@ -309,18 +300,18 @@ def analyze(obj, dataset_dir):
         finite = [d for d in dbs if isinstance(d, float) and math.isfinite(d)]
         if finite:
             report["squeezing_db_mean"] = float(np.mean(finite))
-        _write_csv(out / "collective.csv",
-                   ["N", "var_jz", "jxjy2", "parity_z", "parity_x", "symmetry_J"],
-                   [(d.n_total, f"{d.var_jz:.5f}", f"{d.jxjy2:.4f}", f"{d.parity_z:.4f}",
-                     f"{d.parity_x:.4f}", f"{d.symmetry_J:.4f}") for d in collective_rows])
+        metrology.write_csv(out / "collective.csv",
+                            ["N", "var_jz", "jxjy2", "parity_z", "parity_x", "symmetry_J"],
+                            [(d.n_total, f"{d.var_jz:.5f}", f"{d.jxjy2:.4f}", f"{d.parity_z:.4f}",
+                              f"{d.parity_x:.4f}", f"{d.symmetry_J:.4f}") for d in collective_rows])
     if parity_rows:
-        _write_csv(out / "parity.csv", ["N", "parity_x", "err_minus", "err_plus"], parity_rows)
+        metrology.write_csv(out / "parity.csv", ["N", "parity_x", "err_minus", "err_plus"], parity_rows)
     if squeeze_rows:
-        _write_csv(out / "squeezing.csv", ["N", "xi2_gen", "xi2_gen_db"], squeeze_rows)
+        metrology.write_csv(out / "squeezing.csv", ["N", "xi2_gen", "xi2_gen_db"], squeeze_rows)
     if depth_rows:
-        _write_csv(out / "depth.csv",
-                   ["N", "parity_point", "parity_confident", "variance_point", "variance_confident"],
-                   depth_rows)
+        metrology.write_csv(out / "depth.csv",
+                            ["N", "parity_point", "parity_confident", "variance_point", "variance_confident"],
+                            depth_rows)
     _dump_json(out / "report.json", _stamp(obj, report))
     click.echo(f"report written to {out / 'report.json'}")
 
@@ -367,7 +358,7 @@ def fisher(obj, exact, dataset_dir):
         fbar, dfbar = est.aggregated[n]
         fit_val = est.scaling.predict(n) if est.scaling else float("nan")
         rows.append((n, f"{fbar:.4f}", f"{dfbar:.4f}", f"{float(fit_val):.4f}"))
-    _write_csv(out / "fisher_scaling.csv", ["N", "F_mean", "F_err", "F_fit"], rows)
+    metrology.write_csv(out / "fisher_scaling.csv", ["N", "F_mean", "F_err", "F_fit"], rows)
     if est.scaling:
         click.echo(f"scaling: r={est.scaling.r:.4f}+-{est.scaling.r_err:.4f} "
                    f"s={est.scaling.s:.4f}+-{est.scaling.s_err:.4f}")
@@ -396,9 +387,9 @@ def depth(obj, rows_json):
         rv = entanglement.depth_variance(data)
         results.append({"n_total": data.n_total, "parity": rp.to_json(), "variance": rv.to_json()})
     _dump_json(out / "depth.json", _stamp(obj, {"command": "depth", "results": results}))
-    _write_csv(out / "depth.csv", ["N", "depth_parity", "parity_method", "depth_variance"],
-               [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
-                for r in results])
+    metrology.write_csv(out / "depth.csv", ["N", "depth_parity", "parity_method", "depth_variance"],
+                        [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
+                         for r in results])
     for r in results:
         click.echo(f"N={r['n_total']}: parity depth {r['parity']['depth']} ({r['parity']['method']}), "
                    f"variance depth {r['variance']['depth']}")

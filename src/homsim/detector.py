@@ -15,15 +15,14 @@ nearest-peak integer occupation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import stats
-from .channel import normal_cdf, sigma_law
-from .metrology import read_csv_columns
+from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, normal_cdf, sigma_law
+from .metrology import read_csv_columns, write_csv
 
 
 class CalibrationError(RuntimeError):
@@ -64,10 +63,10 @@ class DetectorCalibration:
         return out
 
 
-# Reference calibrations of the modelled experiment (b is an arbitrary offset
-# default; only differences of peak positions are physical).
-DEFAULT_CALIBRATION_MINUS = DetectorCalibration(g=975.8, b=250.0, sigma0=0.1466, c1=0.0114)
-DEFAULT_CALIBRATION_PLUS = DetectorCalibration(g=832.5, b=250.0, sigma0=0.168, c1=0.027)
+# Reference calibrations of the modelled experiment: the channel's blur laws
+# with an arbitrary offset b (only differences of peak positions are physical).
+DEFAULT_CALIBRATION_MINUS = DetectorCalibration(**{**vars(DEFAULT_BLUR_MINUS), "b": 250.0})
+DEFAULT_CALIBRATION_PLUS = DetectorCalibration(**{**vars(DEFAULT_BLUR_PLUS), "b": 250.0})
 DEFAULT_CROSSTALK = {"minus": 1.48e-3, "plus": 1.76e-3}
 
 
@@ -102,11 +101,9 @@ class SignalTable:
         return replace(self, **{{"minus": "s_minus", "plus": "s_plus"}[mode]: values})
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["shot_index", "s_minus", "s_zero", "s_plus"])
-            for row in zip(self.shot_index, self.s_minus, self.s_zero, self.s_plus):
-                w.writerow([int(row[0]), f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
+        write_csv(path, ["shot_index", "s_minus", "s_zero", "s_plus"],
+                  ((int(i), f"{m:.6f}", f"{z:.6f}", f"{p:.6f}")
+                   for i, m, z, p in zip(self.shot_index, self.s_minus, self.s_zero, self.s_plus)))
 
     @classmethod
     def from_csv(cls, path) -> "SignalTable":
@@ -124,13 +121,12 @@ class DriftSpec:
 
     peak_to_peak: float = 370.0
     period: float = 13356.0
-    phase: float = 0.0
     step_at: int | None = None  # optional additional step, in shots
     step_size: float = 0.0
 
     def offsets(self, indices: np.ndarray) -> np.ndarray:
         i = np.asarray(indices, dtype=float)
-        out = 0.5 * self.peak_to_peak * np.sin(2 * np.pi * i / self.period + self.phase)
+        out = 0.5 * self.peak_to_peak * np.sin(2 * np.pi * i / self.period)
         if self.step_at is not None:
             out = out + np.where(i >= self.step_at, self.step_size, 0.0)
         return out
@@ -146,11 +142,8 @@ class CompanionSpec:
 
 def synthesize_signals(
     shots,
-    calib_minus: DetectorCalibration = DEFAULT_CALIBRATION_MINUS,
-    calib_plus: DetectorCalibration = DEFAULT_CALIBRATION_PLUS,
-    drift: DriftSpec | None = None,
+    drift: DriftSpec = DriftSpec(),
     crosstalk: dict | None = None,
-    companion: CompanionSpec = CompanionSpec(),
     seed: int = 0,
 ) -> SignalTable:
     """Forward model: integer occupations to raw camera counts.
@@ -159,8 +152,8 @@ def synthesize_signals(
     inverse of the calibration chain and exists for round-trip validation;
     real data enters through :class:`SignalTable` CSV files instead.
     """
-    drift = drift if drift is not None else DriftSpec()
     crosstalk = crosstalk if crosstalk is not None else dict(DEFAULT_CROSSTALK)
+    companion = CompanionSpec()
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     m = len(shots.n_minus)
     idx = np.arange(m)
@@ -174,9 +167,9 @@ def synthesize_signals(
 
     return SignalTable(
         shot_index=idx,
-        s_minus=one_mode(shots.n_minus, calib_minus, crosstalk["minus"]),
+        s_minus=one_mode(shots.n_minus, DEFAULT_CALIBRATION_MINUS, crosstalk["minus"]),
         s_zero=s_zero,
-        s_plus=one_mode(shots.n_plus, calib_plus, crosstalk["plus"]),
+        s_plus=one_mode(shots.n_plus, DEFAULT_CALIBRATION_PLUS, crosstalk["plus"]),
     )
 
 
@@ -335,6 +328,15 @@ def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable,
     return out, reports
 
 
+def _comb_histogram(values: np.ndarray, g: float, b: float, n_max_fit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin centers and counts from 3/4 of a spacing below peak 0 to 3/4 above the last, 12 bins per peak."""
+    lo = b - 0.75 * g
+    hi = b + (n_max_fit + 0.75) * g
+    # 12 bins per peak: (hi - lo) / (g / 12) without its round-off
+    counts, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=12 * n_max_fit + 18, range=(lo, hi))
+    return 0.5 * (edges[:-1] + edges[1:]), counts
+
+
 def _peak_shapes(x, g, b, sigmas):
     """Unit-height Gaussians, one column per peak: peak n at b + n g with rms sigmas[n] g."""
     return np.exp(-0.5 * ((x[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)) ** 2)
@@ -362,11 +364,7 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     eligible = np.nonzero(counts_per_peak >= 25)[0]
     n_max_fit = max(2, min(int(eligible.max()) if len(eligible) else 1, 30))
 
-    lo = b0 - 0.75 * g0
-    hi = b0 + (n_max_fit + 0.75) * g0
-    nbins = 12 * n_max_fit + 18  # 12 bins per peak; (hi - lo) / (g0 / 12) without its round-off
-    y, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=nbins, range=(lo, hi))
-    x = 0.5 * (edges[:-1] + edges[1:])
+    x, y = _comb_histogram(values, g0, b0, n_max_fit)
     y = y.astype(float)
 
     # inverse-per-peak-event weights for each bin
@@ -465,16 +463,9 @@ def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) ->
     return NoiseCurve(sigma0=sigma0, c1=c1, sigma0_err=float(sigma0_err), c1_err=float(c1_err))
 
 
-def histogram_table(values: np.ndarray, calib: DetectorCalibration, bins_per_peak: int = 12):
-    """Binned signal histogram plus the fitted peak-comb curve, for plotting."""
-    values = np.asarray(values, dtype=float)
-    lo = calib.b - 0.75 * calib.g
-    hi = calib.b + (calib.n_max_fit + 0.75) * calib.g
-    nbins = math.ceil((calib.n_max_fit + 1.5) * bins_per_peak)  # (hi - lo) / g without its round-off
-    counts, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=nbins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    if calib.peak_heights is None:
-        return centers, counts, np.zeros_like(centers)
+def histogram_table(values: np.ndarray, calib: DetectorCalibration):
+    """Binned signal histogram plus the peak-comb curve of a fitted calibration, for plotting."""
+    centers, counts = _comb_histogram(np.asarray(values, dtype=float), calib.g, calib.b, calib.n_max_fit)
     return centers, counts, _peak_shapes(centers, calib.g, calib.b, calib.peak_sigmas) @ calib.peak_heights
 
 
@@ -482,17 +473,6 @@ def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:
     """Nearest-peak integer occupations; exact midpoints break to the lower peak."""
     x = (np.asarray(values, dtype=float) - calib.b) / calib.g
     return np.maximum(0, np.ceil(x - 0.5)).astype(int)
-
-
-def quantize(signals: SignalTable, calib_minus: DetectorCalibration, calib_plus: DetectorCalibration, theta: float | None = None):
-    """Quantize both modes and assemble a shot table."""
-    from .metrology import ShotTable
-
-    return ShotTable(
-        n_plus=quantize_mode(signals.s_plus, calib_plus),
-        n_minus=quantize_mode(signals.s_minus, calib_minus),
-        theta=theta,
-    )
 
 
 def detection_fidelity(n: int, calib: DetectorCalibration) -> float:

@@ -14,14 +14,14 @@ in one array routine over rows of moments: a point estimate is one row, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import stats
-from .fock import CollectiveMoments, DomainError, FixedNDistribution, collective_moments, moments
+from .fock import CollectiveMoments, DomainError, FixedNDistribution, moments
 from .metrology import jxjy2_estimate
 
 MAX_BOUNDARY_DIM = 64  # largest (2j+1) in the boundary table
@@ -67,19 +67,12 @@ class CollectiveData:
         """Fraction of the maximal symmetric-subspace transverse spread, 1 = fully symmetric."""
         return float(self.jxjy2 / (self.n_total * (self.n_total + 2) / 4.0))
 
-    def to_json(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "jxjy2": self.jxjy2,
-            "var_jz": self.var_jz,
-            "parity_z": self.parity_z,
-            "parity_x": self.parity_x,
-            "parity_y": self.parity_y,
-            "mean_jz": self.mean_jz,
-        }
-
     @classmethod
     def from_json(cls, row: dict) -> "CollectiveData":
+        """A row of stored moments; keys that are not fields are ignored."""
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in row]
+        if missing:
+            raise ValueError(f"collective-moment row lacks {', '.join(missing)}: {row}")
         return cls(**{k: row[k] for k in row if k in cls.__dataclass_fields__})
 
 
@@ -106,13 +99,6 @@ def collective_data(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) 
         n_total=n_total, jxjy2=float(jxjy2_estimate(mh)), var_jz=float(m0.var_jz),
         parity_z=float(m0.parity), parity_x=float(mh.parity), mean_jz=float(m0.mean_jz),
     )
-
-
-def collective_from_distributions(p_unrotated: FixedNDistribution, post_hom: FixedNDistribution) -> CollectiveData:
-    """:func:`collective_data` of the two histograms themselves."""
-    if p_unrotated.n_total != post_hom.n_total:
-        raise ValueError("histograms belong to different N")
-    return collective_data(p_unrotated.n_total, collective_moments(p_unrotated), collective_moments(post_hom))
 
 
 @dataclass(frozen=True)

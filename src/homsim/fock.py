@@ -61,22 +61,6 @@ class TwoModeDistribution:
         if abs(self.grid.sum() - 1.0) > atol:
             raise ValueError(f"grid not normalized: sum={self.grid.sum()!r}")
 
-    def total_number_marginal(self) -> np.ndarray:
-        """P(N) for N = 0 .. 2*n_max, summing anti-diagonals."""
-        out = np.zeros(2 * self.n_max + 1)
-        for n_total in range(2 * self.n_max + 1):
-            idx = _antidiagonal_indices(n_total, self.n_max)
-            out[n_total] = self.grid[idx, n_total - idx].sum()
-        return out
-
-    def mode_marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.grid.sum(axis=1), self.grid.sum(axis=0)
-
-    def mean_occupation(self) -> tuple[float, float]:
-        n = np.arange(self.n_max + 1)
-        p_plus, p_minus = self.mode_marginals()
-        return float(n @ p_plus), float(n @ p_minus)
-
     def fixed_n(self, n_total: int) -> "FixedNDistribution":
         """Renormalized distribution on the anti-diagonal n_plus + n_minus = n_total."""
         if not 0 <= n_total <= 2 * self.n_max:
@@ -144,9 +128,6 @@ class SqueezedSource:
         if self.xi_jitter < 0:
             raise DomainError("xi_jitter must be non-negative")
 
-    def mean_pairs(self) -> float:
-        return float(np.sinh(self.xi) ** 2)
-
 
 @dataclass(frozen=True)
 class CollectiveMoments:
@@ -158,29 +139,16 @@ class CollectiveMoments:
     parity: float
 
 
-def twin_fock(n: int, n_max: int = DEFAULT_N_MAX) -> TwoModeDistribution:
-    """Delta distribution at n atoms in each mode."""
-    if n < 0:
-        raise DomainError("pair count must be non-negative")
-    if n > n_max:
-        raise CapacityError(f"n={n} exceeds n_max={n_max}")
-    grid = np.zeros((n_max + 1, n_max + 1))
-    grid[n, n] = 1.0
-    return TwoModeDistribution(grid=grid, n_max=n_max)
-
-
-def tmsv_distribution(
-    source: SqueezedSource, n_max: int = DEFAULT_N_MAX, quad_nodes: int = 32
-) -> TwoModeDistribution:
+def tmsv_distribution(source: SqueezedSource, n_max: int = DEFAULT_N_MAX) -> TwoModeDistribution:
     """Two-mode squeezed vacuum truncated to the grid diagonal.
 
     p(n, n) is proportional to tanh(xi)^(2n)/cosh(xi)^2 and renormalized over
     n <= n_max; the discarded geometric tail is reported as ``tail_mass``.
-    With jitter the result is a Gauss-Hermite average (>= 16 nodes) over xi
-    values, clipped at xi >= 0.
+    With jitter the result is a 32-node Gauss-Hermite average over xi values,
+    clipped at xi >= 0.
     """
     if source.xi_jitter > 0:
-        nodes, weights = np.polynomial.hermite.hermgauss(max(16, quad_nodes))
+        nodes, weights = np.polynomial.hermite.hermgauss(32)
         weights = weights / np.sqrt(np.pi)
         xis = np.clip(source.xi + np.sqrt(2.0) * source.xi_jitter * nodes, 0.0, None)
     else:
@@ -291,15 +259,3 @@ def collective_moments(dist: FixedNDistribution) -> CollectiveMoments:
     m = moments(dist.probs)
     return CollectiveMoments(*(float(v) for v in (m.mean_jz, m.jz2, m.var_jz, m.parity)))
 
-
-def mixture_over_pairs(weights: np.ndarray, n_max: int = DEFAULT_N_MAX) -> TwoModeDistribution:
-    """Diagonal mixture of twin states with the given pair-number weights."""
-    w = np.asarray(weights, dtype=float)
-    if len(w) > n_max + 1:
-        raise CapacityError("more weights than grid capacity")
-    if np.any(w < 0):
-        raise DomainError("weights must be non-negative")
-    grid = np.zeros((n_max + 1, n_max + 1))
-    idx = np.arange(len(w))
-    grid[idx, idx] = w / w.sum()
-    return TwoModeDistribution(grid=grid, n_max=n_max)

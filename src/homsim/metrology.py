@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -36,8 +38,22 @@ def read_csv_columns(path, names, dtype=float) -> list[np.ndarray]:
         missing = [n for n in names if n not in header]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)} in header {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=dtype)
+    if len(data) == 0 or data.shape[1] != len(header):
+        found = f"rows of {data.shape[1]}" if len(data) else "no data rows"
+        raise ValueError(f"{path}: a header of {len(header)} columns but {found}")
     return [np.ascontiguousarray(data[:, header.index(n)]) for n in names]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``rows`` under one header line to a CSV file, creating its directory if needed."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -64,23 +80,12 @@ class ShotTable:
         object.__setattr__(self, "n_plus", np_)
         object.__setattr__(self, "n_minus", nm)
 
-    def __len__(self):
-        return len(self.n_plus)
-
     @property
     def n_total(self) -> np.ndarray:
         return self.n_plus + self.n_minus
 
-    @property
-    def jz(self) -> np.ndarray:
-        return (self.n_plus - self.n_minus) / 2.0
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["N_plus", "N_minus"])
-            for a, b in zip(self.n_plus, self.n_minus):
-                w.writerow([int(a), int(b)])
+        write_csv(path, ["N_plus", "N_minus"], zip(self.n_plus.tolist(), self.n_minus.tolist()))
 
     @classmethod
     def from_csv(cls, path, theta: float | None = None) -> "ShotTable":
@@ -382,14 +387,7 @@ class FisherEstimate:
                 for n, fits in sorted(self.per_theta.items())
             },
             "aggregated": {str(n): {"F": v[0], "F_err": v[1]} for n, v in sorted(self.aggregated.items())},
-            "scaling": None
-            if self.scaling is None
-            else {
-                "r": self.scaling.r,
-                "s": self.scaling.s,
-                "r_err": self.scaling.r_err,
-                "s_err": self.scaling.s_err,
-            },
+            "scaling": None if self.scaling is None else asdict(self.scaling),
         }
 
 

@@ -109,7 +109,7 @@ def test_criterion_3_squeezing_window(reference_tables):
     for n in EVEN_N:
         p0 = metrology.empirical_distribution(reference_tables[0.0], n)
         ph = metrology.empirical_distribution(reference_tables[math.pi / 2], n)
-        data = entanglement.collective_from_distributions(p0, ph)
+        data = entanglement.collective_data(n, fock.collective_moments(p0), fock.collective_moments(ph))
         try:
             db = metrology.generalized_squeezing(data.var_jz, data.jxjy2, n).db
         except ValueError:

@@ -313,6 +313,38 @@ def test_calibrate_smoke(runner, tmp_path):
             assert (out / f"{stem}_{mode}.csv").exists()
 
 
+# ---------------------------------------------------------------- invalid input
+
+
+@pytest.mark.parametrize("command", ["analyze", "fisher --dataset", "calibrate"])
+@pytest.mark.parametrize("body", ["", "1\n"], ids=["header-only", "short-row"])
+def test_malformed_csv_exits_2(runner, tmp_path, command, body):
+    if command == "calibrate":
+        path = tmp_path / "signals.csv"
+        path.write_text("shot_index,s_minus,s_zero,s_plus\n" + body)
+        args = ["calibrate", path]
+    else:
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        (dataset / "metadata.json").write_text(json.dumps({"files": {"0.000000": "shots.csv"}}))
+        path = dataset / "shots.csv"
+        path.write_text("N_plus,N_minus\n" + body)
+        args = [*command.split(), dataset]
+    res = invoke(runner, ["--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.output
+    assert "columns" in res.output
+
+
+@pytest.mark.parametrize("command", ["depth", "witness"])
+def test_incomplete_rows_json_exits_2(runner, tmp_path, command):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": [TABLE_ROWS[0], {"n_total": 4, "parity_z": 0.5}]}))
+    res = invoke(runner, ["--out", tmp_path / "o", command, rows])
+    assert res.exit_code == 2, res.output
+    assert "jxjy2, var_jz" in res.output
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -237,19 +237,6 @@ def test_quantize_mode_midpoints_and_clamp():
     np.testing.assert_array_equal(detector.quantize_mode(vals, calib), [0, 0, 1, 0, 4])
 
 
-def test_quantize_builds_shot_table():
-    signals = detector.SignalTable(
-        shot_index=np.arange(2),
-        s_minus=np.array([250.0, 250.0 + CAL_M.g]),
-        s_zero=np.zeros(2),
-        s_plus=np.array([250.0 + 2 * CAL_P.g, 250.0]),
-    )
-    tab = detector.quantize(signals, CAL_M, CAL_P, theta=0.2)
-    np.testing.assert_array_equal(tab.n_minus, [0, 1])
-    np.testing.assert_array_equal(tab.n_plus, [2, 0])
-    assert tab.theta == 0.2
-
-
 def test_detection_fidelity_frozen_values():
     assert detector.detection_fidelity(0, CAL_M) == pytest.approx(0.9993518968357167, abs=1e-15)
     assert detector.detection_fidelity(12, CAL_M) == pytest.approx(0.9990096273287542, abs=1e-15)
@@ -335,5 +322,6 @@ def test_histogram_fit_takes_twelve_bins_per_peak(tmp_path, monkeypatch):
 
     monkeypatch.setattr(detector.np, "histogram", recording)
     calib = detector.fit_histogram(corrected.s_minus)
+    detector.histogram_table(corrected.s_minus, calib)  # the plotted histogram takes the same bins
     assert calib.n_max_fit == 20
-    assert bins[-1] == 12 * calib.n_max_fit + 18
+    assert bins[-2:] == [12 * calib.n_max_fit + 18] * 2

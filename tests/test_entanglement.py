@@ -1,7 +1,7 @@
 """Witnesses, the minimal-variance boundary, and depth certification."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ def test_collective_data_validation_and_defaults():
 
 def test_collective_data_json_round_trip_ignores_extras():
     d = ent.CollectiveData(n_total=6, jxjy2=11.0, var_jz=0.03, parity_z=0.9, parity_x=0.8)
-    row = d.to_json()
+    row = asdict(d)
     row["comment"] = "extraneous"
     assert ent.CollectiveData.from_json(row) == d
 
@@ -54,14 +54,12 @@ def test_collective_from_distributions_matches_ideal():
     n = 6
     probs0 = np.eye(n + 1)[n // 2]
     p0 = fock.FixedNDistribution(n_total=n, probs=probs0)
-    data = ent.collective_from_distributions(p0, fock.holland_burnett(n))
+    data = ent.collective_data(n, fock.collective_moments(p0), fock.collective_moments(fock.holland_burnett(n)))
     ideal = ent.ideal_twin_fock_data(n)
     assert data.var_jz == pytest.approx(0.0, abs=1e-12)
     assert data.jxjy2 == pytest.approx(ideal.jxjy2, abs=1e-12)
     assert data.parity_z == pytest.approx(ideal.parity_z, abs=1e-12)
     assert data.parity_x == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ent.collective_from_distributions(p0, fock.holland_burnett(4))
 
 
 def test_parity_witness_threshold():

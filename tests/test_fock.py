@@ -10,18 +10,6 @@ from homsim import fock
 import oracles
 
 
-def test_twin_fock_is_delta_on_diagonal():
-    d = fock.twin_fock(3, n_max=8)
-    assert d.grid[3, 3] == 1.0
-    assert d.grid.sum() == 1.0
-    assert d.tail_mass == 0.0
-
-
-def test_twin_fock_beyond_capacity():
-    with pytest.raises(fock.CapacityError):
-        fock.twin_fock(9, n_max=8)
-
-
 def test_tmsv_weights_match_geometric_series():
     src = fock.SqueezedSource(xi=0.9)
     d = fock.tmsv_distribution(src, n_max=14)
@@ -32,19 +20,24 @@ def test_tmsv_weights_match_geometric_series():
 
 
 def test_tmsv_mean_pairs_closed_form():
-    assert fock.SqueezedSource(xi=1.0).mean_pairs() == pytest.approx(1.3810978455418155, abs=1e-14)
+    def mean_pairs(d):
+        return float(np.arange(d.n_max + 1) @ np.diagonal(d.grid))
+
+    # on a grid whose tail is below 1e-18 the mean pair number is sinh(xi)^2
+    assert mean_pairs(fock.tmsv_distribution(fock.SqueezedSource(xi=1.0), n_max=80)) == pytest.approx(
+        1.3810978455418155, abs=1e-14)
     src = fock.SqueezedSource(xi=math.asinh(math.sqrt(7.5 / 2.0)))
-    assert src.mean_pairs() == pytest.approx(3.75, abs=1e-12)
+    assert mean_pairs(fock.tmsv_distribution(src, n_max=200)) == pytest.approx(3.75, abs=1e-12)
     d = fock.tmsv_distribution(src, n_max=20)
     # truncation pushes the mean below 2 * 3.75 by the tail weight
-    total = sum(d.mean_occupation())
+    total = 2 * mean_pairs(d)
     assert 7.0 < total < 7.5
     assert 0.004 < d.tail_mass < 0.008
 
 
 def test_tmsv_jitter_matches_dense_average():
     src = fock.SqueezedSource(xi=0.8, xi_jitter=0.1)
-    d = fock.tmsv_distribution(src, n_max=12, quad_nodes=40)
+    d = fock.tmsv_distribution(src, n_max=12)
     # dense Gaussian average over the pair-amplitude as the reference
     xs = np.linspace(0.8 - 6 * 0.1, 0.8 + 6 * 0.1, 4001)
     pdf = np.exp(-0.5 * ((xs - 0.8) / 0.1) ** 2)
@@ -147,7 +140,9 @@ def test_collective_moments_delta():
 
 
 def test_fixed_n_slices_and_errors():
-    d = fock.twin_fock(2, n_max=6)
+    grid = np.zeros((7, 7))
+    grid[2, 2] = 1.0  # two atoms in each mode
+    d = fock.TwoModeDistribution(grid=grid, n_max=6)
     sub = d.fixed_n(4)
     assert sub.n_total == 4
     assert sub.probs[2] == 1.0
@@ -155,14 +150,6 @@ def test_fixed_n_slices_and_errors():
         d.fixed_n(13)
     with pytest.raises(ValueError):
         d.fixed_n(3)  # no mass at odd totals
-
-
-def test_mixture_over_pairs_total_marginal():
-    mix = fock.mixture_over_pairs([0.25, 0.5, 0.25], n_max=8)
-    marg = mix.total_number_marginal()
-    assert marg[0] == pytest.approx(0.25)
-    assert marg[2] == pytest.approx(0.5)
-    assert marg[4] == pytest.approx(0.25)
 
 
 def test_distribution_validation_catches_bad_grids():
