@@ -117,20 +117,17 @@ class NoiseModelParams:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NoiseModelParams":
+        """The four rates, and skew and per-mode blur laws where given; ValueError names what is malformed."""
+        kwargs = {k: obj[k] for k in ("a_plus", "a_minus", "l_plus", "l_minus", "skew") if k in obj}
+        wrong = [k for k, v in kwargs.items() if not isinstance(v, (int, float))]
+        if wrong:
+            raise ValueError(f"noise config: {', '.join(wrong)} must be a number")
         blur = obj.get("blur", {})
-        kwargs = {}
-        if "minus" in blur:
-            kwargs["blur_minus"] = BlurLaw(**blur["minus"])
-        if "plus" in blur:
-            kwargs["blur_plus"] = BlurLaw(**blur["plus"])
-        return cls(
-            a_plus=obj["a_plus"],
-            a_minus=obj["a_minus"],
-            l_plus=obj["l_plus"],
-            l_minus=obj["l_minus"],
-            skew=obj.get("skew", 1.052),
-            **kwargs,
-        )
+        try:
+            kwargs.update({f"blur_{m}": BlurLaw(**blur[m]) for m in ("minus", "plus") if m in blur})
+            return cls(**kwargs)
+        except TypeError as exc:  # a missing rate, or an unknown key of a blur law
+            raise ValueError(f"noise config: {exc}") from None
 
 
 # Best-fit rates of the reference dataset; handy defaults for simulation.

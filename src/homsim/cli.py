@@ -44,6 +44,10 @@ class RunConfig:
     exclude_beyond_node: bool = True
 
     def __post_init__(self):
+        for name in ("shots_per_angle", "n_max", "resample_samples", "n_values"):
+            v = getattr(self, name)
+            if not all(isinstance(k, int) for k in (v if name == "n_values" else [v])):
+                raise ValueError(f"{name} must hold integers, not {v!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
         if any(not 0 <= a <= math.pi for a in self.angles):
@@ -102,8 +106,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, fock.DomainError, fock.CapacityError, detector.CalibrationError,
-                OSError, json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, detector.CalibrationError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except stats.FitError as exc:
@@ -122,7 +125,7 @@ def main(ctx, config_path, seed, out_dir):
     """Number-resolved two-mode interference pipeline."""
     try:
         cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     ctx.obj = {"cfg": cfg, "seed": seed, "out": Path(out_dir)}
@@ -215,8 +218,11 @@ def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
     if not meta_path.exists():
         raise ValueError(f"no metadata.json in {dataset_dir}")
     meta = json.loads(meta_path.read_text())
+    files = meta.get("files") if isinstance(meta, dict) else None
+    if not (isinstance(files, dict) and all(isinstance(name, str) for name in files.values())):
+        raise ValueError(f"{meta_path}: expected an object with a map of angle to file name under \"files\"")
     tables = {}
-    for key, name in meta["files"].items():
+    for key, name in files.items():
         theta = float(key)
         tables[theta] = metrology.ShotTable.from_csv(dataset_dir / name, theta=theta)
     return tables
@@ -366,11 +372,11 @@ def fisher(obj, exact, dataset_dir):
 
 
 def _load_rows(path: Path):
+    """Rows and optional weights of a ``{"rows": [...], "weights": [...]}`` file."""
     payload = json.loads(Path(path).read_text())
-    raw = payload["rows"] if isinstance(payload, dict) else payload
-    rows = [entanglement.CollectiveData.from_json(r) for r in raw]
-    weights = payload.get("weights") if isinstance(payload, dict) else None
-    return rows, weights
+    if not (isinstance(payload, dict) and isinstance(payload.get("rows"), list)):
+        raise ValueError(f"{path}: expected an object with a list under \"rows\"")
+    return [entanglement.CollectiveData.from_json(r) for r in payload["rows"]], payload.get("weights")
 
 
 @main.command()

@@ -282,16 +282,18 @@ def correct_crosstalk(signals: SignalTable) -> tuple[SignalTable, dict]:
     return out, kappas
 
 
+DRIFT_WINDOW = 400  # shots per drift-correction window
+
+
 @dataclass(frozen=True)
 class DriftCorrection:
-    window: int
     starts: np.ndarray
     centers: np.ndarray
     corrections: np.ndarray
     center_stderr: np.ndarray
 
 
-def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable, dict]:
+def correct_drift(signals: SignalTable) -> tuple[SignalTable, dict]:
     """Track the zero-atom peak across acquisition windows and level it.
 
     Each window's zero-atom cluster is summarised by a Gaussian (its fitted
@@ -299,17 +301,17 @@ def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable,
     taken as the reference level so that, absent drift, corrections scatter
     around zero and the global offset b survives for the histogram fit.
     """
-    if len(signals) < window:
-        raise CalibrationError(f"need at least {window} shots, got {len(signals)}")
+    if len(signals) < DRIFT_WINDOW:
+        raise CalibrationError(f"need at least {DRIFT_WINDOW} shots, got {len(signals)}")
     out = signals
     reports = {}
-    starts = np.arange(0, len(signals), window)
+    starts = np.arange(0, len(signals), DRIFT_WINDOW)
     for mode in ("minus", "plus"):
         s = out.signal(mode)
         g0, b0 = _coarse_scale(s)
         centers, errs = [], []
         for k, start in enumerate(starts):
-            chunk = s[start : start + window]
+            chunk = s[start : start + DRIFT_WINDOW]
             zeros = chunk[_zero_cluster_mask(chunk, g0, b0)]
             if len(zeros) < 10:
                 raise CalibrationError(f"window {k} has no resolvable zero-atom peak in mode {mode}")
@@ -319,12 +321,10 @@ def correct_drift(signals: SignalTable, window: int = 400) -> tuple[SignalTable,
             errs.append(clipped.std(ddof=1) / math.sqrt(len(clipped)) if len(clipped) > 1 else 0.0)
         centers = np.array(centers)
         corrections = centers - np.median(centers)
-        per_shot = np.repeat(corrections, window)[: len(s)]
+        per_shot = np.repeat(corrections, DRIFT_WINDOW)[: len(s)]
         out = out.with_signal(mode, s - per_shot)
-        reports[mode] = DriftCorrection(
-            window=window, starts=starts, centers=centers,
-            corrections=corrections, center_stderr=np.array(errs),
-        )
+        reports[mode] = DriftCorrection(starts=starts, centers=centers, corrections=corrections,
+                                        center_stderr=np.array(errs))
     return out, reports
 
 

@@ -70,10 +70,16 @@ class CollectiveData:
     @classmethod
     def from_json(cls, row: dict) -> "CollectiveData":
         """A row of stored moments; keys that are not fields are ignored."""
+        if not isinstance(row, dict):
+            raise ValueError(f"collective-moment row is not an object: {row!r}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in row]
         if missing:
             raise ValueError(f"collective-moment row lacks {', '.join(missing)}: {row}")
-        return cls(**{k: row[k] for k in row if k in cls.__dataclass_fields__})
+        values = {k: row[k] for k in row if k in cls.__dataclass_fields__}
+        wrong = [k for k, v in values.items() if not isinstance(v, (int, float)) and not (k == "parity_y" and v is None)]
+        if wrong:
+            raise ValueError(f"collective-moment row has non-numeric {', '.join(wrong)}: {row}")
+        return cls(**values)
 
 
 def ideal_twin_fock_data(n_total: int) -> CollectiveData:

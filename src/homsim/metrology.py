@@ -179,7 +179,6 @@ class FisherFit:
     fisher: float
     stderr: float
     intercept: float
-    quartic: bool
 
 
 def fit_fisher(diffs, d2, sigma=None, quartic: bool = False) -> FisherFit:
@@ -246,7 +245,7 @@ def fit_fisher(diffs, d2, sigma=None, quartic: bool = False) -> FisherFit:
     grad = uc + 2.0 * f * vc
     info = dot(grad, grad)
     stderr = math.sqrt(chi2 / (len(y) - 2) / info) if info > 0 else float("nan")
-    return FisherFit(fisher=max(float(f), 0.0), stderr=stderr, intercept=float(b), quartic=quartic)
+    return FisherFit(fisher=max(float(f), 0.0), stderr=stderr, intercept=float(b))
 
 
 def aggregate_fisher(fits) -> tuple[float, float]:
@@ -396,37 +395,28 @@ def _angles_for(n_total: int, angles, exclusions) -> list[float]:
     return [a for a in angles if all(abs(a - d) > 1e-12 for d in dropped)]
 
 
-def _parabola_sigmas(sigma_of, n_total, t1, grid):
-    """Per-point spreads of one parabola, or None for an unweighted fit.
+def _run_pipeline(per_n, quartic, exclusions) -> FisherEstimate:
+    """Fit row i of each symmetric d^2 matrix against x = angles[i] - angles; average per N; fit the N-scaling.
 
-    A spread of at most 1e-12 is unresolved (e.g. d^2 pinned at 0 or 1 when
-    the supports coincide as deltas or are disjoint); such a point takes the
-    smallest resolved spread of the same parabola, so it cannot outweigh the
-    measured points.  With no point resolved the fit is unweighted.
+    ``per_n[N] = (angles, d2, spread)``, ``spread`` None for exact input.  A
+    spread of at most 1e-12 is unresolved (e.g. d^2 pinned at 0 or 1 when the
+    supports coincide as deltas or are disjoint); such a point takes the
+    smallest resolved spread of its row, so it cannot outweigh the measured
+    points.  A row with no point resolved is fitted unweighted.
     """
-    if sigma_of is None:
-        return None
-    sig = np.array([sigma_of(n_total, t1, t2) for t2 in grid])
-    resolved = sig > 1e-12
-    return np.where(resolved, sig, sig[resolved].min()) if resolved.any() else None
-
-
-def _run_pipeline(d2_of, sigma_of, n_values, angles, quartic, exclusions) -> FisherEstimate:
     est = FisherEstimate(quartic=quartic, exclusions=dict(exclusions) if exclusions else {})
-    for n_total in sorted(n_values):
-        grid = _angles_for(n_total, angles, est.exclusions)
+    for n_total in sorted(per_n):
+        angles, d2, spread = per_n[n_total]
         fits = {}
-        for t1 in grid:
-            x = np.array([t1 - t2 for t2 in grid])
-            y = np.array([d2_of(n_total, t1, t2) for t2 in grid])
-            fits[t1] = fit_fisher(x, y, sigma=_parabola_sigmas(sigma_of, n_total, t1, grid), quartic=quartic)
+        for i, t1 in enumerate(angles):
+            resolved = [] if spread is None else spread[i][spread[i] > 1e-12]
+            sigma = np.maximum(spread[i], resolved.min()) if len(resolved) else None
+            fits[t1] = fit_fisher(t1 - np.asarray(angles), d2[i], sigma=sigma, quartic=quartic)
         est.per_theta[n_total] = fits
         est.aggregated[n_total] = aggregate_fisher(fits.values())
-    if len(est.aggregated) >= 3:
-        ns = sorted(est.aggregated)
-        est.scaling = fit_scaling(
-            ns, [est.aggregated[n][0] for n in ns], [est.aggregated[n][1] for n in ns]
-        )
+    if len(est.aggregated) >= 3:  # filled in ascending N
+        fbar, dfbar = zip(*est.aggregated.values())
+        est.scaling = fit_scaling(list(est.aggregated), fbar, dfbar)
     return est
 
 
@@ -443,11 +433,12 @@ def fisher_from_distributions(
     the whole grid including itself; per-angle Fisher values are averaged
     with w = (F/dF)^2 and the N-scaling law fitted to the averages.
     """
-
-    def d2_of(n, t1, t2):
-        return _hell2(np.asarray(dists[n][t1]), np.asarray(dists[n][t2]))
-
-    return _run_pipeline(d2_of, None, list(dists), angles, quartic, exclusions)
+    per_n = {}
+    for n, by_theta in dists.items():
+        kept = _angles_for(n, angles, exclusions)
+        p = np.array([by_theta[t] for t in kept])
+        per_n[n] = (kept, _hell2(p[:, None], p[None]), None)
+    return _run_pipeline(per_n, quartic, exclusions)
 
 
 def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stats.ResamplePlan) -> tuple[float, float]:
@@ -470,22 +461,23 @@ def fisher_from_shots(
 ) -> FisherEstimate:
     """Sampled-data pipeline: resampled mean d^2 per angle pair, spread as weight.
 
-    Each unordered pair is resampled once and mirrored, so the input to the
-    parabola fit is symmetric in (theta1, theta2) like the exact pipeline.
+    Each histogram kept at N is resampled once as the first side of a pair
+    (``plan.seed``) and once as the second (seed + 1), as in
+    ``stats.resample_pair``.  The pair theta_i <= theta_j takes the mean and
+    spread of d^2 between the first stack of i and the second of j, the
+    numbers ``resampled_hellinger`` gives, mirrored to (j, i) so the input to
+    the parabola fits is symmetric like the exact pipeline's.
     """
-    angles = sorted(tables)
-    empirical = {(n, t): empirical_distribution(tables[t], n) for n in n_values for t in angles}
-    pair: dict[tuple, tuple[float, float]] = {}
+    per_n = {}
     for n in n_values:
-        for i, t1 in enumerate(angles):
-            for t2 in angles[i:]:
-                mean, std = resampled_hellinger(empirical[(n, t1)], empirical[(n, t2)], plan)
-                pair[(n, t1, t2)] = pair[(n, t2, t1)] = (mean, std)
-    return _run_pipeline(
-        lambda n, t1, t2: pair[(n, t1, t2)][0],
-        lambda n, t1, t2: pair[(n, t1, t2)][1],
-        list(n_values),
-        angles,
-        quartic,
-        exclusions,
-    )
+        kept = _angles_for(n, sorted(tables), exclusions)
+        hists = [empirical_distribution(tables[t], n) for t in kept]
+        first, second = (np.array([stats.multinomial_resample(h.probs, h.n_shots, side) for h in hists])
+                       for side in (plan, stats.ResamplePlan(plan.n_samples, plan.seed + 1)))
+        d2, spread = np.zeros((2, len(kept), len(kept)))
+        for i in range(len(kept)):
+            s = _hell2(first[i], second[i:])  # theta_i against every theta_j >= theta_i
+            d2[i, i:] = d2[i:, i] = s.mean(axis=1)
+            spread[i, i:] = spread[i:, i] = s.std(axis=1, ddof=1) if plan.n_samples > 1 else 0.0
+        per_n[n] = (kept, d2, spread)
+    return _run_pipeline(per_n, quartic, exclusions)

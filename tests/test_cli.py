@@ -336,13 +336,64 @@ def test_malformed_csv_exits_2(runner, tmp_path, command, body):
     assert "columns" in res.output
 
 
-@pytest.mark.parametrize("command", ["depth", "witness"])
-def test_incomplete_rows_json_exits_2(runner, tmp_path, command):
+# id suffix -> (rows.json payload, what the error message must name)
+MALFORMED_ROWS = {
+    "": ({"rows": [TABLE_ROWS[0], {"n_total": 4, "parity_z": 0.5}]}, "jxjy2, var_jz"),
+    "-row-not-object": ({"rows": [5]}, "not an object: 5"),
+    "-string-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": "5"}]}, "non-numeric jxjy2"),
+    "-bare-list": ([TABLE_ROWS[0]], 'a list under "rows"'),
+}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    pytest.param(command, payload, message, id=command + suffix)
+    for suffix, (payload, message) in MALFORMED_ROWS.items() for command in ("depth", "witness")
+])
+def test_incomplete_rows_json_exits_2(runner, tmp_path, command, payload, message):
     rows = tmp_path / "rows.json"
-    rows.write_text(json.dumps({"rows": [TABLE_ROWS[0], {"n_total": 4, "parity_z": 0.5}]}))
+    rows.write_text(json.dumps(payload))
     res = invoke(runner, ["--out", tmp_path / "o", command, rows])
     assert res.exit_code == 2, res.output
-    assert "jxjy2, var_jz" in res.output
+    assert message in res.output
+
+
+RATES = {"a_plus": 0.05, "a_minus": 0.02, "l_plus": 0.0, "l_minus": 0.01}
+
+# case -> (metadata.json "files", config "noise", command, what the error message must name)
+MALFORMED_INPUTS = {
+    "metadata-files-list": (["shots.csv"], "none", "analyze", '"files"'),
+    "metadata-file-name-number": ({"0.000000": 5}, "none", "analyze", '"files"'),
+    "blur-unknown-key": ({}, {**RATES, "blur": {"minus": {"sigma0": 0.1, "c1": 0.01, "gain": 2.0}}}, "simulate",
+                         "unexpected keyword argument 'gain'"),
+    "rate-string": ({}, {**RATES, "a_plus": "x"}, "simulate", "a_plus must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
+    files, noise, command, message = MALFORMED_INPUTS[case]
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    (dataset / "metadata.json").write_text(json.dumps({"files": files}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": noise, "n_max": 4, "shots_per_angle": 10}))
+    args = [command, dataset] if command == "analyze" else [command]
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize("key, value", [
+    ("shots_per_angle", 2.5), ("n_max", 20.5), ("resample_samples", 100.5), ("n_values", [2, 4.5]),
+])
+def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must hold integers" in res.output
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: value})
 
 
 # ---------------------------------------------------------------- exit codes

@@ -144,7 +144,7 @@ def test_drift_correction_recovers_sine():
     table = detector.synthesize_signals(shots, drift=spec, crosstalk={"minus": 0.0, "plus": 0.0}, seed=8)
     corrected, reports = detector.correct_drift(table)
     rep = reports["minus"]
-    mids = rep.starts + rep.window / 2.0
+    mids = rep.starts + detector.DRIFT_WINDOW / 2.0
     want = spec.offsets(mids)
     resid = rep.corrections - (want - np.median(want))
     assert np.abs(resid).max() < 40.0  # counts; well under g

@@ -199,7 +199,7 @@ def test_fisher_from_ideal_curvature_tracks_heisenberg(n):
 
 
 def test_aggregate_fisher_conventions():
-    mk = lambda f, df: metrology.FisherFit(fisher=f, stderr=df, intercept=0.0, quartic=True)
+    mk = lambda f, df: metrology.FisherFit(fisher=f, stderr=df, intercept=0.0)
     f, df = metrology.aggregate_fisher([mk(10.0, 1.0)])
     assert (f, df) == (10.0, 1.0)
     # equal relative uncertainty: plain arithmetic mean of the values
@@ -391,3 +391,63 @@ def test_fisher_from_shots_smoke():
         ideal = n**2 / 2 + n
         assert est.aggregated[n][0] == pytest.approx(ideal, rel=0.25)
     assert est.scaling is not None
+
+
+def _mixed_n_tables(ns, shots=2000):
+    """Shot tables at the small-rotation angles, shots spread evenly over the atom numbers ``ns``."""
+    tables = {}
+    for i, theta in enumerate(metrology.SMALL_ROTATION_ANGLES):
+        grid = np.zeros((max(ns) + 1,) * 2)
+        for n in ns:
+            k = np.arange(n + 1)
+            grid[k, n - k] += fock.twin_fock_output(n, theta).probs / len(ns)
+        dist = fock.TwoModeDistribution(grid=grid, n_max=max(ns))
+        tables[theta] = metrology.ShotTable.sample(dist, shots, seed=20 + i, theta=theta)
+    return tables
+
+
+def test_fisher_from_shots_fits_the_resampled_hellinger_of_each_pair(monkeypatch):
+    # every d^2 the parabola fits see is resampled_hellinger of its pair
+    # (theta1 <= theta2) bit for bit, mirror entries included; a spread it
+    # cannot resolve takes the smallest resolved spread of the row
+    tables = _mixed_n_tables((2, 4, 14))
+    plan = stats.ResamplePlan(n_samples=60, seed=5)
+    fit, fitted = metrology.fit_fisher, []
+
+    def recording(diffs, d2, sigma=None, quartic=False):
+        fitted.append((np.array(diffs), np.array(d2), sigma if sigma is None else np.array(sigma)))
+        return fit(diffs, d2, sigma=sigma, quartic=quartic)
+
+    monkeypatch.setattr(metrology, "fit_fisher", recording)
+    metrology.fisher_from_shots(tables, [2, 4, 14], plan=plan, exclusions=metrology.DEFAULT_EXCLUSIONS)
+    rows, unresolved = iter(fitted), 0
+    for n in (2, 4, 14):
+        kept = [t for t in sorted(tables) if (n, t) != (14, 0.35)]
+        hists = {t: metrology.empirical_distribution(tables[t], n) for t in kept}
+        for t1 in kept:
+            x, d2, sigma = next(rows)
+            ref = np.array([metrology.resampled_hellinger(hists[min(t1, t2)], hists[max(t1, t2)], plan)
+                            for t2 in kept])
+            assert x.tolist() == [t1 - t2 for t2 in kept]
+            assert d2.tolist() == ref[:, 0].tolist()
+            resolved = ref[:, 1] > 1e-12
+            unresolved += int((~resolved).sum())
+            assert sigma.tolist() == np.where(resolved, ref[:, 1], ref[resolved, 1].min()).tolist()
+    assert next(rows, None) is None
+    assert unresolved == 3  # theta = 0 is a delta at every N, so its self-pair never varies
+
+
+def test_fisher_from_shots_resamples_each_kept_histogram_once_per_side(monkeypatch):
+    resample, stacks = stats.multinomial_resample, []
+
+    def counting(probs, n_shots, plan):
+        stacks.append((len(probs) - 1, plan.seed))
+        return resample(probs, n_shots, plan)
+
+    monkeypatch.setattr(stats, "multinomial_resample", counting)
+    plan = stats.ResamplePlan(n_samples=20, seed=7)
+    metrology.fisher_from_shots(_mixed_n_tables((2, 4, 14)), [2, 4, 14], plan=plan,
+                                exclusions=metrology.DEFAULT_EXCLUSIONS)
+    # one stack per kept angle and side (seed, seed + 1): 8 at N = 14, where 0.35 is dropped
+    assert sorted(stacks) == sorted([(n, seed) for n, kept in ((2, 5), (4, 5), (14, 4))
+                                     for seed in (7, 8) for _ in range(kept)])
