@@ -13,8 +13,8 @@ parameters; the skew and blur settings are fixed properties of the
 calibration.  ``fit`` recovers the free parameters from counting data by
 minimising the squared Hellinger distance over the whole grid, odd totals
 included: a bounded nonlinear least-squares problem in the residual
-sqrt(p) - sqrt(q), solved by a trust-region reflective search with an
-analytic Jacobian from a few fixed starts.
+sqrt(p) - sqrt(q), solved per angle by one trust-region reflective search
+with an analytic Jacobian from the given rates.
 
 The influx, loss and blur matrices are built in one broadcast each from
 closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
@@ -76,10 +76,20 @@ class BlurLaw:
     g: float = 1.0
     b: float = 0.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, (int, float)):
+                raise ValueError(f"blur law: {name} must be a number")
+            if name in ("sigma0", "c1") and value < 0:
+                raise ValueError(f"blur law: {name} must be non-negative")
+
 
 # Reference calibration constants of the modelled experiment.
 DEFAULT_BLUR_MINUS = BlurLaw(sigma0=0.1466, c1=0.0114, g=975.8)
 DEFAULT_BLUR_PLUS = BlurLaw(sigma0=0.168, c1=0.027, g=832.5)
+
+# The free rates of the channel, in the order of the fit's parameter vector.
+_RATES = ("a_plus", "a_minus", "l_plus", "l_minus")
 
 
 @dataclass(frozen=True)
@@ -103,22 +113,13 @@ class NoiseModelParams:
             raise ValueError("skew must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "a_plus": self.a_plus,
-            "a_minus": self.a_minus,
-            "l_plus": self.l_plus,
-            "l_minus": self.l_minus,
-            "skew": self.skew,
-            "blur": {
-                "minus": vars(self.blur_minus).copy(),
-                "plus": vars(self.blur_plus).copy(),
-            },
-        }
+        blur = {"minus": vars(self.blur_minus).copy(), "plus": vars(self.blur_plus).copy()}
+        return {**{k: getattr(self, k) for k in (*_RATES, "skew")}, "blur": blur}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NoiseModelParams":
         """The four rates, and skew and per-mode blur laws where given; ValueError names what is malformed."""
-        kwargs = {k: obj[k] for k in ("a_plus", "a_minus", "l_plus", "l_minus", "skew") if k in obj}
+        kwargs = {k: obj[k] for k in (*_RATES, "skew") if k in obj}
         wrong = [k for k, v in kwargs.items() if not isinstance(v, (int, float))]
         if wrong:
             raise ValueError(f"noise config: {', '.join(wrong)} must be a number")
@@ -304,9 +305,6 @@ def apply_detection_blur(
     return _renormalized(_blur_map(dist.grid, blur_minus, blur_plus), dist)
 
 
-_RATES = ("a_plus", "a_minus", "l_plus", "l_minus")
-
-
 def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = False):
     """Influx, loss, skew and blur on a raw grid at the rates x = (a+, a-, l+, l-).
 
@@ -373,23 +371,17 @@ def _hellinger_residual(rotated: np.ndarray, emp: np.ndarray, params: NoiseModel
     return residual, jacobian
 
 
-# Seeded starts of each per-angle search, besides the reference rates.
-_SEEDED_STARTS = 3
-
-
 @dataclass(frozen=True)
 class ChannelFit:
-    """Per-angle best-fit rates with their across-angle spread.
+    """Per-angle best-fit rates of one solve each.
 
     ``objectives`` holds each angle's least-squares cost, the squared
-    Hellinger distance; ``nfev`` its model evaluations over all starts
-    (residuals plus Jacobians); ``status`` the ``least_squares`` status of
-    its best start, 0 when that start hit its evaluation cap.
+    Hellinger distance; ``nfev`` its model evaluations (residuals plus
+    Jacobians); ``status`` the ``least_squares`` status of its solve, 0 when
+    the solve hit its evaluation cap.
     """
 
     per_theta: dict
-    mean: NoiseModelParams
-    std: dict
     objectives: dict
     nfev: dict
     status: dict
@@ -402,7 +394,6 @@ def fit(
     source: TwoModeDistribution,
     bounds=None,
     budget: int = 200,
-    seed: int | None = 0,
 ) -> ChannelFit:
     """Fit the four free rates to counting data, one fit per rotation angle.
 
@@ -410,15 +401,13 @@ def fit(
     between the predicted grid p and the empirical grid q (normalized over
     all outcomes, odd N included): a least-squares problem in four rates
     with box ``bounds`` (Beran, Ann. Statist. 5, 445 (1977)).  Each angle is
-    solved by trust-region reflective least squares with the analytic
+    one trust-region reflective least-squares solve with the analytic
     Jacobian of the noise stages, from the rates of ``params0`` clipped into
-    the bounds and from three starts drawn uniformly within them by a
-    generator seeded with ``seed``; the lowest cost wins.  ``budget`` caps
-    the residual evaluations of each start, and a start evaluates its
-    Jacobian at most once per residual.  Rotation, skew, and blur do not
-    depend on the free parameters, so the rotated source is computed once
-    per angle.  Raises :class:`ConvergenceError` carrying the whole fit if
-    the best start of any angle hit its cap.
+    the bounds.  ``budget`` caps the residual evaluations of that solve, and
+    it evaluates its Jacobian at most once per residual.  Rotation, skew,
+    and blur do not depend on the free parameters, so the rotated source is
+    computed once per angle.  Raises :class:`ConvergenceError` carrying the
+    whole fit if the solve of any angle hit its cap.
     """
     from scipy.optimize import least_squares
 
@@ -429,31 +418,24 @@ def fit(
         hi_l = max(0.1, 4 * max(params0.l_plus, params0.l_minus))
         bounds = [(0.0, hi_a), (0.0, hi_a), (0.0, hi_l), (0.0, hi_l)]
     lo, hi = np.asarray(bounds, dtype=float).T
-    starts = np.vstack([np.clip([getattr(params0, k) for k in _RATES], lo, hi),
-                        np.random.default_rng(seed).uniform(lo, hi, size=(_SEEDED_STARTS, len(_RATES)))])
+    x0 = np.clip([getattr(params0, k) for k in _RATES], lo, hi)
 
     per_theta, objectives, nfev, status = {}, {}, {}, {}
     for theta, shots in sorted(data.items()):
         emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid
         residual, jacobian = _hellinger_residual(apply_rotation(source, theta).grid, emp, params0)
-        runs = [least_squares(residual, x0, jac=jacobian, bounds=(lo, hi), method="trf", max_nfev=budget)
-                for x0 in starts]
-        best = min(runs, key=lambda r: r.cost)
-        per_theta[theta] = replace(params0, **dict(zip(_RATES, map(float, best.x))))
-        objectives[theta] = float(best.cost)
-        nfev[theta] = sum(r.nfev + r.njev for r in runs)
-        status[theta] = int(best.status)
+        res = least_squares(residual, x0, jac=jacobian, bounds=(lo, hi), method="trf", max_nfev=budget)
+        per_theta[theta] = replace(params0, **dict(zip(_RATES, map(float, res.x))))
+        objectives[theta] = float(res.cost)
+        nfev[theta] = res.nfev + res.njev
+        status[theta] = int(res.status)
 
-    stacked = np.array([[getattr(p, k) for k in _RATES] for p in per_theta.values()])
-    mean = replace(params0, **dict(zip(_RATES, stacked.mean(axis=0))))
-    std = dict(zip(_RATES, stacked.std(axis=0, ddof=1) if len(stacked) > 1 else np.zeros(4)))
     converged = all(s > 0 for s in status.values())
-    fit_result = ChannelFit(per_theta=per_theta, mean=mean, std=std, objectives=objectives, nfev=nfev,
-                            status=status, converged=converged)
+    fit_result = ChannelFit(per_theta=per_theta, objectives=objectives, nfev=nfev, status=status, converged=converged)
     if not converged:
         stuck = [t for t, s in status.items() if s <= 0]
         raise ConvergenceError(
-            f"noise fit reached its cap of {budget} evaluations per start without converging "
+            f"noise fit reached its cap of {budget} evaluations per angle without converging "
             f"at theta = {', '.join(f'{t:.6g}' for t in stuck)}",
             best=fit_result,
         )

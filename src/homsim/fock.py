@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,7 +170,6 @@ def tmsv_distribution(source: SqueezedSource, n_max: int = DEFAULT_N_MAX) -> Two
     return TwoModeDistribution(grid=grid, n_max=n_max, tail_mass=float(tail))
 
 
-@lru_cache(maxsize=4096)
 def _kernel(n_total: int, theta: float) -> np.ndarray:
     """|<Jz_out| exp(-i theta Jx) |Jz_in>|^2 for collective spin j = N/2.
 
@@ -189,7 +187,6 @@ def _kernel(n_total: int, theta: float) -> np.ndarray:
     u = (v * np.exp(-1j * theta * w)) @ v.T
     k = np.abs(u) ** 2
     np.clip(k, 0.0, 1.0, out=k)
-    k.flags.writeable = False
     return k
 
 

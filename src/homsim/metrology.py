@@ -462,18 +462,18 @@ def fisher_from_shots(
     """Sampled-data pipeline: resampled mean d^2 per angle pair, spread as weight.
 
     Each histogram kept at N is resampled once as the first side of a pair
-    (``plan.seed``) and once as the second (seed + 1), as in
-    ``stats.resample_pair``.  The pair theta_i <= theta_j takes the mean and
-    spread of d^2 between the first stack of i and the second of j, the
-    numbers ``resampled_hellinger`` gives, mirrored to (j, i) so the input to
-    the parabola fits is symmetric like the exact pipeline's.
+    and once as the second, by ``stats.resample_pair`` of the histogram with
+    itself.  The pair theta_i <= theta_j takes the mean and spread of d^2
+    between the first stack of i and the second of j, the numbers
+    ``resampled_hellinger`` gives, mirrored to (j, i) so the input to the
+    parabola fits is symmetric like the exact pipeline's.
     """
     per_n = {}
     for n in n_values:
         kept = _angles_for(n, sorted(tables), exclusions)
         hists = [empirical_distribution(tables[t], n) for t in kept]
-        first, second = (np.array([stats.multinomial_resample(h.probs, h.n_shots, side) for h in hists])
-                       for side in (plan, stats.ResamplePlan(plan.n_samples, plan.seed + 1)))
+        pairs = [stats.resample_pair(h, h, plan) for h in hists]
+        first, second = (np.array([pair[side] for pair in pairs]) for side in (0, 1))
         d2, spread = np.zeros((2, len(kept), len(kept)))
         for i in range(len(kept)):
             s = _hell2(first[i], second[i:])  # theta_i against every theta_j >= theta_i

@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
-from homsim import stats
+from homsim import channel, cli, fock, metrology, stats
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -33,6 +35,17 @@ def test_every_traced_layer_resolves():
 
 def test_noise_fit_error_type_exists():
     # the benchmark's noise-fit child maps this exception to exit code 3
-    from homsim import channel
-
     assert issubclass(channel.ConvergenceError, stats.FitError)
+
+
+def test_noise_fit_child_writes_a_converged_fit(tmp_path):
+    # the call shape the benchmark pins: fit(params, {theta: table}, source), read per_theta/objectives/converged
+    cfg = cli.RunConfig()
+    source = fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
+    pred = channel.predict(source, cli.HOM_ANGLE, channel.REFERENCE_PARAMS)
+    metrology.ShotTable.sample(pred, 3816, seed=5).to_csv(tmp_path / "shots.csv")
+    assert load_child().noise_fit(str(tmp_path / "shots.csv"), str(tmp_path / "fit.json")) == 0
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert sorted(fit["rates"]) == ["a_minus", "a_plus", "l_minus", "l_plus"]
+    assert all(math.isfinite(v) for v in [*fit["rates"].values(), fit["objective"]])
+    assert fit["converged"] is True

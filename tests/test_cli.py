@@ -366,6 +366,10 @@ MALFORMED_INPUTS = {
     "blur-unknown-key": ({}, {**RATES, "blur": {"minus": {"sigma0": 0.1, "c1": 0.01, "gain": 2.0}}}, "simulate",
                          "unexpected keyword argument 'gain'"),
     "rate-string": ({}, {**RATES, "a_plus": "x"}, "simulate", "a_plus must be a number"),
+    "blur-string": ({}, {**RATES, "blur": {"minus": {"sigma0": "x", "c1": 0.01}}}, "simulate",
+                    "sigma0 must be a number"),
+    "blur-negative": ({}, {**RATES, "blur": {"minus": {"sigma0": -0.1, "c1": 0.01}}}, "simulate",
+                      "sigma0 must be non-negative"),
 }
 
 

@@ -91,13 +91,6 @@ def test_rotation_kernel_domain_checks():
         fock.rotation_kernel(4, 3.2)
 
 
-def test_rotation_kernel_cache_is_write_protected():
-    a = fock.rotation_kernel(4, 0.5)
-    with pytest.raises(ValueError):
-        a[0, 0] = 99.0
-    assert fock.rotation_kernel(4, 0.5)[0, 0] == a[0, 0]
-
-
 @pytest.mark.parametrize("n_total", range(2, 17, 2))
 def test_holland_burnett_matches_both_oracles(n_total):
     ours = fock.holland_burnett(n_total).probs
