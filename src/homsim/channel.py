@@ -78,7 +78,7 @@ class BlurLaw:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"blur law: {name} must be a number")
             if name in ("sigma0", "c1") and value < 0:
                 raise ValueError(f"blur law: {name} must be non-negative")
@@ -90,6 +90,22 @@ DEFAULT_BLUR_PLUS = BlurLaw(sigma0=0.168, c1=0.027, g=832.5)
 
 # The free rates of the channel, in the order of the fit's parameter vector.
 _RATES = ("a_plus", "a_minus", "l_plus", "l_minus")
+
+
+def skew_shift_probability(skew: float) -> float:
+    """Per-shot probability of each single-count calibration shift.
+
+    The calibration asymmetry is quoted as a ratio N_minus / N_plus = skew of
+    the two transfer outputs.  It is carried by two independent single-count
+    coins per shot (one over-counts the minus mode, one under-counts the plus
+    mode), each firing with probability sqrt(skew) - 1 so that the pair of
+    coins reproduces the quoted ratio in expectation.  This reading of the
+    quoted number is deliberately isolated here: change it in one place only.
+    A probability in [0, 1] needs 1 <= skew <= 4; any other skew raises.
+    """
+    if not 1.0 <= skew <= 4.0:
+        raise ValueError(f"skew must lie in [1, 4], where sqrt(skew) - 1 is a probability, not {skew!r}")
+    return float(np.sqrt(skew) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,8 +125,7 @@ class NoiseModelParams:
             raise ValueError("influx means must be non-negative")
         if not (0 <= self.l_plus <= 1 and 0 <= self.l_minus <= 1):
             raise ValueError("loss probabilities must lie in [0, 1]")
-        if self.skew <= 0:
-            raise ValueError("skew must be positive")
+        skew_shift_probability(self.skew)  # raises for a skew outside [1, 4]
 
     def to_json(self) -> dict:
         blur = {"minus": vars(self.blur_minus).copy(), "plus": vars(self.blur_plus).copy()}
@@ -120,7 +135,7 @@ class NoiseModelParams:
     def from_json(cls, obj: Mapping) -> "NoiseModelParams":
         """The four rates, and skew and per-mode blur laws where given; ValueError names what is malformed."""
         kwargs = {k: obj[k] for k in (*_RATES, "skew") if k in obj}
-        wrong = [k for k, v in kwargs.items() if not isinstance(v, (int, float))]
+        wrong = [k for k, v in kwargs.items() if isinstance(v, bool) or not isinstance(v, (int, float))]
         if wrong:
             raise ValueError(f"noise config: {', '.join(wrong)} must be a number")
         blur = obj.get("blur", {})
@@ -133,19 +148,6 @@ class NoiseModelParams:
 
 # Best-fit rates of the reference dataset; handy defaults for simulation.
 REFERENCE_PARAMS = NoiseModelParams(a_plus=0.0551, a_minus=0.0218, l_plus=4.2e-4, l_minus=0.011)
-
-
-def skew_shift_probability(skew: float) -> float:
-    """Per-shot probability of each single-count calibration shift.
-
-    The calibration asymmetry is quoted as a ratio N_minus / N_plus = skew of
-    the two transfer outputs.  It is carried by two independent single-count
-    coins per shot (one over-counts the minus mode, one under-counts the plus
-    mode), each firing with probability sqrt(skew) - 1 so that the pair of
-    coins reproduces the quoted ratio in expectation.  This reading of the
-    quoted number is deliberately isolated here: change it in one place only.
-    """
-    return float(np.sqrt(skew) - 1.0)
 
 
 def _normalize(grid: np.ndarray) -> tuple[np.ndarray, float]:
@@ -333,15 +335,11 @@ def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = Fa
     return p, leak, dp
 
 
-def _post_rotation(dist: TwoModeDistribution, params: NoiseModelParams) -> TwoModeDistribution:
-    rates = [getattr(params, k) for k in _RATES]
-    grid, leak, _ = _noise_forward(dist.grid, rates, params)
-    return TwoModeDistribution(grid=grid, n_max=dist.n_max, tail_mass=dist.tail_mass + leak)
-
-
 def predict(dist_ideal: TwoModeDistribution, theta: float, params: NoiseModelParams) -> TwoModeDistribution:
     """Full channel: rotation by theta, then the four noise stages in order."""
-    return _post_rotation(apply_rotation(dist_ideal, theta), params)
+    rotated = apply_rotation(dist_ideal, theta)
+    grid, leak, _ = _noise_forward(rotated.grid, [getattr(params, k) for k in _RATES], params)
+    return TwoModeDistribution(grid=grid, n_max=rotated.n_max, tail_mass=rotated.tail_mass + leak)
 
 
 def empirical_grid(n_plus, n_minus, n_max: int) -> TwoModeDistribution:

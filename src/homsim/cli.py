@@ -46,7 +46,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("shots_per_angle", "n_max", "resample_samples", "n_values"):
             v = getattr(self, name)
-            if not all(isinstance(k, int) for k in (v if name == "n_values" else [v])):
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (v if name == "n_values" else [v])):
                 raise ValueError(f"{name} must hold integers, not {v!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
@@ -70,7 +70,6 @@ class RunConfig:
     def canonical(self) -> dict:
         d = asdict(self)
         d["angles"] = [float(a) for a in self.angles]
-        d["n_values"] = [int(n) for n in self.n_values]
         return d
 
     def hash(self) -> str:

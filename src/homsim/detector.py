@@ -121,23 +121,15 @@ class DriftSpec:
 
     peak_to_peak: float = 370.0
     period: float = 13356.0
-    step_at: int | None = None  # optional additional step, in shots
-    step_size: float = 0.0
 
     def offsets(self, indices: np.ndarray) -> np.ndarray:
         i = np.asarray(indices, dtype=float)
-        out = 0.5 * self.peak_to_peak * np.sin(2 * np.pi * i / self.period)
-        if self.step_at is not None:
-            out = out + np.where(i >= self.step_at, self.step_size, 0.0)
-        return out
+        return 0.5 * self.peak_to_peak * np.sin(2 * np.pi * i / self.period)
 
 
-@dataclass(frozen=True)
-class CompanionSpec:
-    """Shot-to-shot statistics of the central-mode signal used as crosstalk source."""
-
-    mean: float = 2.0e5
-    spread: float = 3.0e4
+# Shot-to-shot mean and spread of the central-mode signal, the crosstalk source.
+COMPANION_MEAN = 2.0e5
+COMPANION_SPREAD = 3.0e4
 
 
 def synthesize_signals(
@@ -153,11 +145,10 @@ def synthesize_signals(
     real data enters through :class:`SignalTable` CSV files instead.
     """
     crosstalk = crosstalk if crosstalk is not None else dict(DEFAULT_CROSSTALK)
-    companion = CompanionSpec()
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     m = len(shots.n_minus)
     idx = np.arange(m)
-    s_zero = rng.normal(companion.mean, companion.spread, size=m)
+    s_zero = rng.normal(COMPANION_MEAN, COMPANION_SPREAD, size=m)
     offsets = drift.offsets(idx)
 
     def one_mode(n, calib, kappa):

@@ -76,22 +76,11 @@ class CollectiveData:
         if missing:
             raise ValueError(f"collective-moment row lacks {', '.join(missing)}: {row}")
         values = {k: row[k] for k in row if k in cls.__dataclass_fields__}
-        wrong = [k for k, v in values.items() if not isinstance(v, (int, float)) and not (k == "parity_y" and v is None)]
+        wrong = [k for k, v in values.items()  # JSON true/false pass isinstance(v, int)
+                 if (isinstance(v, bool) or not isinstance(v, (int, float))) and not (k == "parity_y" and v is None)]
         if wrong:
             raise ValueError(f"collective-moment row has non-numeric {', '.join(wrong)}: {row}")
         return cls(**values)
-
-
-def ideal_twin_fock_data(n_total: int) -> CollectiveData:
-    """Moments of the perfect balanced Fock state |N/2, N/2>."""
-    if n_total % 2:
-        raise DomainError("balanced Fock state needs even N")
-    j = n_total / 2.0
-    sign = -1.0 if (n_total // 2) % 2 else 1.0
-    return CollectiveData(
-        n_total=n_total, jxjy2=j * (j + 1), var_jz=0.0,
-        parity_z=sign, parity_x=1.0, parity_y=1.0,
-    )
 
 
 def collective_data(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) -> CollectiveData:
@@ -111,14 +100,13 @@ def collective_data(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) 
 class WitnessResult:
     value: float
     entangled: bool
-    threshold: float
     per_n: dict = field(default_factory=dict)
 
 
 def parity_witness_xyz(data: CollectiveData) -> WitnessResult:
     """Sum of the three product-parity magnitudes; above one needs entanglement."""
     value = abs(data.parity_x) + abs(data.parity_y) + abs(data.parity_z)
-    return WitnessResult(value=float(value), entangled=bool(value > 1.0), threshold=1.0)
+    return WitnessResult(value=float(value), entangled=bool(value > 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +180,13 @@ class DepthResult:
     confidence_level: float | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "depth": self.depth,
             "method": self.method,
             "n_total": self.n_total,
             "clamped_k": list(self.clamped_k),
             "confidence_level": self.confidence_level,
         }
-        if self.samples is not None:
-            out["n_samples"] = int(len(self.samples))
-        return out
 
 
 def _pair_spread(n: int) -> float:
@@ -336,4 +321,4 @@ def witness_indefinite_n(rows, weights=None) -> WitnessResult:
             raise ValueError("witness undefined for N < 2")
         per_n[n] = row.jz2 / n - row.jxjy2 / (n * (n - 1)) + 0.5 / (n - 1)
     value = float(np.sum(w * np.array([per_n[r.n_total] for r in rows])))
-    return WitnessResult(value=value, entangled=bool(value < 0.0), threshold=0.0, per_n=per_n)
+    return WitnessResult(value=value, entangled=bool(value < 0.0), per_n=per_n)

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_N_MAX = 20
-
-_NORM_ATOL = 1e-12
-
 
 class CapacityError(ValueError):
     """Requested occupation does not fit on the configured grid."""
@@ -53,12 +49,6 @@ class TwoModeDistribution:
         g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
-
-    def validate(self, atol: float = _NORM_ATOL) -> None:
-        if np.any(self.grid < 0):
-            raise ValueError("negative probability in grid")
-        if abs(self.grid.sum() - 1.0) > atol:
-            raise ValueError(f"grid not normalized: sum={self.grid.sum()!r}")
 
     def fixed_n(self, n_total: int) -> "FixedNDistribution":
         """Renormalized distribution on the anti-diagonal n_plus + n_minus = n_total."""
@@ -100,12 +90,6 @@ class FixedNDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    def validate(self, atol: float = _NORM_ATOL) -> None:
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > atol:
-            raise ValueError(f"not normalized: sum={self.probs.sum()!r}")
-
 
 @dataclass(frozen=True)
 class SqueezedSource:
@@ -138,7 +122,7 @@ class CollectiveMoments:
     parity: float
 
 
-def tmsv_distribution(source: SqueezedSource, n_max: int = DEFAULT_N_MAX) -> TwoModeDistribution:
+def tmsv_distribution(source: SqueezedSource, n_max: int) -> TwoModeDistribution:
     """Two-mode squeezed vacuum truncated to the grid diagonal.
 
     p(n, n) is proportional to tanh(xi)^(2n)/cosh(xi)^2 and renormalized over
@@ -178,8 +162,6 @@ def _kernel(n_total: int, theta: float) -> np.ndarray:
     symmetric and doubly stochastic.  Valid for odd N as well (half-integer
     j), which the noise pipeline needs.
     """
-    if n_total == 0:
-        return np.ones((1, 1))
     j = n_total / 2.0
     m = np.arange(n_total + 1) - j
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from . import stats
-from .fock import CollectiveMoments, FixedNDistribution, TwoModeDistribution, collective_moments
+from .fock import CollectiveMoments, FixedNDistribution, TwoModeDistribution
 
 # Default probe grid of the small-rotation interferometer sequences (rad).
 SMALL_ROTATION_ANGLES = (0.0, 0.14, 0.20, 0.28, 0.35)
@@ -137,15 +137,13 @@ def _hell2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
 
 
-def jxjy2_estimate(post_hom: FixedNDistribution | CollectiveMoments):
-    """<J_x^2 + J_y^2> inferred from the J_z histogram taken after pi/2 coupling.
+def jxjy2_estimate(post_hom: CollectiveMoments):
+    """<J_x^2 + J_y^2> inferred from the moments of the J_z histogram taken after pi/2 coupling.
 
     The beam-splitter pulse maps J_x onto the measured J_z; the state's
     exchange symmetry makes the J_y moment equal to the J_x one, hence the
-    factor two.  Takes the histogram or its (possibly stacked) moments.
+    factor two.  The moments may be stacked.
     """
-    if isinstance(post_hom, FixedNDistribution):
-        post_hom = collective_moments(post_hom)
     return 2.0 * post_hom.jz2
 
 

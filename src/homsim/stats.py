@@ -23,8 +23,8 @@ MAX_MODEL_CALLS = 20000  # per weighted_least_squares fit, finite-difference Jac
 class ResamplePlan:
     """How many synthetic datasets to draw and from which seeded stream."""
 
-    n_samples: int = 10000
-    seed: int = 0
+    n_samples: int
+    seed: int
 
     def __post_init__(self):
         if self.n_samples < 1:

@@ -13,6 +13,32 @@ import numpy as np
 from scipy.special import comb
 from scipy.stats import binom, norm, poisson
 
+from homsim.entanglement import CollectiveData
+from homsim.fock import DomainError
+
+NORM_ATOL = 1e-12
+
+
+def validate(dist, atol: float = NORM_ATOL) -> None:
+    """Raise ValueError unless a two-mode grid or a fixed-N distribution is non-negative and sums to one."""
+    p = dist.grid if hasattr(dist, "grid") else dist.probs
+    if np.any(p < 0):
+        raise ValueError("negative probability")
+    if abs(p.sum() - 1.0) > atol:
+        raise ValueError(f"not normalized: sum={p.sum()!r}")
+
+
+def ideal_twin_fock_data(n_total: int) -> CollectiveData:
+    """Moments of the perfect balanced Fock state |N/2, N/2>, in closed form."""
+    if n_total % 2:
+        raise DomainError("balanced Fock state needs even N")
+    j = n_total / 2.0
+    sign = -1.0 if (n_total // 2) % 2 else 1.0
+    return CollectiveData(
+        n_total=n_total, jxjy2=j * (j + 1), var_jz=0.0,
+        parity_z=sign, parity_x=1.0, parity_y=1.0,
+    )
+
 
 def wigner_d_factorial(j2: int, m2p: int, m2: int, beta: float) -> float:
     """Rotation matrix element d^j_{m',m}(beta) via the explicit factorial sum.

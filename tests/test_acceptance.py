@@ -158,7 +158,7 @@ def test_criterion_5_depth_from_table_rows():
 def test_criterion_6_indefinite_n_witness(product_cloud):
     worst_dev = 0.0
     for n in EVEN_N:
-        wit = entanglement.witness_indefinite_n([entanglement.ideal_twin_fock_data(n)])
+        wit = entanglement.witness_indefinite_n([oracles.ideal_twin_fock_data(n)])
         worst_dev = max(worst_dev, abs(wit.per_n[n] - (-n / (4.0 * (n - 1)))))
     floor = min(entanglement.witness_indefinite_n([d]).value for d in product_cloud)
     table_value = entanglement.witness_indefinite_n(

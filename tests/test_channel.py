@@ -33,6 +33,9 @@ def test_params_reject_bad_values():
         replace(REF, l_minus=1.3)
     with pytest.raises(ValueError):
         replace(REF, skew=0.0)
+    for skew in (0.9, 4.5):  # sqrt(skew) - 1 outside [0, 1]
+        with pytest.raises(ValueError, match="skew"):
+            replace(REF, skew=skew)
 
 
 def test_params_json_round_trip():
@@ -79,7 +82,7 @@ def test_rotation_overflow_goes_to_tail():
     d = fock.TwoModeDistribution(grid=grid, n_max=n_max)
     out = channel.apply_rotation(d, math.pi / 2)
     assert out.tail_mass > 0.1
-    out.validate()
+    oracles.validate(out)
 
 
 def test_influx_matches_enumeration():
@@ -234,7 +237,7 @@ def test_tail_mass_never_decreases_through_stages():
     for stage in stages:
         nxt = stage(cur)
         assert nxt.tail_mass >= cur.tail_mass - 1e-15
-        nxt.validate()
+        oracles.validate(nxt)
         cur = nxt
 
 
@@ -258,7 +261,7 @@ def test_noise_stages_conserve_probability(seed, a, l, skew):
     out = channel.convolve_binomial_loss(out, l, l)
     out = channel.apply_calibration_skew(out, skew)
     out = channel.apply_detection_blur(out)
-    out.validate()
+    oracles.validate(out)
     assert np.all(out.grid >= 0)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -197,6 +198,36 @@ def test_analyze_csv_artifacts(analyzed):
         assert len(lines) == 4  # one row per N
 
 
+# dropped angle -> (the notice that names the omitted sections, the per-N keys kept, the CSV tables written)
+PARTIAL_DATASETS = {
+    "0.000000": ("no theta=0 dataset", {"fidelity_vs_ideal", "parity_x", "jxjy2"}, ["parity.csv"]),
+    "1.570796": ("no pi/2 dataset", {"var_jz", "parity_z"}, []),
+}
+
+
+@pytest.mark.parametrize("dropped", PARTIAL_DATASETS)
+def test_analyze_partial_dataset_omits_sections(runner, tmp_path, noise_off_config, simulated, analyzed, dropped):
+    notice, keys, tables = PARTIAL_DATASETS[dropped]
+    meta = json.loads((simulated / "metadata.json").read_text())
+    del meta["files"][dropped]
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    (dataset / "metadata.json").write_text(json.dumps(meta))
+    for name in meta["files"].values():
+        shutil.copy(simulated / name, dataset / name)
+    out = tmp_path / "o"
+    res = invoke(runner, ["--config", noise_off_config, "--seed", 3, "--out", out, "analyze", dataset])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((out / "report.json").read_text())
+    assert len(rep["notices"]) == 1 and rep["notices"][0].startswith(notice)
+    assert sorted(rep["per_n"]) == ["2", "4", "6"]
+    assert all(set(entry) == keys for entry in rep["per_n"].values())
+    assert "witness_indefinite_n" not in rep and "squeezing_db_mean" not in rep
+    assert sorted(p.name for p in out.glob("*.csv")) == tables
+    for name in tables:  # the same resamples as with the full dataset
+        assert (out / name).read_bytes() == (analyzed / name).read_bytes()
+
+
 def test_analyze_without_metadata_exits_2(runner, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -342,6 +373,7 @@ MALFORMED_ROWS = {
     "-row-not-object": ({"rows": [5]}, "not an object: 5"),
     "-string-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": "5"}]}, "non-numeric jxjy2"),
     "-bare-list": ([TABLE_ROWS[0]], 'a list under "rows"'),
+    "-bool-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": True, "var_jz": False}]}, "non-numeric jxjy2, var_jz"),
 }
 
 
@@ -366,10 +398,15 @@ MALFORMED_INPUTS = {
     "blur-unknown-key": ({}, {**RATES, "blur": {"minus": {"sigma0": 0.1, "c1": 0.01, "gain": 2.0}}}, "simulate",
                          "unexpected keyword argument 'gain'"),
     "rate-string": ({}, {**RATES, "a_plus": "x"}, "simulate", "a_plus must be a number"),
+    "rate-bool": ({}, {**RATES, "a_plus": True}, "simulate", "a_plus must be a number"),
     "blur-string": ({}, {**RATES, "blur": {"minus": {"sigma0": "x", "c1": 0.01}}}, "simulate",
                     "sigma0 must be a number"),
     "blur-negative": ({}, {**RATES, "blur": {"minus": {"sigma0": -0.1, "c1": 0.01}}}, "simulate",
                       "sigma0 must be non-negative"),
+    "blur-bool": ({}, {**RATES, "blur": {"plus": {"sigma0": 0.1, "c1": True}}}, "simulate", "c1 must be a number"),
+    # sqrt(skew) - 1 is the calibration coins' probability: outside skew in [1, 4] it leaves [0, 1]
+    **{f"skew-{skew}-{command.split()[0]}": ({}, {**RATES, "skew": skew}, command, "skew must lie in [1, 4]")
+       for skew in (0.9, 4.5) for command in ("simulate", "fisher --exact model")},
 }
 
 
@@ -381,7 +418,7 @@ def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
     (dataset / "metadata.json").write_text(json.dumps({"files": files}))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": noise, "n_max": 4, "shots_per_angle": 10}))
-    args = [command, dataset] if command == "analyze" else [command]
+    args = [command, dataset] if command == "analyze" else command.split()
     res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert message in res.output
@@ -389,6 +426,7 @@ def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
 
 @pytest.mark.parametrize("key, value", [
     ("shots_per_angle", 2.5), ("n_max", 20.5), ("resample_samples", 100.5), ("n_values", [2, 4.5]),
+    ("shots_per_angle", True), ("n_max", True), ("resample_samples", False), ("n_values", [2, True]),
 ])
 def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
     config = tmp_path / "config.json"

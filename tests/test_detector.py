@@ -94,12 +94,12 @@ def test_signal_table_csv_single_row_column_order_and_missing_column(tmp_path):
         detector.SignalTable.from_csv(missing)
 
 
-def test_drift_offsets_sine_and_step():
-    spec = detector.DriftSpec(peak_to_peak=100.0, period=400.0, step_at=10, step_size=7.0)
+def test_drift_offsets_follow_the_sine():
+    spec = detector.DriftSpec(peak_to_peak=100.0, period=400.0)
     off = spec.offsets(np.arange(20))
-    assert off[0] == pytest.approx(7.0 * 0.0)  # phase 0, before the step
-    assert off.max() <= 50.0 + 7.0 + 1e-9
-    assert off[15] - 50.0 * math.sin(2 * math.pi * 15 / 400.0) == pytest.approx(7.0)
+    assert off[0] == 0.0  # phase 0
+    assert off.max() <= 50.0 + 1e-9
+    assert off[15] == pytest.approx(50.0 * math.sin(2 * math.pi * 15 / 400.0))
 
 
 def test_crosstalk_correction_recovers_kappa():
@@ -289,8 +289,7 @@ def camera_run(seed: int, path) -> detector.SignalTable:
               for i, t in enumerate(angles)]
     rng = np.random.default_rng(seed)
     idx = np.arange(len(angles) * cfg.shots_per_angle)
-    companion = detector.CompanionSpec()
-    s_zero = rng.normal(companion.mean, companion.spread, size=len(idx))
+    s_zero = rng.normal(detector.COMPANION_MEAN, detector.COMPANION_SPREAD, size=len(idx))
     drift = detector.DriftSpec().offsets(idx)
     signals = {}
     for mode, calib in (("minus", CAL_M), ("plus", CAL_P)):

@@ -40,14 +40,14 @@ def test_collective_data_json_round_trip_ignores_extras():
 
 
 def test_ideal_twin_fock_moments():
-    d = ent.ideal_twin_fock_data(6)
+    d = oracles.ideal_twin_fock_data(6)
     assert d.jxjy2 == pytest.approx(3 * 4)
     assert d.var_jz == 0.0
     assert d.parity_z == -1.0  # odd number of pairs
-    assert ent.ideal_twin_fock_data(8).parity_z == 1.0
+    assert oracles.ideal_twin_fock_data(8).parity_z == 1.0
     assert d.symmetry_J == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        ent.ideal_twin_fock_data(5)
+        oracles.ideal_twin_fock_data(5)
 
 
 def test_collective_from_distributions_matches_ideal():
@@ -55,7 +55,7 @@ def test_collective_from_distributions_matches_ideal():
     probs0 = np.eye(n + 1)[n // 2]
     p0 = fock.FixedNDistribution(n_total=n, probs=probs0)
     data = ent.collective_data(n, fock.collective_moments(p0), fock.collective_moments(fock.holland_burnett(n)))
-    ideal = ent.ideal_twin_fock_data(n)
+    ideal = oracles.ideal_twin_fock_data(n)
     assert data.var_jz == pytest.approx(0.0, abs=1e-12)
     assert data.jxjy2 == pytest.approx(ideal.jxjy2, abs=1e-12)
     assert data.parity_z == pytest.approx(ideal.parity_z, abs=1e-12)
@@ -63,7 +63,7 @@ def test_collective_from_distributions_matches_ideal():
 
 
 def test_parity_witness_threshold():
-    w = ent.parity_witness_xyz(ent.ideal_twin_fock_data(4))
+    w = ent.parity_witness_xyz(oracles.ideal_twin_fock_data(4))
     assert w.value == pytest.approx(3.0)
     assert w.entangled
     sep = ent.CollectiveData(n_total=4, jxjy2=4.0, var_jz=1.0, parity_z=0.9, parity_x=0.0)
@@ -195,7 +195,7 @@ def test_boundary_array_equals_scalar_calls(j):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
 def test_ideal_state_reaches_full_depth_both_routes(n):
-    ideal = ent.ideal_twin_fock_data(n)
+    ideal = oracles.ideal_twin_fock_data(n)
     assert ent.depth_parity(ideal).depth == n
     assert ent.depth_parity(ideal).method == "parity"
     assert ent.depth_variance(ideal).depth == n
@@ -214,7 +214,7 @@ def test_depth_variance_frozen_table():
 def test_depth_beyond_the_solver_cap_for_ideal_rows():
     # every bound at N = 66 is beaten outright (argument >= 1), so no block size
     # k >= 64 reaches the boundary solver, whose cap is 2j + 1 <= 64
-    data = ent.ideal_twin_fock_data(66)
+    data = oracles.ideal_twin_fock_data(66)
     assert (ent.depth_parity(data).depth, ent.depth_parity(data).method) == (66, "parity")
     assert ent.depth_variance(data).depth == 66
 
@@ -229,7 +229,7 @@ def test_criteria_call_the_boundary_only_where_it_decides(monkeypatch):
 
     real = ent.sm_boundary
     monkeypatch.setattr(ent, "sm_boundary", counted)
-    ideal, flat = ent.ideal_twin_fock_data(12), ent.CollectiveData(n_total=12, jxjy2=1.0, var_jz=0.5)
+    ideal, flat = oracles.ideal_twin_fock_data(12), ent.CollectiveData(n_total=12, jxjy2=1.0, var_jz=0.5)
     ent._criteria(12, [ideal.jxjy2, flat.jxjy2], [ideal.var_jz, flat.var_jz], [ideal.parity_z, flat.parity_z])
     assert calls == []  # beaten outright, or inapplicable at every k >= 2
     ent._criteria(12, [ideal.jxjy2, 30.0], [0.0, 0.2], [1.0, 0.0])
@@ -369,13 +369,12 @@ def test_witness_indefinite_n_frozen_value():
     w = ent.witness_indefinite_n(table_data())
     assert w.value == pytest.approx(-0.2731481601731601, abs=1e-15)
     assert w.entangled
-    assert w.threshold == 0.0
     assert set(w.per_n) == {2, 4, 6, 8, 10, 12}
 
 
 def test_witness_ideal_contribution_closed_form():
     for n in (2, 4, 6, 8, 10, 12):
-        w = ent.witness_indefinite_n([ent.ideal_twin_fock_data(n)])
+        w = ent.witness_indefinite_n([oracles.ideal_twin_fock_data(n)])
         assert w.value == pytest.approx(-n / (4.0 * (n - 1)), abs=1e-12)
 
 

@@ -149,9 +149,9 @@ def test_distribution_validation_catches_bad_grids():
     bad = np.zeros((5, 5))
     bad[0, 0] = 0.7
     with pytest.raises(ValueError):
-        fock.TwoModeDistribution(grid=bad, n_max=4).validate()
+        oracles.validate(fock.TwoModeDistribution(grid=bad, n_max=4))
     with pytest.raises(ValueError):
-        fock.FixedNDistribution(n_total=2, probs=np.array([0.5, 0.5, 0.5])).validate()
+        oracles.validate(fock.FixedNDistribution(n_total=2, probs=np.array([0.5, 0.5, 0.5])))
 
 
 @settings(max_examples=40, deadline=None)

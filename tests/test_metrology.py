@@ -127,10 +127,10 @@ def test_two_atom_distance_closed_form():
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
 def test_jxjy2_of_ideal_state(n):
-    est = metrology.jxjy2_estimate(fock.holland_burnett(n))
+    est = metrology.jxjy2_estimate(fock.collective_moments(fock.holland_burnett(n)))
     assert est == pytest.approx((n / 2) * (n / 2 + 1), abs=1e-12)
     flat = fock.FixedNDistribution(n_total=n, probs=np.eye(n + 1)[n // 2])
-    assert metrology.jxjy2_estimate(flat) == 0.0
+    assert metrology.jxjy2_estimate(fock.collective_moments(flat)) == 0.0
 
 
 def test_generalized_squeezing_worked_example():

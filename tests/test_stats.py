@@ -12,7 +12,7 @@ from homsim import stats
 
 def test_resample_plan_validation():
     with pytest.raises(ValueError):
-        stats.ResamplePlan(n_samples=0)
+        stats.ResamplePlan(n_samples=0, seed=0)
 
 
 def test_multinomial_resample_shape_and_rows():
