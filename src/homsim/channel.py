@@ -13,8 +13,9 @@ parameters; the skew and blur settings are fixed properties of the
 calibration.  ``fit`` recovers the free parameters from counting data by
 minimising the squared Hellinger distance over the whole grid, odd totals
 included: a bounded nonlinear least-squares problem in the residual
-sqrt(p) - sqrt(q), solved per angle by one trust-region reflective search
-with an analytic Jacobian from the given rates.
+sqrt(p) - sqrt(q), solved per angle by one search of
+:func:`homsim.stats.least_squares` with an analytic Jacobian from the
+given rates.
 
 The influx, loss and blur matrices are built in one broadcast each from
 closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
@@ -27,8 +28,6 @@ Their rate derivatives are closed forms too:
 
     dP/da[m, k] = P[m-1, k] - P[m, k]
     dB/dl[:, k] = k (B[:, k-1] - B[:, k-1] shifted down one row)
-
-Only ``fit`` loads scipy.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ import numpy as np
 
 from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
 from .metrology import ShotTable
-from .stats import FitError
+from . import stats
 
 
-class ConvergenceError(FitError):
+class ConvergenceError(stats.FitError):
     """Optimizer exhausted its budget; carries the best point found."""
 
     def __init__(self, message, best=None):
@@ -375,8 +374,8 @@ class ChannelFit:
 
     ``objectives`` holds each angle's least-squares cost, the squared
     Hellinger distance; ``nfev`` its model evaluations (residuals plus
-    Jacobians); ``status`` the ``least_squares`` status of its solve, 0 when
-    the solve hit its evaluation cap.
+    Jacobians); ``status`` the :func:`homsim.stats.least_squares` status of
+    its solve, 0 when the solve hit its evaluation cap.
     """
 
     per_theta: dict
@@ -399,16 +398,14 @@ def fit(
     between the predicted grid p and the empirical grid q (normalized over
     all outcomes, odd N included): a least-squares problem in four rates
     with box ``bounds`` (Beran, Ann. Statist. 5, 445 (1977)).  Each angle is
-    one trust-region reflective least-squares solve with the analytic
-    Jacobian of the noise stages, from the rates of ``params0`` clipped into
+    one :func:`homsim.stats.least_squares` solve with the analytic Jacobian
+    of the noise stages, from the rates of ``params0`` clipped into
     the bounds.  ``budget`` caps the residual evaluations of that solve, and
     it evaluates its Jacobian at most once per residual.  Rotation, skew,
     and blur do not depend on the free parameters, so the rotated source is
     computed once per angle.  Raises :class:`ConvergenceError` carrying the
     whole fit if the solve of any angle hit its cap.
     """
-    from scipy.optimize import least_squares
-
     if not data:
         raise ValueError("need at least one dataset")
     if bounds is None:
@@ -422,11 +419,9 @@ def fit(
     for theta, shots in sorted(data.items()):
         emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid
         residual, jacobian = _hellinger_residual(apply_rotation(source, theta).grid, emp, params0)
-        res = least_squares(residual, x0, jac=jacobian, bounds=(lo, hi), method="trf", max_nfev=budget)
+        res = stats.least_squares(residual, jacobian, x0, lo, hi, max_nfev=budget)
         per_theta[theta] = replace(params0, **dict(zip(_RATES, map(float, res.x))))
-        objectives[theta] = float(res.cost)
-        nfev[theta] = res.nfev + res.njev
-        status[theta] = int(res.status)
+        objectives[theta], nfev[theta], status[theta] = res.cost, res.nfev + res.njev, res.status
 
     converged = all(s > 0 for s in status.values())
     fit_result = ChannelFit(per_theta=per_theta, objectives=objectives, nfev=nfev, status=status, converged=converged)

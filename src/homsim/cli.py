@@ -44,10 +44,12 @@ class RunConfig:
     exclude_beyond_node: bool = True
 
     def __post_init__(self):
-        for name in ("shots_per_angle", "n_max", "resample_samples", "n_values"):
+        for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
+                           ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
-            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (v if name == "n_values" else [v])):
-                raise ValueError(f"{name} must hold integers, not {v!r}")
+            values = v if name in ("n_values", "angles") else [v]
+            if not all(isinstance(k, (int, kind)) and not isinstance(k, bool) for k in values):
+                raise ValueError(f"{name} must hold {'integers' if kind is int else 'numbers'}, not {v!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
         if any(not 0 <= a <= math.pi for a in self.angles):

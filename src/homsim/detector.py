@@ -333,6 +333,33 @@ def _peak_shapes(x, g, b, sigmas):
     return np.exp(-0.5 * ((x[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)) ** 2)
 
 
+def _projected_comb(p, x, y, weights, sigma_last, jac=False):
+    """The comb S h, its heights h >= 0 fitted to ``y`` at ``weights`` W, and with ``jac`` d(S h)/dp (else None).
+
+    p = (g, b, log sigma_0 .. log sigma_{n-1}); the last peak's width is
+    ``sigma_last``.  d(S h) = dS h + S dh, with dh = (A^T A)^-1 (dS^T W (y - S h)
+    - A^T sqrt(W) dS h) and A = sqrt(W) S over the positive heights (Golub &
+    Pereyra).  With u the standardized offset from peak n: dS/db = S u /
+    (sigma_n g), dS/dg = S u (n + u sigma_n) / (sigma_n g), dS/d(log sigma_n) = S u^2.
+    """
+    sw, sigmas, n = np.sqrt(weights), np.append(np.exp(p[2:]), sigma_last), np.arange(len(p) - 1)
+    s = _peak_shapes(x, p[0], p[1], sigmas)
+    h = stats.nnls(sw[:, None] * s, sw * y)
+    if not jac:
+        return s @ h, h, None
+    u = (x[:, None] - p[1] - n * p[0]) / (sigmas * p[0])
+    d_b = s * u / (sigmas * p[0])
+    d_g, d_width = d_b * (n + u * sigmas), (s * u**2)[:, :-1]
+    ds_h = np.column_stack([d_g @ h, d_b @ h, d_width * h[:-1]])
+    resid = weights * (y - s @ h)
+    ds_resid = np.zeros((len(n), len(p)))
+    ds_resid[:, 0], ds_resid[:, 1], ds_resid[n[:-1], n[:-1] + 2] = d_g.T @ resid, d_b.T @ resid, d_width.T @ resid
+    a = sw[:, None] * s[:, h > 0]
+    dh = np.zeros_like(ds_resid)
+    dh[h > 0] = np.linalg.solve(a.T @ a, ds_resid[h > 0] - a.T @ (sw[:, None] * ds_h))
+    return s @ h, h, ds_h + s @ dh
+
+
 def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     """Fit the comb of per-occupation Gaussian peaks to a signal histogram.
 
@@ -342,12 +369,12 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for
     each trial (g, b, log widths) they are the weighted non-negative
     least-squares solution, so the search covers only g, b and the widths.
-    The last fitted peak's width is not free: it is pinned to the noise-law
-    prediction extrapolated from the lower peaks.  Fit and noise law
-    alternate for three passes, starting from sigma0 = 0.15, c1 = 0.02.
+    The search and the covariance use the exact Jacobian of this projected
+    model (Kaufman, BIT 15, 49 (1975)).  The last fitted peak's width is not
+    free: it is pinned to the noise-law prediction extrapolated from the
+    lower peaks.  Fit and noise law alternate for three passes, starting
+    from sigma0 = 0.15, c1 = 0.02.
     """
-    from scipy.optimize import nnls
-
     values = np.asarray(values, dtype=float)
     g0, b0 = _coarse_scale(values)
     occ = np.maximum(0, np.round((values - b0) / g0)).astype(int)
@@ -356,17 +383,11 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     n_max_fit = max(2, min(int(eligible.max()) if len(eligible) else 1, 30))
 
     x, y = _comb_histogram(values, g0, b0, n_max_fit)
-    y = y.astype(float)
 
     # inverse-per-peak-event weights for each bin
     bin_peak = np.clip(np.round((x - b0) / g0), 0, n_max_fit).astype(int)
     events = np.array([max(counts_per_peak[n] if n < len(counts_per_peak) else 0, 1) for n in range(n_max_fit + 1)])
     weights = 1.0 / events[bin_peak]
-    sw = np.sqrt(weights)
-
-    def shapes_and_heights(p, sigma_last):
-        shapes = _peak_shapes(x, p[0], p[1], np.append(np.exp(p[2:]), sigma_last))
-        return shapes, nnls(sw[:, None] * shapes, sw * y)[0]
 
     # (g, b, log sigma_n); box bounds keep sparse-peak widths from collapsing onto single bins
     p = np.concatenate([[g0, b0], np.full(n_max_fit, math.log(0.15))])
@@ -377,11 +398,9 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     for _ in range(3):
         sigma_last = sigma_law(sigma0, c1, n_max_fit)
 
-        def model(xx, pp):
-            shapes, heights = shapes_and_heights(pp, sigma_last)
-            return shapes @ heights
-
-        p, cov = stats.weighted_least_squares(model, x, y, p, weights=weights, bounds=(lower, upper))
+        p, cov = stats.weighted_least_squares(
+            lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last)[0], x, y, p, weights=weights,
+            bounds=(lower, upper), jac=lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last, jac=True)[2])
         # the n_max_fit + 1 projected heights were fitted too: take them off the degrees of freedom
         cov *= (len(y) - len(p)) / (len(y) - len(p) - (n_max_fit + 1))
         free_sigmas = np.exp(p[2:])
@@ -397,7 +416,7 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
         sigma0=sigma0,
         c1=c1,
         n_max_fit=n_max_fit,
-        peak_heights=shapes_and_heights(p, sigma_last)[1],
+        peak_heights=_projected_comb(p, x, y, weights, sigma_last)[1],
         peak_sigmas=np.concatenate([free_sigmas, [sigma_law(sigma0, c1, n_max_fit)]]),
         peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
         g_err=float(err[0]),

@@ -1,12 +1,14 @@
-"""Shared numerics: resampling, error bars, and fit wrappers.
+"""Shared numerics: resampling, error bars, and the least-squares solvers.
 
 One convention for every analysis module: one seeded Philox stream per
-resample stack, covariance scaled by the reduced chi-square, fixed global
-optimizer settings.  Only the fit wrappers load scipy, when called.
+resample stack, one box-bounded least-squares solver, covariance scaled by
+the reduced chi-square.  Only ``differential_evolution``, a test oracle,
+loads scipy, when called.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,8 @@ class FitError(RuntimeError):
     """A least-squares fit failed to converge or is degenerate."""
 
 
-MAX_MODEL_CALLS = 20000  # per weighted_least_squares fit, finite-difference Jacobian columns included
+MAX_MODEL_CALLS = 20000  # per weighted_least_squares fit, Jacobian calls included
+LSQ_TOL = 1e-10  # least_squares' relative tolerance on the cost drop, the step and the gradient
 
 
 @dataclass(frozen=True)
@@ -90,76 +93,111 @@ def depth_confidence(samples, level: float = 0.68) -> int:
     return best
 
 
-def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
-    """Trust-region reflective fit of ``model(x, params)`` to ``y``.
+LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost jac nfev njev status")
+
+
+def least_squares(fun, jac, x0, lower, upper, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |fun(x)|^2 / 2 over the box [lower, upper] by projected Levenberg-Marquardt.
+
+    Each step solves the damped Gauss-Newton system in the unit-scaled columns
+    of ``jac(x)``, holding coordinates the gradient pushes against their bound,
+    and clips the trial into the box (Kanzow, Yamashita & Fukushima, J. Comput.
+    Appl. Math. 172, 375 (2004)); ``jac`` is called at each trial that lowers
+    the cost, and the damping follows the gain ratio (Nielsen, IMM-REP-1999-05).
+    Returns the end point, its cost and ``jac``, the calls of ``fun`` and
+    ``jac``, and the status.  Status 1: free columns orthogonal to the residual
+    within ``LSQ_TOL``; 2: a cost drop of at most ``LSQ_TOL`` of it; 3: a step
+    within ``LSQ_TOL`` of |x|; 0: no convergence in ``max_nfev`` calls of ``fun``.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r, j = fun(x), jac(x)
+    cost, nfev, njev, damping, growth, status = 0.5 * (r @ r), 1, 1, 1e-3, 2.0, 0
+    while status == 0 and nfev < max_nfev:
+        g = j.T @ r
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        norm = np.where(np.any(j != 0, axis=0), np.linalg.norm(j, axis=0), 1.0)[free]
+        if np.all(np.abs(g[free]) <= LSQ_TOL * norm * np.sqrt(2 * cost)):
+            status = 1
+            break
+        js, step = j[:, free] / norm, np.zeros_like(x)
+        step[free] = -np.linalg.solve(js.T @ js + damping * np.eye(len(norm)), g[free] / norm) / norm
+        dx = np.clip(x + step, lower, upper) - x
+        predicted = -(g @ dx + 0.5 * np.sum((j @ dx) ** 2))
+        r_new, nfev = fun(x + dx), nfev + 1
+        cost_new = 0.5 * (r_new @ r_new)
+        short = np.linalg.norm(dx) <= LSQ_TOL * (LSQ_TOL + np.linalg.norm(x))
+        if cost_new < cost:
+            status = 2 if cost - cost_new <= LSQ_TOL * cost else 3 if short else 0
+            gain = (cost - cost_new) / predicted if predicted > 0 else 0.0
+            x, r, cost, j, njev = x + dx, r_new, cost_new, jac(x + dx), njev + 1
+            damping, growth = damping * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
+        else:
+            status, damping, growth = (3 if short else 0), damping * growth, 2 * growth
+    return LeastSquaresResult(x, float(cost), j, nfev, njev, status)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over x >= 0: the unconstrained solution when it is all positive, else
+    the active-set method of Lawson & Hanson, Solving Least Squares Problems (1974), ch. 23."""
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x > 0):
+        return x
+    tol = 10 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
+    x, passive = np.zeros(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
+    for _ in range(3 * len(x)):
+        w = a.T @ (b - a @ x)
+        if passive.all() or w[~passive].max() <= tol:
+            return x
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros_like(x)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0):
+                break
+            neg = passive & (z <= 0)  # move toward z until a passive entry reaches 0, and release it
+            x += np.min(x[neg] / (x[neg] - z[neg])) * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = z
+    raise FitError("non-negative least squares did not converge")
+
+
+def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.inf), *,
+                           jac) -> tuple[np.ndarray, np.ndarray]:
+    """Fit ``model(x, params)`` to ``y`` by :func:`least_squares`, given ``jac(x, params)`` = d model / d params.
 
     ``weights`` multiply squared residuals (w = 1/sigma^2 for Gaussian
     errors).  ``bounds`` is a (lower, upper) box; the default leaves the
     fit unbounded.  Returns (params, covariance) with the covariance scaled
-    by the reduced chi-square, matching the convention of textbook curve
-    fitting.  With its 2-point Jacobian an iteration calls ``model`` up to
-    len(p0) + 1 times; a fit that needs more than ``MAX_MODEL_CALLS`` raises.
+    by the reduced chi-square, as in textbook curve fitting.  A fit that
+    needs more than ``MAX_MODEL_CALLS`` calls of ``model`` and ``jac`` raises.
     """
-    import scipy.optimize
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
+    x, y, p0 = (np.asarray(v, dtype=float) for v in (x, y, p0))
     sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-
-    def residual(p):
-        return sw * (model(x, p) - y)
-
-    res = scipy.optimize.least_squares(residual, p0, method="trf", bounds=bounds,
-                                       max_nfev=MAX_MODEL_CALLS // (len(p0) + 1))
-    if not res.success:
-        raise FitError(f"least squares did not converge: {res.message}")
+    res = least_squares(lambda p: sw * (model(x, p) - y), lambda p: sw[:, None] * jac(x, p), p0, *bounds,
+                        max_nfev=MAX_MODEL_CALLS // 2)  # a jac call may follow each model call
+    if res.status == 0:
+        raise FitError(f"least squares did not converge in {res.nfev} model calls")
     dof = len(y) - len(p0)
     if dof <= 0:
         raise FitError("fewer data points than parameters")
-    jtj = res.jac.T @ res.jac
     try:
-        cov = np.linalg.inv(jtj)
+        return res.x, np.linalg.inv(res.jac.T @ res.jac) * 2.0 * res.cost / dof
     except np.linalg.LinAlgError as exc:
         raise FitError("degenerate fit: singular normal matrix") from exc
-    cov = cov * 2.0 * res.cost / dof
-    return res.x, cov
 
 
-@dataclass(frozen=True)
-class DEResult:
-    x: np.ndarray
-    fun: float
-    converged: bool
-    nfev: int
-
-
-def differential_evolution(func, bounds, budget: int = 200, seed: int = 0) -> DEResult:
-    """Global minimization with fixed, reproducible hyperparameters.
+def differential_evolution(func, bounds, budget: int = 200, seed: int = 0):
+    """scipy's differential evolution with fixed, reproducible hyperparameters, and its result.
 
     The tests check ``channel.fit``'s local least-squares optimum against it.
-    ``budget`` is the generation limit.  Non-convergence is reported through
-    the result flag rather than an exception so callers can decide whether a
-    best-effort optimum is still usable.
+    It needs scipy, which only the ``test`` extra installs.  ``budget`` is
+    the generation limit.  Non-convergence is reported through the result's
+    ``success`` flag rather than an exception, so callers can decide whether
+    a best-effort optimum is still usable.
     """
     import scipy.optimize
 
-    res = scipy.optimize.differential_evolution(
-        func,
-        bounds,
-        strategy="rand1bin",
-        maxiter=budget,
-        popsize=15,
-        tol=0.01,
-        mutation=0.8,
-        recombination=0.9,
-        seed=seed,
-        polish=True,
-        init="latinhypercube",
-    )
-    return DEResult(
-        x=np.asarray(res.x, dtype=float),
-        fun=float(res.fun),
-        converged=bool(res.success),
-        nfev=int(res.nfev),
-    )
+    return scipy.optimize.differential_evolution(
+        func, bounds, strategy="rand1bin", maxiter=budget, popsize=15, tol=0.01, mutation=0.8,
+        recombination=0.9, seed=seed, polish=True, init="latinhypercube")

@@ -1,7 +1,9 @@
 """Stage-by-stage channel checks against the enumeration oracles."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 from scipy.stats import binom, norm, poisson
 
 import oracles
-from homsim import channel, fock, metrology, stats
+from homsim import channel, cli, fock, metrology, stats
 
 REF = channel.REFERENCE_PARAMS
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def random_dist(seed: int, n_max: int = 8, fit_grid: bool = False) -> fock.TwoModeDistribution:
@@ -324,16 +327,14 @@ def test_fit_not_above_de_oracle():
 
 
 def test_fit_is_one_solve_per_angle_from_the_clipped_rates(monkeypatch):
-    import scipy.optimize
-
     calls = []
-    real = scipy.optimize.least_squares
+    real = stats.least_squares
 
-    def recorder(fun, x0, **kwargs):
-        calls.append((np.array(x0), real(fun, x0, **kwargs)))
+    def recorder(fun, jac, x0, *args, **kwargs):
+        calls.append((np.array(x0), real(fun, jac, x0, *args, **kwargs)))
         return calls[-1][1]
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", recorder)
+    monkeypatch.setattr(stats, "least_squares", recorder)
     src, tab = _smoke_problem(4000)
     params0 = replace(SMOKE_TRUTH, a_plus=0.5)  # above its bound of 0.15
     res = channel.fit(params0, {HOM: tab, 0.0: tab}, src, bounds=SMOKE_BOUNDS)
@@ -345,6 +346,81 @@ def test_fit_is_one_solve_per_angle_from_the_clipped_rates(monkeypatch):
         assert [best.a_plus, best.a_minus, best.l_plus, best.l_minus] == list(solve.x)
         assert res.objectives[theta] == solve.cost
         assert res.nfev[theta] == solve.nfev + solve.njev
+
+
+# Differential evolution's optimum (stats.differential_evolution, budget 200,
+# seed 0, on the squared Hellinger distance within fit's default bounds) on
+# the seven pi/2 gate tables: the benchmark's fixed noise-fit table and the
+# tables of simulate --seed 1..6.
+GATE_DE_RATES = {
+    "bench": [0.048031997095859834, 0.022121485704341304, 0.0, 0.0068188413166492],
+    1: [0.0450810664014688, 0.024073795132897483, 0.0, 0.007947847733850136],
+    2: [0.04348752163920364, 0.020118467577690712, 0.0, 0.00685691060529669],
+    3: [0.047159579941204406, 0.009326826465006327, 0.0, 0.00963849415244209],
+    4: [0.05626606343670553, 0.01287011821790514, 0.0, 0.01434230044400664],
+    5: [0.04553520766076967, 0.012552920330620448, 0.0, 0.008427068625138454],
+    6: [0.046944092779646625, 0.011660282222361925, 0.0, 0.010957004650570331],
+}
+DEFAULT_FIT_BOUNDS = [(0.0, 0.3), (0.0, 0.3), (0.0, 0.1), (0.0, 0.1)]  # fit's bounds around REFERENCE_PARAMS
+
+
+@pytest.fixture(scope="module")
+def default_source():
+    cfg = cli.RunConfig()
+    return fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
+
+
+@pytest.fixture(scope="module")
+def gate_tables(default_source):
+    spec = importlib.util.spec_from_file_location("bench_oracle", BENCH / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    # as bench/run.py draws its fixed table
+    grid = oracle.reference_channel(HOM, oracle.REFERENCE_RATES)
+    draws = np.random.default_rng(0).choice(grid.size, size=3816, p=grid.ravel())
+    tables = {"bench": metrology.ShotTable(*np.unravel_index(draws, grid.shape), theta=HOM)}
+    cfg = cli.RunConfig()
+    pred = channel.predict(default_source, HOM, REF)
+    for seed in range(1, 7):  # as simulate draws its pi/2 table
+        angle_seed = cli._angle_seed(seed, cfg.angles.index(HOM))
+        tables[seed] = metrology.ShotTable.sample(pred, cfg.shots_per_angle, seed=angle_seed, theta=HOM)
+    return tables
+
+
+def _default_residual(source, theta, tab):
+    emp = channel.empirical_grid(tab.n_plus, tab.n_minus, source.n_max).grid
+    return channel._hellinger_residual(channel.apply_rotation(source, theta).grid, emp, REF)
+
+
+@pytest.mark.parametrize("table", GATE_DE_RATES)
+def test_fit_not_above_de_on_the_gate_tables(default_source, gate_tables, table):
+    res = channel.fit(REF, {HOM: gate_tables[table]}, default_source)
+    residual, _ = _default_residual(default_source, HOM, gate_tables[table])
+    de_cost = 0.5 * np.sum(residual(np.array(GATE_DE_RATES[table])) ** 2)
+    assert res.status[HOM] > 0
+    assert res.objectives[HOM] <= de_cost
+
+
+def test_gate_rates_are_the_de_optimum(default_source, gate_tables):
+    # recomputed for the table where the fit sits closest to it (9e-13 below)
+    residual, _ = _default_residual(default_source, HOM, gate_tables[1])
+    de = stats.differential_evolution(lambda x: 0.5 * np.sum(residual(x) ** 2), DEFAULT_FIT_BOUNDS, budget=200, seed=0)
+    np.testing.assert_allclose(de.x, GATE_DE_RATES[1], rtol=1e-6, atol=1e-12)
+    assert channel.fit(REF, {HOM: gate_tables[1]}, default_source).objectives[HOM] <= de.fun
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_cost_not_above_scipy_trf(default_source, seed):
+    from scipy.optimize import least_squares
+
+    for theta in (*metrology.SMALL_ROTATION_ANGLES, HOM, math.pi):
+        tab = metrology.ShotTable.sample(channel.predict(default_source, theta, REF), 3816, seed=seed, theta=theta)
+        res = channel.fit(REF, {theta: tab}, default_source)
+        residual, jacobian = _default_residual(default_source, theta, tab)
+        x0 = [REF.a_plus, REF.a_minus, REF.l_plus, REF.l_minus]
+        trf = least_squares(residual, x0, jac=jacobian, bounds=np.array(DEFAULT_FIT_BOUNDS).T, method="trf", max_nfev=200)
+        assert trf.success
+        assert res.objectives[theta] <= trf.cost * (1 + 1e-9), theta
 
 
 def _one_sided_slope(f, x, step):

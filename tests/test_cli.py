@@ -438,6 +438,18 @@ def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("xi", True), ("xi_jitter", False), ("angles", [0.0, True]), ("confidence_level", True),
+])
+def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must hold numbers" in res.output
+    assert not (tmp_path / "o" / "metadata.json").exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -254,6 +254,37 @@ def test_histogram_table_shapes(flat_signals, fitted_minus):
     assert model.max() == pytest.approx(counts.max(), rel=0.5)
 
 
+@pytest.mark.parametrize("at_bound", [None, 3])
+def test_comb_jacobian_matches_finite_differences(flat_signals, at_bound):
+    # an interior point, then one with the width of peak 3 on its lower bound
+    # of 0.02, where the search can only widen it and the difference is one-sided
+    _, table = flat_signals
+    n_max_fit = 8
+    x, y = detector._comb_histogram(table.s_minus, CAL_M.g, CAL_M.b, n_max_fit)
+    y = y.astype(float)
+    weights = 1.0 / (1.0 + y)
+    widths = np.log(CAL_M.sigma(np.arange(n_max_fit)))
+    if at_bound is not None:
+        widths[at_bound] = math.log(0.02)
+    p = np.concatenate([[1.002 * CAL_M.g, CAL_M.b + 5.0], widths])
+
+    def comb(pp):
+        return detector._projected_comb(pp, x, y, weights, CAL_M.sigma(n_max_fit))[0]
+
+    values, _, jac = detector._projected_comb(p, x, y, weights, CAL_M.sigma(n_max_fit), jac=True)
+    assert jac.shape == (len(x), len(p))
+    np.testing.assert_array_equal(values, comb(p))
+    for i in range(len(p)):
+        h = 1e-6 * max(1.0, abs(p[i]))
+        step = h * np.eye(len(p))[i]
+        if at_bound is not None and i == 2 + at_bound:
+            slope = (-3 * comb(p) + 4 * comb(p + step) - comb(p + 2 * step)) / (2 * h)
+        else:
+            slope = (comb(p + step) - comb(p - step)) / (2 * h)
+        # the differences' own error is up to 2e-7 of the column here
+        assert np.abs(jac[:, i] - slope).max() <= 1e-6 * np.abs(jac[:, i]).max(), i
+
+
 def test_peak_shapes_times_heights_is_the_comb_summed_peak_by_peak(fitted_minus):
     c = fitted_minus
     x = np.linspace(c.b - c.g, c.b + (c.n_max_fit + 1) * c.g, 301)

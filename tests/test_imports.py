@@ -1,5 +1,6 @@
-"""Import hygiene: scipy is loaded per command, never at package import."""
+"""Import hygiene: no command and no library fit loads scipy; only the tests' DE oracle does."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from homsim import cli
 from test_acceptance import TABLE_ROWS
 from test_cli import NOISE_OFF, noise_off_config, runner, simulated, workdir  # noqa: F401 (fixtures)
+from test_detector import camera_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,3 +65,41 @@ def test_simulate_and_fisher_load_no_scipy(tmp_path, default_run, command):
     assert scipy_modules_after(run, "--config", config, "--out", tmp_path / "out", *args) == []
     written = "metadata.json" if command == "simulate" else "fisher.json"
     assert (tmp_path / "out" / written).exists()
+
+
+def test_calibrate_loads_no_scipy(tmp_path):
+    camera_run(1, tmp_path / "signals.csv")
+    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
+    assert scipy_modules_after(run, "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv") == []
+    assert (tmp_path / "cal" / "calibration.json").exists()
+
+
+def test_noise_fit_loads_no_scipy():
+    run = ("from homsim import channel, fock, metrology; "
+           "src = fock.tmsv_distribution(fock.SqueezedSource(xi=0.9), n_max=10); "
+           "ref = channel.REFERENCE_PARAMS; "
+           "tab = metrology.ShotTable.sample(channel.predict(src, 1.5, ref), 2000, seed=1); "
+           "assert channel.fit(ref, {1.5: tab}, src).converged")
+    assert scipy_modules_after(run) == []
+
+
+def scipy_importers() -> set:
+    """'module.name' of each top-level function or class of src/homsim that imports scipy ('<module>' at top level)."""
+    found = set()
+    for path in sorted((SRC / "homsim").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_the_de_oracle_imports_scipy():
+    # stats.differential_evolution is a test oracle; the benchmark's tracer binds it
+    assert scipy_importers() - {"stats.differential_evolution"} == set()

@@ -94,6 +94,14 @@ def test_depth_confidence_cases():
         stats.depth_confidence([])
 
 
+def line_jac(xx, p):
+    return np.stack([xx, np.ones_like(xx)], axis=1)
+
+
+def slope_jac(xx, p):
+    return xx[:, None]
+
+
 def test_wls_exact_line_recovery():
     x = np.linspace(0, 5, 9)
     y = 2.5 * x - 1.0
@@ -101,7 +109,7 @@ def test_wls_exact_line_recovery():
     def line(xx, p):
         return p[0] * xx + p[1]
 
-    p, cov = stats.weighted_least_squares(line, x, y, [1.0, 0.0])
+    p, cov = stats.weighted_least_squares(line, x, y, [1.0, 0.0], jac=line_jac)
     np.testing.assert_allclose(p, [2.5, -1.0], atol=1e-10)
     # perfect data: scaled covariance collapses
     assert np.all(np.diag(cov) < 1e-18)
@@ -114,9 +122,9 @@ def test_wls_weights_change_the_answer():
     def line(xx, p):
         return p[0] * xx
 
-    p_flat, _ = stats.weighted_least_squares(line, x, y, [1.0])
+    p_flat, _ = stats.weighted_least_squares(line, x, y, [1.0], jac=slope_jac)
     w = np.array([1.0, 100.0, 0.01])
-    p_w, _ = stats.weighted_least_squares(line, x, y, [1.0], weights=w)
+    p_w, _ = stats.weighted_least_squares(line, x, y, [1.0], weights=w, jac=slope_jac)
     assert p_w[0] < p_flat[0]  # heavy weight on the (1, 1) point pulls the slope down
     assert p_w[0] == pytest.approx(1.0, abs=0.05)
 
@@ -126,7 +134,7 @@ def test_wls_dof_and_convergence_guards():
         return p[0] * xx + p[1]
 
     with pytest.raises(stats.FitError):
-        stats.weighted_least_squares(line, [1.0, 2.0], [1.0, 2.0], [1.0, 0.0])
+        stats.weighted_least_squares(line, [1.0, 2.0], [1.0, 2.0], [1.0, 0.0], jac=line_jac)
 
     # a flat model in one parameter leaves the normal matrix singular, which
     # surfaces either as a convergence failure or a degenerate covariance
@@ -134,7 +142,8 @@ def test_wls_dof_and_convergence_guards():
         return p[0] * xx + 0.0 * p[1]
 
     with pytest.raises(stats.FitError):
-        stats.weighted_least_squares(degenerate, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.1], [1.0, 0.5])
+        stats.weighted_least_squares(degenerate, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.1], [1.0, 0.5],
+                                     jac=lambda xx, p: np.stack([xx, 0.0 * xx], axis=1))
 
 
 def test_wls_bounds_are_honored():
@@ -144,7 +153,7 @@ def test_wls_bounds_are_honored():
     def line(xx, p):
         return p[0] * xx
 
-    p, _ = stats.weighted_least_squares(line, x, y, [1.5], bounds=([0.0], [2.0]))
+    p, _ = stats.weighted_least_squares(line, x, y, [1.5], bounds=([0.0], [2.0]), jac=slope_jac)
     assert p[0] == pytest.approx(2.0, abs=1e-8)  # clipped at the box edge
 
 
@@ -160,13 +169,18 @@ def test_wls_model_calls_stay_within_the_cap(monkeypatch):
         calls.append(1)
         return p[0] * np.exp(-p[1] * xx) + p[2] * np.exp(-p[3] * xx)
 
-    stats.weighted_least_squares(model, x, y, p0)
+    def jac(xx, p):
+        calls.append(1)
+        e1, e3 = np.exp(-p[1] * xx), np.exp(-p[3] * xx)
+        return np.stack([e1, -p[0] * xx * e1, e3, -p[2] * xx * e3], axis=1)
+
+    stats.weighted_least_squares(model, x, y, p0, jac=jac)
     cap = len(calls) // 2
     monkeypatch.setattr(stats, "MAX_MODEL_CALLS", cap)
     calls.clear()
     with pytest.raises(stats.FitError, match="did not converge"):
-        stats.weighted_least_squares(model, x, y, p0)
-    assert len(calls) <= cap  # the Jacobian's columns count against the cap too
+        stats.weighted_least_squares(model, x, y, p0, jac=jac)
+    assert len(calls) <= cap  # the Jacobian's calls count against the cap too
 
 
 def test_wls_covariance_scale_matches_direct_formula():
@@ -180,7 +194,7 @@ def test_wls_covariance_scale_matches_direct_formula():
     def line(xx, p):
         return p[0] + p[1] * xx
 
-    p, cov = stats.weighted_least_squares(line, x, y, [0.0, 0.0], weights=w)
+    p, cov = stats.weighted_least_squares(line, x, y, [0.0, 0.0], weights=w, jac=lambda xx, p: line_jac(xx, p)[:, ::-1])
     a = np.stack([np.ones_like(x), x], axis=1)
     aw = a * w[:, None]
     cov_direct = np.linalg.inv(a.T @ aw)
@@ -188,6 +202,32 @@ def test_wls_covariance_scale_matches_direct_formula():
     chi2 = float(resid @ (w * resid))
     cov_direct = cov_direct * chi2 / (len(x) - 2)
     np.testing.assert_allclose(cov, cov_direct, rtol=1e-6)
+
+
+def test_nnls_all_positive_is_the_unconstrained_solution():
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(4)
+    a = rng.random((40, 6))
+    b = a @ np.linspace(0.5, 3.0, 6) + rng.normal(0, 0.01, 40)
+    x = stats.nnls(a, b)
+    assert np.all(x > 0)
+    np.testing.assert_allclose(x, nnls(a, b)[0], rtol=1e-10)
+    np.testing.assert_array_equal(x, np.linalg.lstsq(a, b, rcond=None)[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nnls_with_active_constraints_matches_scipy(seed):
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(seed)
+    a = rng.random((30, 8))
+    b = a @ rng.normal(0, 1, 8)  # about half the unconstrained entries are negative
+    assert np.any(np.linalg.lstsq(a, b, rcond=None)[0] <= 0)
+    x, ref = stats.nnls(a, b), nnls(a, b)[0]
+    assert np.all(x >= 0)
+    np.testing.assert_array_equal(x == 0, ref == 0)
+    np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,7 +244,7 @@ def test_differential_evolution_finds_bowl_minimum():
         return (v[0] - 0.3) ** 2 + (v[1] + 0.7) ** 2
 
     res = stats.differential_evolution(bowl, [(-2, 2), (-2, 2)], budget=500, seed=0)
-    assert res.converged
+    assert res.success
     np.testing.assert_allclose(res.x, [0.3, -0.7], atol=1e-6)
     assert res.fun < 1e-10
 
