@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
-from .metrology import ShotTable
+from .metrology import ShotTable, is_number
 from . import stats
 
 
@@ -77,7 +77,7 @@ class BlurLaw:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise ValueError(f"blur law: {name} must be a number")
             if name in ("sigma0", "c1") and value < 0:
                 raise ValueError(f"blur law: {name} must be non-negative")
@@ -134,7 +134,7 @@ class NoiseModelParams:
     def from_json(cls, obj: Mapping) -> "NoiseModelParams":
         """The four rates, and skew and per-mode blur laws where given; ValueError names what is malformed."""
         kwargs = {k: obj[k] for k in (*_RATES, "skew") if k in obj}
-        wrong = [k for k, v in kwargs.items() if isinstance(v, bool) or not isinstance(v, (int, float))]
+        wrong = [k for k, v in kwargs.items() if not is_number(v)]
         if wrong:
             raise ValueError(f"noise config: {', '.join(wrong)} must be a number")
         blur = obj.get("blur", {})

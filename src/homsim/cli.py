@@ -48,7 +48,7 @@ class RunConfig:
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
             values = v if name in ("n_values", "angles") else [v]
-            if not all(isinstance(k, (int, kind)) and not isinstance(k, bool) for k in values):
+            if not all(metrology.is_number(k) and isinstance(k, (int, kind)) for k in values):
                 raise ValueError(f"{name} must hold {'integers' if kind is int else 'numbers'}, not {v!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
@@ -119,7 +119,9 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON or key=value config file.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Master seed; all randomness derives from it.")
+# a Philox key is one uint64, and the second resample stream takes seed + 1
+@click.option("--seed", type=click.IntRange(0, 2**64 - 2), default=0, show_default=True,
+              help="Master seed; all randomness derives from it.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True, help="Output directory.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):
@@ -189,26 +191,27 @@ def simulate(obj):
 @click.pass_obj
 @_guarded
 def calibrate(obj, signals_csv):
-    """Run the signal-correction chain and fit both detector calibrations."""
+    """Run the signal-correction chain on each side mode and fit its detector calibration."""
     out = obj["out"]
     raw = detector.SignalTable.from_csv(signals_csv)
-    no_xtalk, kappas = detector.correct_crosstalk(raw)
-    leveled, drift = detector.correct_drift(no_xtalk)
-    report = {"command": "calibrate", "crosstalk": kappas, "modes": {}}
+    report = {"command": "calibrate", "crosstalk": {}, "modes": {}}
     for mode in ("minus", "plus"):
-        calib = detector.fit_histogram(leveled.signal(mode))
+        try:
+            signal, report["crosstalk"][mode] = detector.correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
+            signal, drift = detector.correct_drift(signal)
+            calib = detector.fit_histogram(signal)
+        except detector.CalibrationError as exc:
+            raise detector.CalibrationError(f"mode {mode}: {exc}") from None
         report["modes"][mode] = calib.to_json()
-        centers, counts, model = detector.histogram_table(leveled.signal(mode), calib)
+        centers, counts, model = detector.histogram_table(signal, calib)
         metrology.write_csv(out / f"histogram_{mode}.csv", ["signal", "count", "model"],
                             [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
-        ns = np.arange(calib.n_max_fit + 1)
         metrology.write_csv(out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
-                            [(int(n), f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
-                             for n, s, e in zip(ns, calib.peak_sigmas, calib.peak_sigma_errs)])
-        d = drift[mode]
+                            [(n, f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
+                             for n, (s, e) in enumerate(zip(calib.peak_sigmas, calib.peak_sigma_errs))])
         metrology.write_csv(out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
-                            [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}")
-                             for s, c, k, e in zip(d.starts, d.centers, d.corrections, d.center_stderr)])
+                            [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
+                             in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
         report["modes"][mode]["detection_fidelity_12"] = detector.detection_fidelity(12, calib)
     _dump_json(out / "calibration.json", _stamp(obj, report))
     click.echo(f"calibration written to {out / 'calibration.json'}")
@@ -377,7 +380,10 @@ def _load_rows(path: Path):
     payload = json.loads(Path(path).read_text())
     if not (isinstance(payload, dict) and isinstance(payload.get("rows"), list)):
         raise ValueError(f"{path}: expected an object with a list under \"rows\"")
-    return [entanglement.CollectiveData.from_json(r) for r in payload["rows"]], payload.get("weights")
+    weights = payload.get("weights")
+    if not (weights is None or isinstance(weights, list) and all(map(metrology.is_number, weights))):
+        raise ValueError(f"{path}: \"weights\" must be a list of finite numbers, not {weights!r}")
+    return [entanglement.CollectiveData.from_json(r) for r in payload["rows"]], weights
 
 
 @main.command()

@@ -16,13 +16,13 @@ nearest-peak integer occupation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stats
 from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, normal_cdf, sigma_law
-from .metrology import read_csv_columns, write_csv
+from .metrology import read_csv_columns
 
 
 class CalibrationError(RuntimeError):
@@ -72,10 +72,11 @@ DEFAULT_CROSSTALK = {"minus": 1.48e-3, "plus": 1.76e-3}
 
 @dataclass(frozen=True)
 class SignalTable:
-    """Raw or corrected per-shot scalar signals for both side modes.
+    """Raw per-shot scalar signals of both side modes.
 
     ``s_zero`` is the companion signal of the central mode, needed only as
     the crosstalk regressor.  Acquisition indices must increase strictly.
+    The corrections act on one mode's array at a time.
     """
 
     shot_index: np.ndarray
@@ -90,20 +91,6 @@ class SignalTable:
         for name in ("s_minus", "s_zero", "s_plus"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
-
-    def __len__(self):
-        return len(self.shot_index)
-
-    def signal(self, mode: str) -> np.ndarray:
-        return {"minus": self.s_minus, "plus": self.s_plus}[mode]
-
-    def with_signal(self, mode: str, values: np.ndarray) -> "SignalTable":
-        return replace(self, **{{"minus": "s_minus", "plus": "s_plus"}[mode]: values})
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["shot_index", "s_minus", "s_zero", "s_plus"],
-                  ((int(i), f"{m:.6f}", f"{z:.6f}", f"{p:.6f}")
-                   for i, m, z, p in zip(self.shot_index, self.s_minus, self.s_zero, self.s_plus)))
 
     @classmethod
     def from_csv(cls, path) -> "SignalTable":
@@ -244,33 +231,27 @@ def _fit_cluster_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(kappa)
 
 
-def correct_crosstalk(signals: SignalTable) -> tuple[SignalTable, dict]:
-    """Remove the companion-signal leakage from both side modes.
+def correct_crosstalk(s: np.ndarray, s_zero: np.ndarray) -> tuple[np.ndarray, float]:
+    """Remove the companion-signal leakage from one side mode's signal; returns it and kappa.
 
-    Fits a line through (s0, s) over the zero-atom cluster of each mode and
-    subtracts kappa * s0 everywhere; the intercept (the zero-atom level) is
-    left in place for the later fits.  Selecting the cluster on the raw
-    signal truncates the highest-crosstalk shots and biases the slope low,
-    so a second pass rebuilds the mask from the once-corrected signal, which
-    is independent of the regressor, and refits on the raw values.
+    Fits a line through (s0, s) over the zero-atom cluster and subtracts
+    kappa * s0 everywhere; the intercept (the zero-atom level) is left in
+    place for the later fits.  Selecting the cluster on the raw signal
+    truncates the highest-crosstalk shots and biases the slope low, so a
+    second pass rebuilds the mask from the once-corrected signal, which is
+    independent of the regressor, and refits on the raw values.
     """
-    out = signals
-    kappas = {}
-    for mode in ("minus", "plus"):
-        s = signals.signal(mode)
-        g0, b0 = _coarse_scale(s)
-        mask = _zero_cluster_mask(s, g0, b0)
-        if mask.sum() < 100:
-            raise CalibrationError(f"only {int(mask.sum())} zero-atom shots in mode {mode}; need >= 100")
-        kappa = _fit_cluster_slope(signals.s_zero[mask], s[mask])
-        resel = s - kappa * (signals.s_zero - signals.s_zero[mask].mean())
-        g1, b1 = _coarse_scale(resel)
-        mask = _zero_cluster_mask(resel, g1, b1)
-        if mask.sum() >= 100:
-            kappa = _fit_cluster_slope(signals.s_zero[mask], s[mask])
-        kappas[mode] = float(kappa)
-        out = out.with_signal(mode, out.signal(mode) - kappa * signals.s_zero)
-    return out, kappas
+    g0, b0 = _coarse_scale(s)
+    mask = _zero_cluster_mask(s, g0, b0)
+    if mask.sum() < 100:
+        raise CalibrationError(f"only {int(mask.sum())} zero-atom shots; need >= 100")
+    kappa = _fit_cluster_slope(s_zero[mask], s[mask])
+    resel = s - kappa * (s_zero - s_zero[mask].mean())
+    g1, b1 = _coarse_scale(resel)
+    mask = _zero_cluster_mask(resel, g1, b1)
+    if mask.sum() >= 100:
+        kappa = _fit_cluster_slope(s_zero[mask], s[mask])
+    return s - kappa * s_zero, float(kappa)
 
 
 DRIFT_WINDOW = 400  # shots per drift-correction window
@@ -284,39 +265,32 @@ class DriftCorrection:
     center_stderr: np.ndarray
 
 
-def correct_drift(signals: SignalTable) -> tuple[SignalTable, dict]:
-    """Track the zero-atom peak across acquisition windows and level it.
+def correct_drift(s: np.ndarray) -> tuple[np.ndarray, DriftCorrection]:
+    """Track the zero-atom peak of one mode's signal across acquisition windows and level it.
 
     Each window's zero-atom cluster is summarised by a Gaussian (its fitted
     center is the clipped sample mean); the median center across windows is
     taken as the reference level so that, absent drift, corrections scatter
     around zero and the global offset b survives for the histogram fit.
     """
-    if len(signals) < DRIFT_WINDOW:
-        raise CalibrationError(f"need at least {DRIFT_WINDOW} shots, got {len(signals)}")
-    out = signals
-    reports = {}
-    starts = np.arange(0, len(signals), DRIFT_WINDOW)
-    for mode in ("minus", "plus"):
-        s = out.signal(mode)
-        g0, b0 = _coarse_scale(s)
-        centers, errs = [], []
-        for k, start in enumerate(starts):
-            chunk = s[start : start + DRIFT_WINDOW]
-            zeros = chunk[_zero_cluster_mask(chunk, g0, b0)]
-            if len(zeros) < 10:
-                raise CalibrationError(f"window {k} has no resolvable zero-atom peak in mode {mode}")
-            mu, sd = zeros.mean(), zeros.std()
-            clipped = zeros[np.abs(zeros - mu) < 3 * sd] if sd > 0 else zeros
-            centers.append(clipped.mean())
-            errs.append(clipped.std(ddof=1) / math.sqrt(len(clipped)) if len(clipped) > 1 else 0.0)
-        centers = np.array(centers)
-        corrections = centers - np.median(centers)
-        per_shot = np.repeat(corrections, DRIFT_WINDOW)[: len(s)]
-        out = out.with_signal(mode, s - per_shot)
-        reports[mode] = DriftCorrection(starts=starts, centers=centers, corrections=corrections,
-                                        center_stderr=np.array(errs))
-    return out, reports
+    if len(s) < DRIFT_WINDOW:
+        raise CalibrationError(f"need at least {DRIFT_WINDOW} shots, got {len(s)}")
+    starts = np.arange(0, len(s), DRIFT_WINDOW)
+    g0, b0 = _coarse_scale(s)
+    centers, errs = [], []
+    for k, start in enumerate(starts):
+        chunk = s[start : start + DRIFT_WINDOW]
+        zeros = chunk[_zero_cluster_mask(chunk, g0, b0)]
+        if len(zeros) < 10:
+            raise CalibrationError(f"window {k} has no resolvable zero-atom peak")
+        mu, sd = zeros.mean(), zeros.std()
+        clipped = zeros[np.abs(zeros - mu) < 3 * sd] if sd > 0 else zeros
+        centers.append(clipped.mean())
+        errs.append(clipped.std(ddof=1) / math.sqrt(len(clipped)) if len(clipped) > 1 else 0.0)
+    centers = np.array(centers)
+    corrections = centers - np.median(centers)
+    return s - np.repeat(corrections, DRIFT_WINDOW)[: len(s)], DriftCorrection(
+        starts=starts, centers=centers, corrections=corrections, center_stderr=np.array(errs))
 
 
 def _comb_histogram(values: np.ndarray, g: float, b: float, n_max_fit: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import stats
 from .fock import CollectiveMoments, DomainError, FixedNDistribution, moments
-from .metrology import jxjy2_estimate
+from .metrology import is_number, jxjy2_estimate
 
 MAX_BOUNDARY_DIM = 64  # largest (2j+1) in the boundary table
 
@@ -76,8 +76,7 @@ class CollectiveData:
         if missing:
             raise ValueError(f"collective-moment row lacks {', '.join(missing)}: {row}")
         values = {k: row[k] for k in row if k in cls.__dataclass_fields__}
-        wrong = [k for k, v in values.items()  # JSON true/false pass isinstance(v, int)
-                 if (isinstance(v, bool) or not isinstance(v, (int, float))) and not (k == "parity_y" and v is None)]
+        wrong = [k for k, v in values.items() if not (is_number(v) or k == "parity_y" and v is None)]
         if wrong:
             raise ValueError(f"collective-moment row has non-numeric {', '.join(wrong)}: {row}")
         return cls(**values)
@@ -169,14 +168,12 @@ class DepthResult:
     "variance", or "fallback" when the parity route found no violation and
     deferred to the variance route.  ``clamped_k`` lists block sizes whose
     square-root argument was negative (criterion not applicable there).
-    ``samples`` optionally carries per-resample depths.
     """
 
     depth: int
     method: str
     n_total: int
     clamped_k: tuple = ()
-    samples: np.ndarray | None = None
     confidence_level: float | None = None
 
     def to_json(self) -> dict:
@@ -291,7 +288,7 @@ def depth_with_resampling(
     parity = np.where(parity_k >= 0, parity_k + 1, variance)
     return tuple(
         DepthResult(depth=stats.depth_confidence(depths, level=level), method=method, n_total=n,
-                    samples=depths, confidence_level=level)
+                    confidence_level=level)
         for method, depths in (("parity", parity), ("variance", variance))
     )
 
@@ -307,13 +304,10 @@ def witness_indefinite_n(rows, weights=None) -> WitnessResult:
     rows = list(rows)
     if not rows:
         raise ValueError("no data rows")
-    if weights is None:
-        w = np.full(len(rows), 1.0 / len(rows))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if len(w) != len(rows) or (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be non-negative and match rows")
-        w = w / w.sum()
+    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (len(rows),) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+        raise ValueError("weights must be finite, non-negative and one per row")
+    w = w / w.sum()
     per_n = {}
     for row in rows:
         n = row.n_total

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,6 +46,11 @@ def read_csv_columns(path, names, dtype=float) -> list[np.ndarray]:
         found = f"rows of {data.shape[1]}" if len(data) else "no data rows"
         raise ValueError(f"{path}: a header of {len(header)} columns but {found}")
     return [np.ascontiguousarray(data[:, header.index(n)]) for n in names]
+
+
+def is_number(v) -> bool:
+    """Whether a value read from JSON is a number a float holds: not a boolean, NaN, infinity or a larger integer."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def write_csv(path, header, rows) -> None:

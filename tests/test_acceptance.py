@@ -179,17 +179,17 @@ def test_criterion_7_detector_round_trip(source):
     union = metrology.ShotTable(n_plus=np.concatenate([t.n_plus for t in tables]),
                                 n_minus=np.concatenate([t.n_minus for t in tables]), theta=None)
     signals = detector.synthesize_signals(union, seed=seed)  # default drift and crosstalk
-    corrected, _ = detector.correct_crosstalk(signals)
-    corrected, _ = detector.correct_drift(corrected)
     ok = True
     parts = []
     for mode, ref in (("minus", detector.DEFAULT_CALIBRATION_MINUS),
                       ("plus", detector.DEFAULT_CALIBRATION_PLUS)):
-        calib = detector.fit_histogram(corrected.signal(mode))
+        corrected, _ = detector.correct_crosstalk(getattr(signals, f"s_{mode}"), signals.s_zero)
+        corrected, _ = detector.correct_drift(corrected)
+        calib = detector.fit_histogram(corrected)
         dg = abs(calib.g - ref.g) / ref.g
         z_s = abs(calib.sigma0 - ref.sigma0) / max(calib.sigma0_err, 1e-12)
         z_c = abs(calib.c1 - ref.c1) / max(calib.c1_err, 1e-12)
-        occ = detector.quantize_mode(corrected.signal(mode), calib)
+        occ = detector.quantize_mode(corrected, calib)
         true = union.n_minus if mode == "minus" else union.n_plus
         agree = float(np.mean(occ == true))
         fids = np.array([detector.detection_fidelity(int(n), ref) for n in range(int(true.max()) + 1)])

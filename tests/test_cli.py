@@ -3,11 +3,13 @@
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from homsim import channel, cli, detector, metrology, stats
 from homsim.cli import RunConfig
 from test_acceptance import TABLE_ROWS
@@ -324,7 +326,7 @@ def test_calibrate_smoke(runner, tmp_path):
         seed=21,
     )
     csv_path = tmp_path / "signals.csv"
-    sig.to_csv(csv_path)
+    oracles.signals_to_csv(sig, csv_path)
 
     out = tmp_path / "cal"
     res = invoke(runner, ["--seed", 1, "--out", out, "calibrate", csv_path])
@@ -342,6 +344,36 @@ def test_calibrate_smoke(runner, tmp_path):
         assert 0.9 < fit["detection_fidelity_12"] <= 1.0
         for stem in ("histogram", "noise_curve", "drift"):
             assert (out / f"{stem}_{mode}.csv").exists()
+
+
+def stage_failure(stage: str, m: int, rng) -> np.ndarray:
+    """A side-mode signal of m shots on which one calibration stage fails."""
+    if stage == "crosstalk":  # a resolved zero-atom peak of only 80 shots
+        return np.concatenate([rng.normal(250.0, 8.0, 80), rng.normal(1250.0, 15.0, m // 2),
+                               rng.normal(2250.0, 15.0, m - 80 - m // 2)])
+    if stage == "drift":  # shots 400-799 hold no zero-atom shot
+        n = np.zeros(m, dtype=int)
+        n[400:800] = 1
+        n[::7] = 1
+        return np.where(n == 0, rng.normal(250.0, 8.0, m), rng.normal(1250.0, 15.0, m))
+    return rng.normal(250.0, 8.0, m)  # one peak: the histogram stage cannot resolve two
+
+
+@pytest.mark.parametrize("mode", ["minus", "plus"])
+@pytest.mark.parametrize("stage, message", [
+    ("crosstalk", "zero-atom shots"), ("drift", "window 1 "), ("histogram", "two peaks"),
+])
+def test_calibrate_error_names_the_mode(runner, tmp_path, mode, stage, message):
+    m = 2400
+    rng = np.random.default_rng(4)
+    shots = metrology.ShotTable(n_plus=np.minimum(rng.poisson(1.0, m), 10), n_minus=np.minimum(rng.poisson(1.0, m), 10))
+    sig = detector.synthesize_signals(shots, drift=detector.DriftSpec(peak_to_peak=0.0),
+                                      crosstalk={"minus": 0.0, "plus": 0.0}, seed=6)
+    csv_path = tmp_path / "signals.csv"
+    oracles.signals_to_csv(replace(sig, **{f"s_{mode}": stage_failure(stage, m, rng)}), csv_path)
+    res = invoke(runner, ["--out", tmp_path / "cal", "calibrate", csv_path])
+    assert res.exit_code == 2, res.output
+    assert f"mode {mode}" in res.output and message in res.output, res.output
 
 
 # ---------------------------------------------------------------- invalid input
@@ -374,6 +406,12 @@ MALFORMED_ROWS = {
     "-string-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": "5"}]}, "non-numeric jxjy2"),
     "-bare-list": ([TABLE_ROWS[0]], 'a list under "rows"'),
     "-bool-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": True, "var_jz": False}]}, "non-numeric jxjy2, var_jz"),
+    # NaN and Infinity as Python's json writes and reads them
+    "-nan-moment": ({"rows": [{**TABLE_ROWS[0], "var_jz": math.nan}]}, "non-numeric var_jz"),
+    "-infinite-moment": ({"rows": [{**TABLE_ROWS[0], "var_jz": math.inf}]}, "non-numeric var_jz"),
+    **{f"-weights-{name}": ({"rows": TABLE_ROWS[:2], "weights": weights}, '"weights"')
+       for name, weights in (("null", [None, 1]), ("nested", [[1], [2]]), ("bool", [True, False]),
+                             ("nan", [math.nan, 1]), ("object", {"2": 1}))},
 }
 
 
@@ -404,6 +442,9 @@ MALFORMED_INPUTS = {
     "blur-negative": ({}, {**RATES, "blur": {"minus": {"sigma0": -0.1, "c1": 0.01}}}, "simulate",
                       "sigma0 must be non-negative"),
     "blur-bool": ({}, {**RATES, "blur": {"plus": {"sigma0": 0.1, "c1": True}}}, "simulate", "c1 must be a number"),
+    "rate-nan": ({}, {**RATES, "a_plus": math.nan}, "simulate", "a_plus must be a number"),
+    "blur-infinity": ({}, {**RATES, "blur": {"plus": {"sigma0": 0.1, "c1": math.inf}}}, "simulate",
+                      "c1 must be a number"),
     # sqrt(skew) - 1 is the calibration coins' probability: outside skew in [1, 4] it leaves [0, 1]
     **{f"skew-{skew}-{command.split()[0]}": ({}, {**RATES, "skew": skew}, command, "skew must lie in [1, 4]")
        for skew in (0.9, 4.5) for command in ("simulate", "fisher --exact model")},
@@ -440,6 +481,7 @@ def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("xi", True), ("xi_jitter", False), ("angles", [0.0, True]), ("confidence_level", True),
+    ("xi_jitter", math.nan), ("xi", math.inf), pytest.param("xi", 10**400, id="xi-beyond-float"), ("confidence_level", math.nan),
 ])
 def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
     config = tmp_path / "config.json"
@@ -448,6 +490,24 @@ def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
     assert res.exit_code == 2, res.output
     assert f"{key} must hold numbers" in res.output
     assert not (tmp_path / "o" / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --dataset"])
+def test_seed_outside_the_philox_key_range_exits_2(runner, tmp_path, simulated, command, seed):
+    # a Philox key is one uint64, and the second resample stream takes seed + 1
+    args = command.split() + ([] if command == "simulate" else [simulated])
+    res = invoke(runner, ["--seed", seed, "--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_runs_analyze(runner, tmp_path, noise_off_config, simulated):
+    res = invoke(runner, ["--config", noise_off_config, "--seed", 2**64 - 2, "--out", tmp_path / "o",
+                          "analyze", simulated])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**64 - 2
 
 
 # ---------------------------------------------------------------- exit codes

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+import oracles
 from homsim import cli, detector, metrology
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
@@ -66,7 +67,7 @@ def test_signal_table_csv_round_trip(tmp_path):
     shots = poisson_shots(50, seed=2)
     table = detector.synthesize_signals(shots, seed=1)
     path = tmp_path / "signals.csv"
-    table.to_csv(path)
+    oracles.signals_to_csv(table, path)
     back = detector.SignalTable.from_csv(path)
     np.testing.assert_array_equal(back.shot_index, table.shot_index)
     np.testing.assert_allclose(back.s_plus, table.s_plus, atol=1e-5)
@@ -76,7 +77,7 @@ def test_signal_table_csv_single_row_column_order_and_missing_column(tmp_path):
     one = detector.SignalTable(shot_index=np.array([7]), s_minus=np.array([1.25]), s_zero=np.array([2.5]),
                                s_plus=np.array([3.75]))
     path = tmp_path / "one.csv"
-    one.to_csv(path)
+    oracles.signals_to_csv(one, path)
     back = detector.SignalTable.from_csv(path)
     np.testing.assert_array_equal(back.shot_index, [7])
     np.testing.assert_array_equal(back.s_plus, [3.75])
@@ -109,12 +110,13 @@ def test_crosstalk_correction_recovers_kappa():
     table = detector.synthesize_signals(
         shots, drift=detector.DriftSpec(peak_to_peak=0.0), seed=7
     )
-    corrected, kappas = detector.correct_crosstalk(table)
-    assert kappas["minus"] == pytest.approx(1.48e-3, abs=3e-4)
-    assert kappas["plus"] == pytest.approx(1.76e-3, abs=3e-4)
+    corrected, kappa_minus = detector.correct_crosstalk(table.s_minus, table.s_zero)
+    _, kappa_plus = detector.correct_crosstalk(table.s_plus, table.s_zero)
+    assert kappa_minus == pytest.approx(1.48e-3, abs=3e-4)
+    assert kappa_plus == pytest.approx(1.76e-3, abs=3e-4)
     # residual correlation with the companion signal is gone
-    zero = corrected.s_minus < corrected.s_minus.min() + 0.5 * CAL_M.g
-    resid_slope = np.polyfit(corrected.s_zero[zero], corrected.s_minus[zero], 1)[0]
+    zero = corrected < corrected.min() + 0.5 * CAL_M.g
+    resid_slope = np.polyfit(table.s_zero[zero], corrected[zero], 1)[0]
     assert abs(resid_slope) < 3e-4
 
 
@@ -126,24 +128,15 @@ def test_crosstalk_needs_enough_zero_shots():
         rng.normal(1250.0, 15.0, 1200),
         rng.normal(2250.0, 15.0, 900),
     ])
-    s.sort()  # strictly increasing index, order of signals is irrelevant here
     with pytest.raises(detector.CalibrationError):
-        detector.correct_crosstalk(
-            detector.SignalTable(
-                shot_index=np.arange(len(s)),
-                s_minus=s,
-                s_zero=rng.normal(2e5, 3e4, len(s)),
-                s_plus=s,
-            )
-        )
+        detector.correct_crosstalk(s, rng.normal(2e5, 3e4, len(s)))
 
 
 def test_drift_correction_recovers_sine():
     shots = poisson_shots(8000, seed=4, mean=1.0)
     spec = detector.DriftSpec(peak_to_peak=200.0, period=4000.0)
     table = detector.synthesize_signals(shots, drift=spec, crosstalk={"minus": 0.0, "plus": 0.0}, seed=8)
-    corrected, reports = detector.correct_drift(table)
-    rep = reports["minus"]
+    _, rep = detector.correct_drift(table.s_minus)
     mids = rep.starts + detector.DRIFT_WINDOW / 2.0
     want = spec.offsets(mids)
     resid = rep.corrections - (want - np.median(want))
@@ -155,9 +148,8 @@ def test_drift_correction_null_case_stays_put():
     table = detector.synthesize_signals(
         shots, drift=detector.DriftSpec(peak_to_peak=0.0), crosstalk={"minus": 0.0, "plus": 0.0}, seed=9
     )
-    corrected, reports = detector.correct_drift(table)
-    for mode in ("minus", "plus"):
-        rep = reports[mode]
+    for s in (table.s_minus, table.s_plus):
+        _, rep = detector.correct_drift(s)
         limit = 5.0 * np.maximum(rep.center_stderr, 1.0)
         assert np.all(np.abs(rep.corrections) < limit)
 
@@ -171,8 +163,8 @@ def test_drift_correction_reports_empty_window():
     table = detector.synthesize_signals(
         shots, drift=detector.DriftSpec(peak_to_peak=0.0), crosstalk={"minus": 0.0, "plus": 0.0}, seed=2
     )
-    with pytest.raises(detector.CalibrationError, match="window 1 .*minus"):
-        detector.correct_drift(table)
+    with pytest.raises(detector.CalibrationError, match="window 1 "):
+        detector.correct_drift(table.s_minus)
 
 
 def assert_peaks_match_scipy(counts, distance):
@@ -327,23 +319,23 @@ def camera_run(seed: int, path) -> detector.SignalTable:
         n = np.concatenate([getattr(t, f"n_{mode}") for t in tables])
         noise = rng.normal(0.0, calib.sigma(n) * calib.g)
         signals[f"s_{mode}"] = n * calib.g + calib.b + drift + detector.DEFAULT_CROSSTALK[mode] * s_zero + noise
-    detector.SignalTable(shot_index=idx, s_zero=s_zero, **signals).to_csv(path)
+    oracles.signals_to_csv(detector.SignalTable(shot_index=idx, s_zero=s_zero, **signals), path)
     return detector.SignalTable.from_csv(path)
 
 
 def test_histogram_fit_converges_on_the_seed_409_run(tmp_path):
     # the minus-mode fit of this run once searched without end
-    corrected, _ = detector.correct_crosstalk(camera_run(409, tmp_path / "signals.csv"))
-    corrected, _ = detector.correct_drift(corrected)
-    calib = detector.fit_histogram(corrected.s_minus)
+    raw = camera_run(409, tmp_path / "signals.csv")
+    corrected, _ = detector.correct_drift(detector.correct_crosstalk(raw.s_minus, raw.s_zero)[0])
+    calib = detector.fit_histogram(corrected)
     for name in ("g", "sigma0", "c1"):
         assert abs(getattr(calib, name) - getattr(CAL_M, name)) <= 3 * getattr(calib, f"{name}_err"), name
 
 
 def test_histogram_fit_takes_twelve_bins_per_peak(tmp_path, monkeypatch):
     # on this run the round-off of ceil((hi - lo) / (g0 / 12)) once added a 259th bin
-    corrected, _ = detector.correct_crosstalk(camera_run(501, tmp_path / "signals.csv"))
-    corrected, _ = detector.correct_drift(corrected)
+    raw = camera_run(501, tmp_path / "signals.csv")
+    corrected, _ = detector.correct_drift(detector.correct_crosstalk(raw.s_minus, raw.s_zero)[0])
     histogram, bins = np.histogram, []
 
     def recording(*args, **kwargs):
@@ -351,7 +343,7 @@ def test_histogram_fit_takes_twelve_bins_per_peak(tmp_path, monkeypatch):
         return histogram(*args, **kwargs)
 
     monkeypatch.setattr(detector.np, "histogram", recording)
-    calib = detector.fit_histogram(corrected.s_minus)
-    detector.histogram_table(corrected.s_minus, calib)  # the plotted histogram takes the same bins
+    calib = detector.fit_histogram(corrected)
+    detector.histogram_table(corrected, calib)  # the plotted histogram takes the same bins
     assert calib.n_max_fit == 20
     assert bins[-2:] == [12 * calib.n_max_fit + 18] * 2

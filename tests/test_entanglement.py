@@ -11,11 +11,19 @@ import oracles
 from homsim import entanglement as ent
 from homsim import fock, stats
 from homsim.fock import DomainError
+from homsim.metrology import jxjy2_estimate
 from test_acceptance import TABLE_ROWS, _script
 
 
 def table_data():
     return [ent.CollectiveData.from_json(r) for r in TABLE_ROWS]
+
+
+def resampled_depths(p0, ph, plan):
+    """Per-resample (parity, variance) depths, from the stacks ``depth_with_resampling`` draws."""
+    m0, mh = (fock.moments(s) for s in stats.resample_pair(p0, ph, plan))
+    parity_k, variance_k, _ = ent._criteria(p0.n_total, jxjy2_estimate(mh), m0.var_jz, m0.parity)
+    return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1
 
 
 def test_collective_data_validation_and_defaults():
@@ -146,11 +154,13 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     p0[n // 2] += 0.8
     ph = 0.8 * fock.holland_burnett(n).probs + 0.2 * binom
     ent._boundary_lines.cache_clear()
-    _, var = ent.depth_with_resampling(
-        fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
-        fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots),
-        plan=stats.ResamplePlan(n_samples=100, seed=3))
-    assert len(var.samples) == 100
+    pair = (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
+            fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
+    plan = stats.ResamplePlan(n_samples=100, seed=3)
+    _, var = ent.depth_with_resampling(*pair, plan=plan)
+    samples = resampled_depths(*pair, plan)[1]
+    assert len(samples) == 100
+    assert var.depth == stats.depth_confidence(samples, level=var.confidence_level)
     assert ent._boundary_lines.cache_info().currsize > 1  # the boundary was read for several spins
 
 
@@ -259,7 +269,9 @@ def test_depth_with_resampling_ideal_and_determinism():
     b, _ = ent.depth_with_resampling(p0, ph, plan=plan)
     assert a.depth == b.depth == n
     assert (a.method, v.method) == ("parity", "variance")
-    np.testing.assert_array_equal(a.samples, b.samples)
+    samples = resampled_depths(p0, ph, plan)[0]
+    np.testing.assert_array_equal(samples, resampled_depths(p0, ph, plan)[0])
+    assert a.depth == stats.depth_confidence(samples, level=a.confidence_level)
     assert a.confidence_level == v.confidence_level == 0.68
     assert v.depth >= n - 1
     bare = fock.holland_burnett(n)
@@ -282,16 +294,18 @@ def test_resampled_depths_equal_point_criteria_per_sample():
     p0, ph = _mixed_pair()
     plan = stats.ResamplePlan(n_samples=200, seed=5)
     par, var = ent.depth_with_resampling(p0, ph, plan=plan)
+    par_samples, var_samples = resampled_depths(p0, ph, plan)
+    assert (par.depth, var.depth) == (stats.depth_confidence(par_samples), stats.depth_confidence(var_samples))
     p0s, phs = stats.resample_pair(p0, ph, plan)
     methods = set()
     for i in range(plan.n_samples):
         data = ent.collective_data(p0.n_total, fock.moments(p0s[i]), fock.moments(phs[i]))
         point = ent.depth_parity(data)
         methods.add(point.method)
-        assert par.samples[i] == point.depth
-        assert var.samples[i] == ent.depth_variance(data).depth
+        assert par_samples[i] == point.depth
+        assert var_samples[i] == ent.depth_variance(data).depth
     assert methods == {"parity", "fallback"}  # both branches of the parity route are exercised
-    assert len(set(par.samples)) > 2
+    assert len(set(par_samples)) > 2
 
 
 @pytest.mark.parametrize("n0, nh, error, match", [
@@ -390,6 +404,13 @@ def test_witness_weights_and_validation():
         ent.witness_indefinite_n(rows, weights=[-1.0, 2.0])
     with pytest.raises(ValueError):
         ent.witness_indefinite_n([])
+
+
+@pytest.mark.parametrize("weights", [[None, 1.0], [math.nan, 1.0], [math.inf, 1.0], [[1.0], [2.0]], [[1.0, 2.0]]])
+def test_witness_rejects_non_finite_or_nested_weights(weights):
+    # [[1], [2]] once broadcast against the per-N terms into a 2 x 2 sum
+    with pytest.raises(ValueError, match="weights"):
+        ent.witness_indefinite_n(table_data()[:2], weights=weights)
 
 
 def test_witnesses_never_fire_on_product_states():
