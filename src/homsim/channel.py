@@ -14,8 +14,8 @@ calibration.  ``fit`` recovers the free parameters from counting data by
 minimising the squared Hellinger distance over the whole grid, odd totals
 included: a bounded nonlinear least-squares problem in the residual
 sqrt(p) - sqrt(q), solved per angle by one search of
-:func:`homsim.stats.least_squares` with an analytic Jacobian from the
-given rates.
+:func:`homsim.stats.least_squares` from the given rates.  Each evaluation
+is one noise pass that yields the residual and its analytic Jacobian.
 
 The influx, loss and blur matrices are built in one broadcast each from
 closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
@@ -349,7 +349,7 @@ def empirical_grid(n_plus, n_minus, n_max: int) -> TwoModeDistribution:
 
 
 def _hellinger_residual(rotated: np.ndarray, emp: np.ndarray, params: NoiseModelParams):
-    """Residual sqrt(p(x)) - sqrt(q) over the raveled grid and its Jacobian.
+    """The function of the rates x that returns sqrt(p(x)) - sqrt(q) over the raveled grid and its Jacobian.
 
     Half the squared residual norm is the squared Hellinger distance.  The
     factor 1/(2 sqrt(p)) of d sqrt(p) is set to 0 on bins where p vanishes.
@@ -357,15 +357,12 @@ def _hellinger_residual(rotated: np.ndarray, emp: np.ndarray, params: NoiseModel
     sqrt_q = np.sqrt(emp.ravel())
 
     def residual(x):
-        return np.sqrt(_noise_forward(rotated, x, params)[0].ravel()) - sqrt_q
-
-    def jacobian(x):
         p, _, dp = _noise_forward(rotated, x, params, jac=True)
         sqrt_p = np.sqrt(p.ravel())
         half_inv = np.divide(0.5, sqrt_p, out=np.zeros_like(sqrt_p), where=sqrt_p > 0)
-        return dp.reshape(len(dp), -1).T * half_inv[:, None]
+        return sqrt_p - sqrt_q, dp.reshape(len(dp), -1).T * half_inv[:, None]
 
-    return residual, jacobian
+    return residual
 
 
 @dataclass(frozen=True)
@@ -373,8 +370,8 @@ class ChannelFit:
     """Per-angle best-fit rates of one solve each.
 
     ``objectives`` holds each angle's least-squares cost, the squared
-    Hellinger distance; ``nfev`` its model evaluations (residuals plus
-    Jacobians); ``status`` the :func:`homsim.stats.least_squares` status of
+    Hellinger distance; ``nfev`` its model evaluations, each a residual with
+    its Jacobian; ``status`` the :func:`homsim.stats.least_squares` status of
     its solve, 0 when the solve hit its evaluation cap.
     """
 
@@ -399,9 +396,9 @@ def fit(
     all outcomes, odd N included): a least-squares problem in four rates
     with box ``bounds`` (Beran, Ann. Statist. 5, 445 (1977)).  Each angle is
     one :func:`homsim.stats.least_squares` solve with the analytic Jacobian
-    of the noise stages, from the rates of ``params0`` clipped into
-    the bounds.  ``budget`` caps the residual evaluations of that solve, and
-    it evaluates its Jacobian at most once per residual.  Rotation, skew,
+    of the noise stages, from the rates of ``params0`` clipped into the
+    bounds.  ``budget`` caps the model evaluations of that solve, each one
+    noise pass that yields the residual and its Jacobian.  Rotation, skew,
     and blur do not depend on the free parameters, so the rotated source is
     computed once per angle.  Raises :class:`ConvergenceError` carrying the
     whole fit if the solve of any angle hit its cap.
@@ -418,10 +415,10 @@ def fit(
     per_theta, objectives, nfev, status = {}, {}, {}, {}
     for theta, shots in sorted(data.items()):
         emp = empirical_grid(shots.n_plus, shots.n_minus, source.n_max).grid
-        residual, jacobian = _hellinger_residual(apply_rotation(source, theta).grid, emp, params0)
-        res = stats.least_squares(residual, jacobian, x0, lo, hi, max_nfev=budget)
+        residual = _hellinger_residual(apply_rotation(source, theta).grid, emp, params0)
+        res = stats.least_squares(residual, x0, lo, hi, max_nfev=budget)
         per_theta[theta] = replace(params0, **dict(zip(_RATES, map(float, res.x))))
-        objectives[theta], nfev[theta], status[theta] = res.cost, res.nfev + res.njev, res.status
+        objectives[theta], nfev[theta], status[theta] = res.cost, res.nfev, res.status
 
     converged = all(s > 0 for s in status.values())
     fit_result = ChannelFit(per_theta=per_theta, objectives=objectives, nfev=nfev, status=status, converged=converged)

@@ -163,7 +163,7 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
 def simulate(obj):
     """Sample per-angle shot tables from the modelled channel."""
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    params = cfg.noise_params()  # a malformed noise config raises before anything is written
     files, tails = {}, {}
     for i, theta in enumerate(cfg.angles):
         dist = _predicted(cfg, theta)
@@ -172,7 +172,6 @@ def simulate(obj):
         table.to_csv(out / name)
         files[f"{theta:.6f}"] = name
         tails[f"{theta:.6f}"] = dist.tail_mass
-    params = cfg.noise_params()
     _dump_json(out / "metadata.json", _stamp(obj, {
         "command": "simulate",
         "shots_per_angle": cfg.shots_per_angle,
@@ -195,13 +194,15 @@ def calibrate(obj, signals_csv):
     out = obj["out"]
     raw = detector.SignalTable.from_csv(signals_csv)
     report = {"command": "calibrate", "crosstalk": {}, "modes": {}}
+    chains = {}  # both modes calibrate before any file is written, so a failure leaves none
     for mode in ("minus", "plus"):
         try:
             signal, report["crosstalk"][mode] = detector.correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
             signal, drift = detector.correct_drift(signal)
-            calib = detector.fit_histogram(signal)
+            chains[mode] = signal, drift, detector.fit_histogram(signal)
         except detector.CalibrationError as exc:
             raise detector.CalibrationError(f"mode {mode}: {exc}") from None
+    for mode, (signal, drift, calib) in chains.items():
         report["modes"][mode] = calib.to_json()
         centers, counts, model = detector.histogram_table(signal, calib)
         metrology.write_csv(out / f"histogram_{mode}.csv", ["signal", "count", "model"],

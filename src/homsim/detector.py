@@ -307,8 +307,8 @@ def _peak_shapes(x, g, b, sigmas):
     return np.exp(-0.5 * ((x[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)) ** 2)
 
 
-def _projected_comb(p, x, y, weights, sigma_last, jac=False):
-    """The comb S h, its heights h >= 0 fitted to ``y`` at ``weights`` W, and with ``jac`` d(S h)/dp (else None).
+def _projected_comb(p, x, y, weights, sigma_last):
+    """The comb S h, its Jacobian d(S h)/dp, and its heights h >= 0 fitted to ``y`` at ``weights`` W.
 
     p = (g, b, log sigma_0 .. log sigma_{n-1}); the last peak's width is
     ``sigma_last``.  d(S h) = dS h + S dh, with dh = (A^T A)^-1 (dS^T W (y - S h)
@@ -319,8 +319,6 @@ def _projected_comb(p, x, y, weights, sigma_last, jac=False):
     sw, sigmas, n = np.sqrt(weights), np.append(np.exp(p[2:]), sigma_last), np.arange(len(p) - 1)
     s = _peak_shapes(x, p[0], p[1], sigmas)
     h = stats.nnls(sw[:, None] * s, sw * y)
-    if not jac:
-        return s @ h, h, None
     u = (x[:, None] - p[1] - n * p[0]) / (sigmas * p[0])
     d_b = s * u / (sigmas * p[0])
     d_g, d_width = d_b * (n + u * sigmas), (s * u**2)[:, :-1]
@@ -331,7 +329,7 @@ def _projected_comb(p, x, y, weights, sigma_last, jac=False):
     a = sw[:, None] * s[:, h > 0]
     dh = np.zeros_like(ds_resid)
     dh[h > 0] = np.linalg.solve(a.T @ a, ds_resid[h > 0] - a.T @ (sw[:, None] * ds_h))
-    return s @ h, h, ds_h + s @ dh
+    return s @ h, ds_h + s @ dh, h
 
 
 def fit_histogram(values: np.ndarray) -> DetectorCalibration:
@@ -372,9 +370,8 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     for _ in range(3):
         sigma_last = sigma_law(sigma0, c1, n_max_fit)
 
-        p, cov = stats.weighted_least_squares(
-            lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last)[0], x, y, p, weights=weights,
-            bounds=(lower, upper), jac=lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last, jac=True)[2])
+        p, cov = stats.weighted_least_squares(lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last)[:2],
+                                              x, y, p, weights=weights, bounds=(lower, upper))
         # the n_max_fit + 1 projected heights were fitted too: take them off the degrees of freedom
         cov *= (len(y) - len(p)) / (len(y) - len(p) - (n_max_fit + 1))
         free_sigmas = np.exp(p[2:])
@@ -390,7 +387,7 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
         sigma0=sigma0,
         c1=c1,
         n_max_fit=n_max_fit,
-        peak_heights=_projected_comb(p, x, y, weights, sigma_last)[1],
+        peak_heights=_projected_comb(p, x, y, weights, sigma_last)[2],
         peak_sigmas=np.concatenate([free_sigmas, [sigma_law(sigma0, c1, n_max_fit)]]),
         peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
         g_err=float(err[0]),

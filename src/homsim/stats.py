@@ -1,9 +1,9 @@
 """Shared numerics: resampling, error bars, and the least-squares solvers.
 
 One convention for every analysis module: one seeded Philox stream per
-resample stack, one box-bounded least-squares solver, covariance scaled by
-the reduced chi-square.  Only ``differential_evolution``, a test oracle,
-loads scipy, when called.
+resample stack, one box-bounded least-squares solver on one function for the
+residual and its Jacobian, covariance scaled by the reduced chi-square.  Only
+``differential_evolution``, a test oracle, loads scipy, when called.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class FitError(RuntimeError):
     """A least-squares fit failed to converge or is degenerate."""
 
 
-MAX_MODEL_CALLS = 20000  # per weighted_least_squares fit, Jacobian calls included
+MAX_MODEL_CALLS = 10000  # per weighted_least_squares fit; each call returns the values and their Jacobian
 LSQ_TOL = 1e-10  # least_squares' relative tolerance on the cost drop, the step and the gradient
 
 
@@ -93,25 +93,25 @@ def depth_confidence(samples, level: float = 0.68) -> int:
     return best
 
 
-LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost jac nfev njev status")
+LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost jac nfev status")
 
 
-def least_squares(fun, jac, x0, lower, upper, max_nfev: int) -> LeastSquaresResult:
-    """Minimize |fun(x)|^2 / 2 over the box [lower, upper] by projected Levenberg-Marquardt.
+def least_squares(fun, x0, lower, upper, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |r(x)|^2 / 2 over the box [lower, upper] by projected Levenberg-Marquardt.
 
-    Each step solves the damped Gauss-Newton system in the unit-scaled columns
-    of ``jac(x)``, holding coordinates the gradient pushes against their bound,
-    and clips the trial into the box (Kanzow, Yamashita & Fukushima, J. Comput.
-    Appl. Math. 172, 375 (2004)); ``jac`` is called at each trial that lowers
-    the cost, and the damping follows the gain ratio (Nielsen, IMM-REP-1999-05).
-    Returns the end point, its cost and ``jac``, the calls of ``fun`` and
-    ``jac``, and the status.  Status 1: free columns orthogonal to the residual
-    within ``LSQ_TOL``; 2: a cost drop of at most ``LSQ_TOL`` of it; 3: a step
-    within ``LSQ_TOL`` of |x|; 0: no convergence in ``max_nfev`` calls of ``fun``.
+    ``fun(x)`` returns the residual r and its Jacobian J = dr/dx.  Each step solves
+    the damped Gauss-Newton system in the unit-scaled columns of J, holding
+    coordinates the gradient pushes against their bound, and clips the trial into
+    the box (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math. 172, 375 (2004));
+    the damping follows the gain ratio (Nielsen, IMM-REP-1999-05).  Returns the end
+    point, its cost and J, the calls of ``fun``, and the status.  Status 1: free
+    columns orthogonal to the residual within ``LSQ_TOL``; 2: a cost drop of at most
+    ``LSQ_TOL`` of it; 3: a step within ``LSQ_TOL`` of |x|; 0: no convergence in
+    ``max_nfev`` calls of ``fun``.
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    r, j = fun(x), jac(x)
-    cost, nfev, njev, damping, growth, status = 0.5 * (r @ r), 1, 1, 1e-3, 2.0, 0
+    r, j = fun(x)
+    cost, nfev, damping, growth, status = 0.5 * (r @ r), 1, 1e-3, 2.0, 0
     while status == 0 and nfev < max_nfev:
         g = j.T @ r
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
@@ -123,17 +123,17 @@ def least_squares(fun, jac, x0, lower, upper, max_nfev: int) -> LeastSquaresResu
         step[free] = -np.linalg.solve(js.T @ js + damping * np.eye(len(norm)), g[free] / norm) / norm
         dx = np.clip(x + step, lower, upper) - x
         predicted = -(g @ dx + 0.5 * np.sum((j @ dx) ** 2))
-        r_new, nfev = fun(x + dx), nfev + 1
+        (r_new, j_new), nfev = fun(x + dx), nfev + 1
         cost_new = 0.5 * (r_new @ r_new)
         short = np.linalg.norm(dx) <= LSQ_TOL * (LSQ_TOL + np.linalg.norm(x))
         if cost_new < cost:
             status = 2 if cost - cost_new <= LSQ_TOL * cost else 3 if short else 0
             gain = (cost - cost_new) / predicted if predicted > 0 else 0.0
-            x, r, cost, j, njev = x + dx, r_new, cost_new, jac(x + dx), njev + 1
+            x, r, cost, j = x + dx, r_new, cost_new, j_new
             damping, growth = damping * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
         else:
             status, damping, growth = (3 if short else 0), damping * growth, 2 * growth
-    return LeastSquaresResult(x, float(cost), j, nfev, njev, status)
+    return LeastSquaresResult(x, float(cost), j, nfev, status)
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,25 +162,29 @@ def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise FitError("non-negative least squares did not converge")
 
 
-def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.inf), *,
-                           jac) -> tuple[np.ndarray, np.ndarray]:
-    """Fit ``model(x, params)`` to ``y`` by :func:`least_squares`, given ``jac(x, params)`` = d model / d params.
+def weighted_least_squares(model, x, y, p0, weights=None, bounds=(-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
+    """Fit ``model(x, params)`` to ``y`` by :func:`least_squares`; ``model`` returns its values and d values / d params.
 
     ``weights`` multiply squared residuals (w = 1/sigma^2 for Gaussian
     errors).  ``bounds`` is a (lower, upper) box; the default leaves the
     fit unbounded.  Returns (params, covariance) with the covariance scaled
-    by the reduced chi-square, as in textbook curve fitting.  A fit that
-    needs more than ``MAX_MODEL_CALLS`` calls of ``model`` and ``jac`` raises.
+    by the reduced chi-square, as in textbook curve fitting.  A fit with
+    fewer points than parameters raises before the first model call, and
+    one that needs more than ``MAX_MODEL_CALLS`` calls of ``model`` raises.
     """
     x, y, p0 = (np.asarray(v, dtype=float) for v in (x, y, p0))
-    sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-    res = least_squares(lambda p: sw * (model(x, p) - y), lambda p: sw[:, None] * jac(x, p), p0, *bounds,
-                        max_nfev=MAX_MODEL_CALLS // 2)  # a jac call may follow each model call
-    if res.status == 0:
-        raise FitError(f"least squares did not converge in {res.nfev} model calls")
     dof = len(y) - len(p0)
     if dof <= 0:
         raise FitError("fewer data points than parameters")
+    sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+
+    def residual(p):
+        values, jac = model(x, p)
+        return sw * (values - y), sw[:, None] * jac
+
+    res = least_squares(residual, p0, *bounds, max_nfev=MAX_MODEL_CALLS)
+    if res.status == 0:
+        raise FitError(f"least squares did not converge in {res.nfev} model calls")
     try:
         return res.x, np.linalg.inv(res.jac.T @ res.jac) * 2.0 * res.cost / dof
     except np.linalg.LinAlgError as exc:

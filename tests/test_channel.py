@@ -321,7 +321,7 @@ def test_fit_not_above_de_oracle():
     assert res.objectives[HOM] == pytest.approx(
         objective([best.a_plus, best.a_minus, best.l_plus, best.l_minus]), rel=0, abs=1e-15)
     assert res.status[HOM] > 0
-    assert 0 < res.nfev[HOM] < 2 * 60
+    assert 0 < res.nfev[HOM] <= 60
     de = stats.differential_evolution(objective, SMOKE_BOUNDS, budget=60, seed=1)
     assert res.objectives[HOM] <= de.fun + 1e-12
 
@@ -330,8 +330,8 @@ def test_fit_is_one_solve_per_angle_from_the_clipped_rates(monkeypatch):
     calls = []
     real = stats.least_squares
 
-    def recorder(fun, jac, x0, *args, **kwargs):
-        calls.append((np.array(x0), real(fun, jac, x0, *args, **kwargs)))
+    def recorder(fun, x0, *args, **kwargs):
+        calls.append((np.array(x0), real(fun, x0, *args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(stats, "least_squares", recorder)
@@ -345,7 +345,26 @@ def test_fit_is_one_solve_per_angle_from_the_clipped_rates(monkeypatch):
         best = res.per_theta[theta]
         assert [best.a_plus, best.a_minus, best.l_plus, best.l_minus] == list(solve.x)
         assert res.objectives[theta] == solve.cost
-        assert res.nfev[theta] == solve.nfev + solve.njev
+        assert res.nfev[theta] == solve.nfev
+
+
+def test_fit_is_one_noise_pass_per_solver_evaluation(monkeypatch):
+    src, tab = _smoke_problem(4000)
+    forward, solve, passes, evaluations = channel._noise_forward, stats.least_squares, [], []
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return forward(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        evaluations.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(channel, "_noise_forward", counting)
+    monkeypatch.setattr(stats, "least_squares", recording)
+    res = channel.fit(SMOKE_TRUTH, {HOM: tab, 0.0: tab}, src, bounds=SMOKE_BOUNDS)
+    assert len(passes) == sum(evaluations) == sum(res.nfev.values())
 
 
 # Differential evolution's optimum (stats.differential_evolution, budget 200,
@@ -395,16 +414,16 @@ def _default_residual(source, theta, tab):
 @pytest.mark.parametrize("table", GATE_DE_RATES)
 def test_fit_not_above_de_on_the_gate_tables(default_source, gate_tables, table):
     res = channel.fit(REF, {HOM: gate_tables[table]}, default_source)
-    residual, _ = _default_residual(default_source, HOM, gate_tables[table])
-    de_cost = 0.5 * np.sum(residual(np.array(GATE_DE_RATES[table])) ** 2)
+    residual = _default_residual(default_source, HOM, gate_tables[table])
+    de_cost = 0.5 * np.sum(residual(np.array(GATE_DE_RATES[table]))[0] ** 2)
     assert res.status[HOM] > 0
     assert res.objectives[HOM] <= de_cost
 
 
 def test_gate_rates_are_the_de_optimum(default_source, gate_tables):
     # recomputed for the table where the fit sits closest to it (9e-13 below)
-    residual, _ = _default_residual(default_source, HOM, gate_tables[1])
-    de = stats.differential_evolution(lambda x: 0.5 * np.sum(residual(x) ** 2), DEFAULT_FIT_BOUNDS, budget=200, seed=0)
+    residual = _default_residual(default_source, HOM, gate_tables[1])
+    de = stats.differential_evolution(lambda x: 0.5 * np.sum(residual(x)[0] ** 2), DEFAULT_FIT_BOUNDS, budget=200, seed=0)
     np.testing.assert_allclose(de.x, GATE_DE_RATES[1], rtol=1e-6, atol=1e-12)
     assert channel.fit(REF, {HOM: gate_tables[1]}, default_source).objectives[HOM] <= de.fun
 
@@ -416,9 +435,11 @@ def test_fit_cost_not_above_scipy_trf(default_source, seed):
     for theta in (*metrology.SMALL_ROTATION_ANGLES, HOM, math.pi):
         tab = metrology.ShotTable.sample(channel.predict(default_source, theta, REF), 3816, seed=seed, theta=theta)
         res = channel.fit(REF, {theta: tab}, default_source)
-        residual, jacobian = _default_residual(default_source, theta, tab)
+        residual = _default_residual(default_source, theta, tab)
         x0 = [REF.a_plus, REF.a_minus, REF.l_plus, REF.l_minus]
-        trf = least_squares(residual, x0, jac=jacobian, bounds=np.array(DEFAULT_FIT_BOUNDS).T, method="trf", max_nfev=200)
+        # scipy takes the residual and its Jacobian as two functions
+        trf = least_squares(lambda x: residual(x)[0], x0, jac=lambda x: residual(x)[1],
+                            bounds=np.array(DEFAULT_FIT_BOUNDS).T, method="trf", max_nfev=200)
         assert trf.success
         assert res.objectives[theta] <= trf.cost * (1 + 1e-9), theta
 
@@ -434,9 +455,13 @@ def test_noise_jacobian_matches_finite_differences(x):
     # the rates can only grow and the differences are one-sided
     src, tab = _smoke_problem(4000)
     emp = channel.empirical_grid(tab.n_plus, tab.n_minus, src.n_max).grid
-    residual, jacobian = channel._hellinger_residual(channel.apply_rotation(src, HOM).grid, emp, SMOKE_TRUTH)
+    fun = channel._hellinger_residual(channel.apply_rotation(src, HOM).grid, emp, SMOKE_TRUTH)
+
+    def residual(x):
+        return fun(x)[0]
+
     x = np.array(x)
-    jac = jacobian(x)
+    jac = fun(x)[1]
     assert jac.shape == (emp.size, 4)
     h = 1e-6
     for i in range(4):

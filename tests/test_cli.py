@@ -374,6 +374,7 @@ def test_calibrate_error_names_the_mode(runner, tmp_path, mode, stage, message):
     res = invoke(runner, ["--out", tmp_path / "cal", "calibrate", csv_path])
     assert res.exit_code == 2, res.output
     assert f"mode {mode}" in res.output and message in res.output, res.output
+    assert not (tmp_path / "cal").exists()  # a plus-mode failure leaves no minus tables behind
 
 
 # ---------------------------------------------------------------- invalid input
@@ -463,6 +464,7 @@ def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
     res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert message in res.output
+    assert not (tmp_path / "o").exists()  # rejected before the output directory is made
 
 
 @pytest.mark.parametrize("key, value", [

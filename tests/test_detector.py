@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import oracles
-from homsim import cli, detector, metrology
+from homsim import cli, detector, metrology, stats
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
 CAL_P = detector.DEFAULT_CALIBRATION_PLUS
@@ -263,7 +263,7 @@ def test_comb_jacobian_matches_finite_differences(flat_signals, at_bound):
     def comb(pp):
         return detector._projected_comb(pp, x, y, weights, CAL_M.sigma(n_max_fit))[0]
 
-    values, _, jac = detector._projected_comb(p, x, y, weights, CAL_M.sigma(n_max_fit), jac=True)
+    values, jac, _ = detector._projected_comb(p, x, y, weights, CAL_M.sigma(n_max_fit))
     assert jac.shape == (len(x), len(p))
     np.testing.assert_array_equal(values, comb(p))
     for i in range(len(p)):
@@ -275,6 +275,26 @@ def test_comb_jacobian_matches_finite_differences(flat_signals, at_bound):
             slope = (comb(p + step) - comb(p - step)) / (2 * h)
         # the differences' own error is up to 2e-7 of the column here
         assert np.abs(jac[:, i] - slope).max() <= 1e-6 * np.abs(jac[:, i]).max(), i
+
+
+def test_histogram_fit_is_one_comb_pass_per_solver_evaluation(flat_signals, monkeypatch):
+    _, table = flat_signals
+    comb, solve, passes, evaluations = detector._projected_comb, stats.least_squares, [], []
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return comb(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        evaluations.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(detector, "_projected_comb", counting)
+    monkeypatch.setattr(stats, "least_squares", recording)
+    detector.fit_histogram(table.s_minus)
+    assert len(evaluations) == 3  # the fit alternates with the noise law three times
+    assert len(passes) == sum(evaluations) + 1  # and one more pass gives the final heights
 
 
 def test_peak_shapes_times_heights_is_the_comb_summed_peak_by_peak(fitted_minus):

@@ -94,22 +94,18 @@ def test_depth_confidence_cases():
         stats.depth_confidence([])
 
 
-def line_jac(xx, p):
-    return np.stack([xx, np.ones_like(xx)], axis=1)
+def line(xx, p):
+    return p[0] * xx + p[1], np.stack([xx, np.ones_like(xx)], axis=1)
 
 
-def slope_jac(xx, p):
-    return xx[:, None]
+def slope(xx, p):
+    return p[0] * xx, xx[:, None]
 
 
 def test_wls_exact_line_recovery():
     x = np.linspace(0, 5, 9)
     y = 2.5 * x - 1.0
-
-    def line(xx, p):
-        return p[0] * xx + p[1]
-
-    p, cov = stats.weighted_least_squares(line, x, y, [1.0, 0.0], jac=line_jac)
+    p, cov = stats.weighted_least_squares(line, x, y, [1.0, 0.0])
     np.testing.assert_allclose(p, [2.5, -1.0], atol=1e-10)
     # perfect data: scaled covariance collapses
     assert np.all(np.diag(cov) < 1e-18)
@@ -118,42 +114,38 @@ def test_wls_exact_line_recovery():
 def test_wls_weights_change_the_answer():
     x = np.array([0.0, 1.0, 2.0])
     y = np.array([0.0, 1.0, 4.0])
-
-    def line(xx, p):
-        return p[0] * xx
-
-    p_flat, _ = stats.weighted_least_squares(line, x, y, [1.0], jac=slope_jac)
+    p_flat, _ = stats.weighted_least_squares(slope, x, y, [1.0])
     w = np.array([1.0, 100.0, 0.01])
-    p_w, _ = stats.weighted_least_squares(line, x, y, [1.0], weights=w, jac=slope_jac)
+    p_w, _ = stats.weighted_least_squares(slope, x, y, [1.0], weights=w)
     assert p_w[0] < p_flat[0]  # heavy weight on the (1, 1) point pulls the slope down
     assert p_w[0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_wls_dof_and_convergence_guards():
-    def line(xx, p):
-        return p[0] * xx + p[1]
+    calls = []
 
-    with pytest.raises(stats.FitError):
-        stats.weighted_least_squares(line, [1.0, 2.0], [1.0, 2.0], [1.0, 0.0], jac=line_jac)
+    def counted(xx, p):
+        calls.append(1)
+        return line(xx, p)
+
+    # as many points as parameters: rejected before the first model call
+    with pytest.raises(stats.FitError, match="fewer data points than parameters"):
+        stats.weighted_least_squares(counted, [1.0, 2.0], [1.0, 2.0], [1.0, 0.0])
+    assert calls == []
 
     # a flat model in one parameter leaves the normal matrix singular, which
     # surfaces either as a convergence failure or a degenerate covariance
     def degenerate(xx, p):
-        return p[0] * xx + 0.0 * p[1]
+        return p[0] * xx + 0.0 * p[1], np.stack([xx, 0.0 * xx], axis=1)
 
     with pytest.raises(stats.FitError):
-        stats.weighted_least_squares(degenerate, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.1], [1.0, 0.5],
-                                     jac=lambda xx, p: np.stack([xx, 0.0 * xx], axis=1))
+        stats.weighted_least_squares(degenerate, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.1], [1.0, 0.5])
 
 
 def test_wls_bounds_are_honored():
     x = np.linspace(0, 4, 12)
     y = 3.0 * x
-
-    def line(xx, p):
-        return p[0] * xx
-
-    p, _ = stats.weighted_least_squares(line, x, y, [1.5], bounds=([0.0], [2.0]), jac=slope_jac)
+    p, _ = stats.weighted_least_squares(slope, x, y, [1.5], bounds=([0.0], [2.0]))
     assert p[0] == pytest.approx(2.0, abs=1e-8)  # clipped at the box edge
 
 
@@ -167,20 +159,16 @@ def test_wls_model_calls_stay_within_the_cap(monkeypatch):
 
     def model(xx, p):
         calls.append(1)
-        return p[0] * np.exp(-p[1] * xx) + p[2] * np.exp(-p[3] * xx)
-
-    def jac(xx, p):
-        calls.append(1)
         e1, e3 = np.exp(-p[1] * xx), np.exp(-p[3] * xx)
-        return np.stack([e1, -p[0] * xx * e1, e3, -p[2] * xx * e3], axis=1)
+        return p[0] * e1 + p[2] * e3, np.stack([e1, -p[0] * xx * e1, e3, -p[2] * xx * e3], axis=1)
 
-    stats.weighted_least_squares(model, x, y, p0, jac=jac)
+    stats.weighted_least_squares(model, x, y, p0)
     cap = len(calls) // 2
     monkeypatch.setattr(stats, "MAX_MODEL_CALLS", cap)
     calls.clear()
     with pytest.raises(stats.FitError, match="did not converge"):
-        stats.weighted_least_squares(model, x, y, p0, jac=jac)
-    assert len(calls) <= cap  # the Jacobian's calls count against the cap too
+        stats.weighted_least_squares(model, x, y, p0)
+    assert len(calls) <= cap
 
 
 def test_wls_covariance_scale_matches_direct_formula():
@@ -191,10 +179,10 @@ def test_wls_covariance_scale_matches_direct_formula():
     y = 1.0 + 2.0 * x + rng.normal(0, 0.1, len(x))
     w = np.full(len(x), 25.0)
 
-    def line(xx, p):
-        return p[0] + p[1] * xx
+    def offset_line(xx, p):
+        return p[0] + p[1] * xx, np.stack([np.ones_like(xx), xx], axis=1)
 
-    p, cov = stats.weighted_least_squares(line, x, y, [0.0, 0.0], weights=w, jac=lambda xx, p: line_jac(xx, p)[:, ::-1])
+    p, cov = stats.weighted_least_squares(offset_line, x, y, [0.0, 0.0], weights=w)
     a = np.stack([np.ones_like(x), x], axis=1)
     aw = a * w[:, None]
     cov_direct = np.linalg.inv(a.T @ aw)
