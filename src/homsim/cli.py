@@ -54,6 +54,10 @@ class RunConfig:
             raise ValueError("shots_per_angle must be positive")
         if any(not 0 <= a <= math.pi for a in self.angles):
             raise ValueError("angles must lie in [0, pi]")
+        keys = [f"{a:.6f}" for a in self.angles]  # each names one shot table
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"angles {self.angles[keys.index(key)]!r} and {self.angles[i]!r} share the key {key}")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
 

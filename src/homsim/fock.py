@@ -1,4 +1,4 @@
-"""Exact two-mode Fock states, squeezed-vacuum sources, and rotation kernels.
+"""Exact two-mode Fock states, squeezed-vacuum sources, and the rotation kernel.
 
 The two side modes are labelled ``+`` and ``-``.  Joint statistics live on an
 ``(n_max+1) x (n_max+1)`` probability grid indexed ``[n_plus, n_minus]``; the
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,41 +155,35 @@ def tmsv_distribution(source: SqueezedSource, n_max: int) -> TwoModeDistribution
     return TwoModeDistribution(grid=grid, n_max=n_max, tail_mass=float(tail))
 
 
-def _kernel(n_total: int, theta: float) -> np.ndarray:
-    """|<Jz_out| exp(-i theta Jx) |Jz_in>|^2 for collective spin j = N/2.
-
-    Jx is real symmetric tridiagonal in the Jz basis, so the propagator comes
-    from one eigen-decomposition; the matrix of squared magnitudes is
-    symmetric and doubly stochastic.  Valid for odd N as well (half-integer
-    j), which the noise pipeline needs.
-    """
+@lru_cache(maxsize=None)
+def _eigensystem(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues w and eigenvectors V of Jx for spin j = N/2, in the Jz basis."""
     j = n_total / 2.0
     m = np.arange(n_total + 1) - j
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    u = (v * np.exp(-1j * theta * w)) @ v.T
-    k = np.abs(u) ** 2
-    np.clip(k, 0.0, 1.0, out=k)
-    return k
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
-def rotation_kernel(n_total: int, theta: float) -> np.ndarray:
-    """Row-stochastic (N+1)x(N+1) matrix p(Jz_out | Jz_in) for a theta pulse.
+def _kernel(n_total: int, theta: float) -> np.ndarray:
+    """|<Jz_out| exp(-i theta Jx) |Jz_in>|^2 for collective spin j = N/2.
 
-    Row/column index k corresponds to Jz = k - N/2.  The Jz_in = 0 row at
-    theta = pi/2 is the discrete arcsine distribution of perfectly
-    interfering twin input beams; see :func:`holland_burnett`.
+    Row/column index k is Jz = k - N/2.  The propagator V e^{-i theta w} V^T
+    comes from the eigensystem of Jx, computed once per N for every angle;
+    the matrix of squared magnitudes is symmetric and doubly stochastic.
+    Valid for odd N as well (half-integer j), which the noise pipeline needs.
     """
-    if n_total % 2 != 0:
-        raise DomainError("rotation_kernel requires an even total atom number")
-    if n_total < 0 or not 0.0 <= theta <= np.pi:
-        raise DomainError("need n_total >= 0 and theta in [0, pi]")
-    return _kernel(n_total, float(theta))
+    w, v = _eigensystem(n_total)
+    u = (v * np.exp(-1j * theta * w)) @ v.T
+    return np.clip(np.abs(u) ** 2, 0.0, 1.0)
 
 
 def twin_fock_output(n_total: int, theta: float) -> FixedNDistribution:
-    """Exact output distribution of a twin input after a theta pulse (Jz_in = 0)."""
-    row = rotation_kernel(n_total, theta)[n_total // 2]
+    """Exact output of a twin input (Jz_in = 0) after a theta pulse: at pi/2, :func:`holland_burnett`."""
+    if n_total % 2 != 0 or n_total < 0 or not 0.0 <= theta <= np.pi:
+        raise DomainError("twin_fock_output needs an even total atom number >= 0 and theta in [0, pi]")
+    row = _kernel(n_total, float(theta))[n_total // 2]
     return FixedNDistribution(n_total=n_total, probs=row / row.sum())
 
 

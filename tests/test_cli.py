@@ -494,6 +494,20 @@ def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
     assert not (tmp_path / "o" / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("angles, pair", [
+    ([0.0, 0.1, 0.1000001, 0.2, HOM], "0.1 and 0.1000001"),
+    ([0.0, 0.2, HOM, 0.2], "0.2 and 0.2"),  # an exact duplicate too
+])
+def test_angles_sharing_a_shot_table_name_exit_2(runner, tmp_path, angles, pair):
+    # shots_theta{angle:.6f}.csv would hold only the last of them, and analyze could not tell them apart
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"angles": angles}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert f"angles {pair} share" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64 - 1])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --dataset"])
 def test_seed_outside_the_philox_key_range_exits_2(runner, tmp_path, simulated, command, seed):

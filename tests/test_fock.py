@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim import fock
+from homsim import channel, cli, fock
 
 import oracles
 
@@ -52,7 +52,7 @@ def test_tmsv_jitter_matches_dense_average():
 @pytest.mark.parametrize("n_total", range(2, 17, 2))
 @pytest.mark.parametrize("theta", [0.1, 0.321, math.pi / 4, math.pi / 2, math.pi])
 def test_rotation_kernel_matches_factorial_route(n_total, theta):
-    ours = fock.rotation_kernel(n_total, theta)
+    ours = fock._kernel(n_total, theta)
     ref = oracles.kernel_factorial(n_total, theta)
     assert np.abs(ours - ref).max() < 1e-10
 
@@ -72,23 +72,56 @@ def test_kernel_matches_factorial_route_for_every_total(totals, bound):
 
 
 def test_rotation_kernel_is_doubly_stochastic():
-    k = fock.rotation_kernel(10, 0.7)
+    k = fock._kernel(10, 0.7)
     np.testing.assert_allclose(k.sum(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-12)
     assert k.min() >= 0.0
 
 
 def test_rotation_kernel_identity_at_zero():
-    np.testing.assert_allclose(fock.rotation_kernel(6, 0.0), np.eye(7), atol=1e-14)
+    np.testing.assert_allclose(fock._kernel(6, 0.0), np.eye(7), atol=1e-14)
 
 
 def test_rotation_kernel_domain_checks():
     with pytest.raises(fock.DomainError):
-        fock.rotation_kernel(5, 0.1)
+        fock.twin_fock_output(5, 0.1)
     with pytest.raises(fock.DomainError):
-        fock.rotation_kernel(4, -0.1)
+        fock.twin_fock_output(4, -0.1)
     with pytest.raises(fock.DomainError):
-        fock.rotation_kernel(4, 3.2)
+        fock.twin_fock_output(4, 3.2)
+
+
+def counted_eigh(monkeypatch) -> list:
+    """Empty the eigensystem cache; the returned list then gets the size of every matrix np.linalg.eigh is given."""
+    fock._eigensystem.cache_clear()
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: sizes.append(len(a)) or eigh(a, *args, **kwargs))
+    return sizes
+
+
+def test_rotation_diagonalizes_once_per_populated_total(monkeypatch):
+    sizes = counted_eigh(monkeypatch)
+    cfg = cli.RunConfig()
+    source = fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
+    for theta in (0.0, 0.2, math.pi / 2):
+        channel.apply_rotation(source, theta)
+    assert sorted(sizes) == list(range(1, 2 * cfg.n_max + 2, 2))  # N = 0, 2, ..., 40, one eigh each
+
+
+def test_twin_fock_output_diagonalizes_once_per_total(monkeypatch):
+    sizes = counted_eigh(monkeypatch)
+    for n_total in range(2, 13, 2):
+        for theta in np.linspace(0.0, math.pi, 5):
+            fock.twin_fock_output(n_total, theta)
+    assert sorted(sizes) == [3, 5, 7, 9, 11, 13]
+
+
+def test_cached_eigensystem_is_read_only():
+    w, v = fock._eigensystem(6)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n_total", range(2, 17, 2))
@@ -160,7 +193,7 @@ def test_distribution_validation_catches_bad_grids():
     theta=st.floats(min_value=0.0, max_value=math.pi, allow_nan=False),
 )
 def test_kernel_rows_are_distributions(n_total, theta):
-    k = fock.rotation_kernel(n_total, theta)
+    k = fock._kernel(n_total, theta)
     assert np.all(k >= 0)
     np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-10)
 
