@@ -12,8 +12,9 @@ occupation half-difference Jz.  Modules:
 - entanglement: witnesses, depth criteria, and the spin variance boundary
 - stats: resampling, asymmetric errors, and shared fit/optimizer wrappers
 - cli: the batch pipeline (simulate | calibrate | analyze | fisher | depth | witness)
+
+Importing the package loads none of them, so the CLI starts without numpy;
+``from homsim import fock`` or ``import homsim.fock`` loads one.
 """
 
 __version__ = "0.1.0"
-
-from . import channel, detector, entanglement, fock, metrology, stats  # noqa: F401

@@ -15,16 +15,23 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import channel, detector, entanglement, fock, metrology, stats
+if TYPE_CHECKING:  # --help loads no numerics: each function imports what it runs
+    import numpy as np
+    from . import channel, fock, metrology
 
 # pair amplitude giving 7.5 atoms on average across both side modes
 DEFAULT_XI = math.asinh(math.sqrt(7.5 / 2.0))
 
 HOM_ANGLE = math.pi / 2.0
+
+
+def _default_angles() -> list:
+    from .metrology import SMALL_ROTATION_ANGLES
+    return list(SMALL_ROTATION_ANGLES) + [HOM_ANGLE]
 
 
 @dataclass
@@ -34,7 +41,7 @@ class RunConfig:
     xi: float = DEFAULT_XI
     xi_jitter: float = 0.0
     n_max: int = 20
-    angles: list = field(default_factory=lambda: list(metrology.SMALL_ROTATION_ANGLES) + [HOM_ANGLE])
+    angles: list = field(default_factory=_default_angles)
     shots_per_angle: int = 3816
     n_values: list = field(default_factory=lambda: [2, 4, 6, 8, 10, 12])
     noise: str | dict | None = "reference"
@@ -44,12 +51,16 @@ class RunConfig:
     exclude_beyond_node: bool = True
 
     def __post_init__(self):
+        from .metrology import is_number
         for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
             values = v if name in ("n_values", "angles") else [v]
-            if not all(metrology.is_number(k) and isinstance(k, (int, kind)) for k in values):
+            if not all(is_number(k) and isinstance(k, (int, kind)) for k in values):
                 raise ValueError(f"{name} must hold {'integers' if kind is int else 'numbers'}, not {v!r}")
+        for name in ("quartic", "exclude_beyond_node"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
         if any(not 0 <= a <= math.pi for a in self.angles):
@@ -62,6 +73,7 @@ class RunConfig:
             raise ValueError("n_max must be positive")
 
     def noise_params(self) -> channel.NoiseModelParams | None:
+        from . import channel
         if self.noise in (None, "none", "off", "ideal"):
             return None
         if self.noise == "reference":
@@ -71,6 +83,7 @@ class RunConfig:
         raise ValueError(f"unrecognized noise setting: {self.noise!r}")
 
     def source(self) -> fock.SqueezedSource:
+        from . import fock
         return fock.SqueezedSource(xi=self.xi, xi_jitter=self.xi_jitter)
 
     def canonical(self) -> dict:
@@ -109,6 +122,7 @@ class RunConfig:
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        from . import detector, stats
         try:
             return fn(*args, **kwargs)
         except (ValueError, detector.CalibrationError, OSError, KeyError) as exc:
@@ -150,10 +164,12 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 
 def _angle_seed(seed: int, index: int) -> int:
+    import numpy as np
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
+    from . import channel, fock
     src = fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
     params = cfg.noise_params()
     if params is None:
@@ -166,6 +182,7 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
 @_guarded
 def simulate(obj):
     """Sample per-angle shot tables from the modelled channel."""
+    from . import metrology
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     params = cfg.noise_params()  # a malformed noise config raises before anything is written
     files, tails = {}, {}
@@ -195,6 +212,7 @@ def simulate(obj):
 @_guarded
 def calibrate(obj, signals_csv):
     """Run the signal-correction chain on each side mode and fit its detector calibration."""
+    from . import detector, metrology
     out = obj["out"]
     raw = detector.SignalTable.from_csv(signals_csv)
     report = {"command": "calibrate", "crosstalk": {}, "modes": {}}
@@ -223,6 +241,7 @@ def calibrate(obj, signals_csv):
 
 
 def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
+    from . import metrology
     meta_path = dataset_dir / "metadata.json"
     if not meta_path.exists():
         raise ValueError(f"no metadata.json in {dataset_dir}")
@@ -250,6 +269,8 @@ def _find_angle(tables, target, tol=1e-6):
 @_guarded
 def analyze(obj, dataset_dir):
     """Per-N state quality, squeezing, witnesses, and depth from a dataset."""
+    import numpy as np
+    from . import entanglement, fock, metrology, stats
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     tables = _load_dataset(Path(dataset_dir))
     zero_key = _find_angle(tables, 0.0)
@@ -340,6 +361,7 @@ def analyze(obj, dataset_dir):
 @_guarded
 def fisher(obj, exact, dataset_dir):
     """Statistical-distance Fisher information and its N-scaling."""
+    from . import fock, metrology, stats
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     if (exact is None) == (dataset_dir is None):
         raise ValueError("choose exactly one of --exact or --dataset")
@@ -382,6 +404,7 @@ def fisher(obj, exact, dataset_dir):
 
 def _load_rows(path: Path):
     """Rows and optional weights of a ``{"rows": [...], "weights": [...]}`` file."""
+    from . import entanglement, metrology
     payload = json.loads(Path(path).read_text())
     if not (isinstance(payload, dict) and isinstance(payload.get("rows"), list)):
         raise ValueError(f"{path}: expected an object with a list under \"rows\"")
@@ -397,6 +420,7 @@ def _load_rows(path: Path):
 @_guarded
 def depth(obj, rows_json):
     """Point-estimate entanglement depth for stored collective-moment rows."""
+    from . import entanglement, metrology
     out = obj["out"]
     rows, _ = _load_rows(Path(rows_json))
     results = []
@@ -419,6 +443,7 @@ def depth(obj, rows_json):
 @_guarded
 def witness(obj, rows_json):
     """Entanglement witnesses for stored collective-moment rows."""
+    from . import entanglement
     out = obj["out"]
     rows, weights = _load_rows(Path(rows_json))
     total = entanglement.witness_indefinite_n(rows, weights=weights)

@@ -186,6 +186,29 @@ def _peaks(x: np.ndarray, distance: int) -> tuple[np.ndarray, np.ndarray]:
     return peaks, prominence
 
 
+def _order_stats(values: np.ndarray, percents=None) -> np.ndarray:
+    """np.percentile(values, percents), or np.median(values) as a 1-element array, bit for bit.
+
+    Both partition at numpy's points, so NaN (any NaN gives NaN) and the sign
+    of a zero agree too, without the numpy.ma import numpy's two make.
+    """
+    n = len(values)
+    if percents is None:  # the middle two summed from +0.0, as np.mean sums
+        lo, hi, kth = [(n - 1) // 2], [n // 2], {-1}
+    else:  # linear; from v = n - 1 on numpy takes index -1 with weight v + 1
+        v = (n - 1) * (np.asarray(percents, dtype=float) / 100)
+        lo = np.where(v >= n - 1, -1, np.floor(v)).astype(int)
+        hi, kth = np.where(lo < 0, -1, lo + 1), {0, -1}
+    part = np.partition(np.asarray(values, dtype=float), sorted(kth.union(lo, hi)))
+    a, b = part[lo], part[hi]
+    if percents is None:
+        out = (0.0 + a + b) / 2
+    else:
+        t = v - lo
+        out = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return np.where(np.isnan(part[-1]), np.nan, out)
+
+
 def _coarse_scale(values: np.ndarray) -> tuple[float, float]:
     """First-pass (g, b): peak spacing and zero-peak location of the histogram.
 
@@ -194,7 +217,7 @@ def _coarse_scale(values: np.ndarray) -> tuple[float, float]:
     top of a broad cluster never register as structure.  The median spacing
     of the survivors estimates g; the lowest-signal survivor estimates b.
     """
-    lo, hi = np.percentile(values, [0.1, 99.9])
+    lo, hi = _order_stats(values, [0.1, 99.9])
     span = hi - lo
     if span <= 0:
         raise CalibrationError("signal histogram has no spread")
@@ -208,7 +231,7 @@ def _coarse_scale(values: np.ndarray) -> tuple[float, float]:
     peaks = peaks[prominence >= floor]
     if len(peaks) < 2:
         raise CalibrationError("histogram does not resolve at least two peaks")
-    g0 = float(np.median(np.diff(peaks)) * binw)
+    g0 = float(_order_stats(np.diff(peaks))[0] * binw)
     b0 = float(centers[peaks[0]])
     if g0 <= 0:
         raise CalibrationError("non-positive coarse peak spacing")
@@ -288,7 +311,7 @@ def correct_drift(s: np.ndarray) -> tuple[np.ndarray, DriftCorrection]:
         centers.append(clipped.mean())
         errs.append(clipped.std(ddof=1) / math.sqrt(len(clipped)) if len(clipped) > 1 else 0.0)
     centers = np.array(centers)
-    corrections = centers - np.median(centers)
+    corrections = centers - _order_stats(centers)[0]
     return s - np.repeat(corrections, DRIFT_WINDOW)[: len(s)], DriftCorrection(
         starts=starts, centers=centers, corrections=corrections, center_stderr=np.array(errs))
 

@@ -112,7 +112,6 @@ def parity_witness_xyz(data: CollectiveData) -> WitnessResult:
 # minimal-variance boundary of spin-j states
 
 
-_STACK_ENTRIES = 1 << 16  # array entries per envelope chunk (512 KB)
 BOUNDARY_TABLE = Path(__file__).with_name("boundary_lines.npy")
 
 
@@ -130,13 +129,34 @@ def _boundary_lines(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(table[0], 1e9), np.append(table[two_j], 0.5 - 1e9)
 
 
+@lru_cache(maxsize=None)
+def _envelope(two_j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Indices of the lines ever on top, the x where each takes over, and a window width.
+
+    A line taking over from the one before at or past where the next takes
+    over from it is never on top; such lines go until the takeovers increase
+    (260 of 513 stay at 2j = 1, all above).  A window spans a top line's
+    neighbours and the hidden lines between, which round above both where
+    many lines meet (near x = 1 at 2j = 1).
+    """
+    slopes, offsets = _boundary_lines(two_j)
+    top = np.arange(len(slopes))
+    while True:
+        takeover = (offsets[top[:-1]] - offsets[top[1:]]) / (slopes[top[1:]] - slopes[top[:-1]])
+        hidden = np.flatnonzero(takeover[1:] <= takeover[:-1]) + 1
+        if not len(hidden):
+            return top, takeover, int(np.max(top[2:] - top[:-2])) + 1
+        top = np.delete(top, hidden)
+
+
 def sm_boundary(j: float, x):
     """Minimal Var(J_z)/j over spin-j states with <J_x>/j = x, elementwise in x.
 
     Convex, zero at x = 0, one half at x = 1.  Evaluated as the upper
     envelope of tabulated supporting lines with exact offsets (:func:`_boundary_lines`),
-    in row chunks so that memory stays flat in the size of ``x``.  A scalar
-    ``x`` gives a float.
+    as the max over the window of lines around the one on top at each x
+    (:func:`_envelope`; three lines, 252 at 2j = 1); it equals the max over
+    all lines bit for bit.  A scalar ``x`` gives a float.
     """
     two_j = int(round(2 * j))
     if two_j < 1 or abs(2 * j - two_j) > 1e-12:
@@ -147,12 +167,11 @@ def sm_boundary(j: float, x):
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("normalized mean spin must lie in [0, 1]")
     slopes, offsets = _boundary_lines(two_j)
+    top, takeover, window = _envelope(two_j)
     flat = x.ravel()
-    out = np.empty(len(flat))
-    chunk = max(1, _STACK_ENTRIES // len(slopes))
-    for s in range(0, len(flat), chunk):
-        out[s:s + chunk] = np.max(offsets + slopes * flat[s:s + chunk, None], axis=1)
-    out = np.maximum(out, 0.0).reshape(x.shape)
+    first = top[np.maximum(np.searchsorted(takeover, flat) - 1, 0)]
+    rows = np.minimum(first[:, None] + np.arange(window), len(slopes) - 1)
+    out = np.maximum(np.max(offsets[rows] + slopes[rows] * flat[:, None], axis=1), 0.0).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 

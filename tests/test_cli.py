@@ -494,6 +494,18 @@ def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
     assert not (tmp_path / "o" / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("key", ["quartic", "exclude_beyond_node"])
+@pytest.mark.parametrize("text", ['{"KEY": "false"}', '{"KEY": 1}', '{"KEY": null}', "KEY = False"])
+def test_switch_that_is_not_a_boolean_exits_2(runner, tmp_path, key, text):
+    # a truthy string or number used to switch the fit on and be recorded in fisher.json as given
+    config = tmp_path / "config.cfg"
+    config.write_text(text.replace("KEY", key))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "fisher", "--exact", "ideal"])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be true or false" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("angles, pair", [
     ([0.0, 0.1, 0.1000001, 0.2, HOM], "0.1 and 0.1000001"),
     ([0.0, 0.2, HOM, 0.2], "0.2 and 0.2"),  # an exact duplicate too

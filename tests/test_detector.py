@@ -167,6 +167,29 @@ def test_drift_correction_reports_empty_window():
         detector.correct_drift(table.s_minus)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 66, 67, 400, 401])
+def test_order_stats_equal_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    percents = [0.1, 99.9, 0.0, 25.0, 50.0, 100.0, *rng.uniform(0, 100, 4)]
+    for draw in range(40):
+        x = rng.normal(scale=10.0 ** rng.integers(-2, 4), size=n)
+        if draw % 2:  # ties, and signed zeros among them
+            x = np.round(rng.normal(scale=0.3, size=n), draw % 4 // 2)
+        np.testing.assert_array_equal(bits(detector._order_stats(x, percents)), bits(np.percentile(x, percents)))
+        np.testing.assert_array_equal(bits(detector._order_stats(x)), bits([np.median(x)]))
+    # which zero a partition leaves in the middle depends on every partition point numpy takes
+    zeros = np.array([-0.0, -0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0])
+    np.testing.assert_array_equal(bits(detector._order_stats(zeros, [50.0])), bits(np.percentile(zeros, [50.0])))
+    ints = rng.integers(0, 9, n)  # np.diff of peak indices
+    assert detector._order_stats(ints)[0] == np.median(ints)
+    x[n // 2] = np.nan
+    assert np.isnan(detector._order_stats(x, percents)).all() and np.isnan(detector._order_stats(x)).all()
+
+
 def assert_peaks_match_scipy(counts, distance):
     x = np.convolve(counts, np.ones(3) / 3.0, mode="same")  # as _coarse_scale smooths
     peaks, prominence = detector._peaks(x, distance)

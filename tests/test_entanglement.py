@@ -121,6 +121,23 @@ def test_stored_rows_exact_at_sampled_mu(two_j):
     assert excess.min() >= -1e-9
 
 
+@pytest.mark.parametrize("two_j", range(1, ent.MAX_BOUNDARY_DIM))
+def test_boundary_equals_the_max_over_all_lines_bit_for_bit(two_j):
+    """The envelope window gives the dense max over all 513 lines, at and beside every takeover too.
+
+    At 2j = 1 every line of slope above one meets the others at x = 1, where
+    their rounded values tie; three ulps below it a hidden line wins the max.
+    """
+    slopes, offsets = ent._boundary_lines(two_j)
+    _, takeover, _ = ent._envelope(two_j)
+    brk = takeover[(takeover >= 0.0) & (takeover <= 1.0)]
+    rng = np.random.default_rng(two_j)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 2001), rng.random(1000), 1.0 - np.arange(64) * 2.0**-53,
+                         brk, np.nextafter(brk, 0.0), np.minimum(np.nextafter(brk, 2.0), 1.0)])
+    dense = np.maximum(np.max(offsets + slopes * xs[:, None], axis=1), 0.0)
+    np.testing.assert_array_equal(ent.sm_boundary(two_j / 2.0, xs).view(np.int64), dense.view(np.int64))
+
+
 def test_generator_and_stored_table_agree():
     gen = _script("boundary_table")
     table = np.load(ent.BOUNDARY_TABLE, allow_pickle=False)
@@ -146,6 +163,7 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     ent._boundary_lines.cache_clear()
+    ent._envelope.cache_clear()
     data = ent.CollectiveData(n_total=10, jxjy2=28.55625, var_jz=0.2509)
     assert ent.depth_variance(data).depth == 9
     n, shots = 12, 400
@@ -154,6 +172,7 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     p0[n // 2] += 0.8
     ph = 0.8 * fock.holland_burnett(n).probs + 0.2 * binom
     ent._boundary_lines.cache_clear()
+    ent._envelope.cache_clear()
     pair = (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
             fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
     plan = stats.ResamplePlan(n_samples=100, seed=3)

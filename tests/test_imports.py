@@ -1,7 +1,8 @@
-"""Import hygiene: no command and no library fit loads scipy; only the tests' DE oracle does."""
+"""Import hygiene: the CLI starts without numerics, and no command or library fit loads scipy (only the tests' DE oracle does)."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,32 @@ def scipy_modules_after(code: str, *args) -> list:
     out = subprocess.run([sys.executable, "-c", prog, str(SRC), *map(str, args)],
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()[-1].split()  # the listing is the last line
+
+
+NUMERICS = {f"homsim.{m}" for m in ("channel", "detector", "entanglement", "fock", "metrology", "stats")}
+
+
+def imported_by(*argv) -> set:
+    """Names of the modules a fresh ``python -X importtime ARGV...`` imports, with homsim from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    res = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
+                         capture_output=True, text=True, check=True, env=env)
+    return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [("-c", "import homsim"), ("-c", "import homsim.cli"), ("-m", "homsim.cli", "--help")],
+                         ids=["import-homsim", "import-cli", "help"])
+def test_start_loads_no_numerics(argv):
+    loaded = imported_by(*argv)
+    assert "homsim" in loaded
+    assert sorted(m for m in loaded if m in NUMERICS or m.split(".")[0] in ("numpy", "scipy")) == []
+
+
+def test_calibrate_loads_no_numpy_ma(tmp_path):
+    # np.percentile and np.median import numpy.ma for their NaN check
+    camera_run(1, tmp_path / "signals.csv")
+    assert "numpy.ma" not in imported_by("-m", "homsim.cli", "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv")
+    assert (tmp_path / "cal" / "calibration.json").exists()
 
 
 def test_import_loads_no_scipy():
