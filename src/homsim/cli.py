@@ -2,8 +2,10 @@
 
 Commands are batch-style: read a config plus input files, write CSV tables
 and JSON reports into the output directory.  Every JSON artifact embeds the
-config hash and seed that produced it.  Exit codes: 0 success, 2 invalid
-input or config, 3 fit or optimizer non-convergence.
+config hash and seed that produced it.  ``_guarded`` reads the config when a
+command runs (so ``--help`` needs neither a valid config nor numpy) and is the
+one place that maps failures to exit codes: 0 success, 2 invalid input or
+config, 3 fit or optimizer non-convergence.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class RunConfig:
         for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
+            if name in ("n_values", "angles") and not isinstance(v, list):
+                raise ValueError(f"{name} must be a list of {'integers' if kind is int else 'numbers'}, not {v!r}")
             values = v if name in ("n_values", "angles") else [v]
             if not all(is_number(k) and isinstance(k, (int, kind)) for k in values):
                 raise ValueError(f"{name} must hold {'integers' if kind is int else 'numbers'}, not {v!r}")
@@ -71,6 +75,9 @@ class RunConfig:
                 raise ValueError(f"angles {self.angles[keys.index(key)]!r} and {self.angles[i]!r} share the key {key}")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
+        repeated = sorted({n for n in self.n_values if self.n_values.count(n) > 1})
+        if repeated:
+            raise ValueError(f"n_values repeats {repeated}")
 
     def noise_params(self) -> channel.NoiseModelParams | None:
         from . import channel
@@ -121,11 +128,12 @@ class RunConfig:
 
 def _guarded(fn):
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        from . import detector, stats
+    def wrapper(obj, *args, **kwargs):
+        from . import stats
         try:
-            return fn(*args, **kwargs)
-        except (ValueError, detector.CalibrationError, OSError, KeyError) as exc:
+            obj["cfg"] = RunConfig.from_file(obj["config"]) if obj["config"] else RunConfig()
+            return fn(obj, *args, **kwargs)
+        except (ValueError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except stats.FitError as exc:
@@ -144,12 +152,7 @@ def _guarded(fn):
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):
     """Number-resolved two-mode interference pipeline."""
-    try:
-        cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
-    except (ValueError, OSError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    ctx.obj = {"cfg": cfg, "seed": seed, "out": Path(out_dir)}
+    ctx.obj = {"config": config_path, "seed": seed, "out": Path(out_dir)}
 
 
 def _stamp(ctx_obj, payload: dict) -> dict:

@@ -25,7 +25,7 @@ from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, normal_cdf, sigma_la
 from .metrology import read_csv_columns
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(ValueError):
     """Signal data insufficient or inconsistent for the requested correction."""
 
 

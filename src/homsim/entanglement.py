@@ -79,6 +79,8 @@ class CollectiveData:
         wrong = [k for k, v in values.items() if not (is_number(v) or k == "parity_y" and v is None)]
         if wrong:
             raise ValueError(f"collective-moment row has non-numeric {', '.join(wrong)}: {row}")
+        if not isinstance(values["n_total"], int):
+            raise ValueError(f"collective-moment row has a non-integer n_total: {row}")
         return cls(**values)
 
 
@@ -332,6 +334,8 @@ def witness_indefinite_n(rows, weights=None) -> WitnessResult:
         n = row.n_total
         if n < 2:
             raise ValueError("witness undefined for N < 2")
+        if n in per_n:
+            raise ValueError(f"atom number N = {n} appears in more than one row")
         per_n[n] = row.jz2 / n - row.jxjy2 / (n * (n - 1)) + 0.5 / (n - 1)
-    value = float(np.sum(w * np.array([per_n[r.n_total] for r in rows])))
+    value = float(np.sum(w * np.array(list(per_n.values()))))
     return WitnessResult(value=value, entangled=bool(value < 0.0), per_n=per_n)

@@ -126,6 +126,45 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     assert "unknown config keys" in res.output
 
 
+@pytest.mark.parametrize("text, key", [('{"n_values": 5}', "n_values"), ('{"n_values": null}', "n_values"),
+                                       ("angles = 0.1", "angles")])
+def test_scalar_for_a_list_field_exits_2(runner, tmp_path, text, key):
+    # iterating the scalar used to fail with "'int' object is not iterable", naming no field
+    config = tmp_path / "config.cfg"
+    config.write_text(text)
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be a list" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_atom_number_in_config_exits_2(runner, tmp_path, simulated):
+    # analyze wrote one collective.csv row per entry and split the witness weight between the copies
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**NOISE_OFF, "n_values": [2, 4, 2]}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "analyze", simulated])
+    assert res.exit_code == 2, res.output
+    assert "n_values repeats [2]" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_unreadable_config_exits_2(runner, tmp_path):
+    res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.main.commands))
+def test_help_needs_no_valid_config(runner, tmp_path, command):
+    # the config is read when a command runs, so --help never reads it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("bogus_key = 3\n")
+    res = invoke(runner, ["--config", bad, command, "--help"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith(f"Usage: main {command} ")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -297,6 +336,29 @@ def test_depth_command_frozen_table(runner, workdir, rows_json):
     lines = (out / "depth.csv").read_text().splitlines()
     assert lines[0] == "N,depth_parity,parity_method,depth_variance"
     assert lines[5] == "10,9,parity,8"
+
+
+@pytest.mark.parametrize("n_total", [4.0, 4.5])
+@pytest.mark.parametrize("command", ["depth", "witness"])
+def test_fractional_atom_number_in_rows_exits_2(runner, tmp_path, command, n_total):
+    # 4.0 crashed depth; 4.5 gave depth a wrong message and witness a term keyed "4.5"
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": [{**TABLE_ROWS[1], "n_total": n_total}]}))
+    res = invoke(runner, ["--out", tmp_path / "o", command, rows])
+    assert res.exit_code == 2, res.output
+    assert "non-integer n_total" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_repeated_atom_number_in_rows_exits_2(runner, tmp_path, order):
+    # both N = 4 rows used the last row's term: "not certified" in one order, "entangled" in the other
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": [{**TABLE_ROWS[i], "n_total": 4} for i in order]}))
+    res = invoke(runner, ["--out", tmp_path / "o", "witness", rows])
+    assert res.exit_code == 2, res.output
+    assert "N = 4 appears in more than one row" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_witness_command_frozen_value(runner, workdir, rows_json):
@@ -544,11 +606,11 @@ def test_largest_seed_runs_analyze(runner, tmp_path, noise_off_config, simulated
 def test_guarded_maps_exceptions_to_exit_codes():
     def trip(exc):
         @cli._guarded
-        def boom():
+        def boom(obj):
             raise exc
 
         with pytest.raises(SystemExit) as err:
-            boom()
+            boom({"config": None})
         return err.value.code
 
     assert trip(ValueError("bad input")) == 2

@@ -425,6 +425,14 @@ def test_witness_weights_and_validation():
         ent.witness_indefinite_n([])
 
 
+def test_witness_rejects_a_repeated_atom_number():
+    # each N keys one term, so a second N = 4 row overwrote the first one's term
+    rows = [replace(r, n_total=4) for r in table_data()[1:3]]
+    for ordered in (rows, rows[::-1]):
+        with pytest.raises(ValueError, match="N = 4 appears in more than one row"):
+            ent.witness_indefinite_n(ordered)
+
+
 @pytest.mark.parametrize("weights", [[None, 1.0], [math.nan, 1.0], [math.inf, 1.0], [[1.0], [2.0]], [[1.0, 2.0]]])
 def test_witness_rejects_non_finite_or_nested_weights(weights):
     # [[1], [2]] once broadcast against the per-N terms into a 2 x 2 sum

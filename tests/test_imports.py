@@ -38,12 +38,26 @@ def imported_by(*argv) -> set:
     return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("argv", [("-c", "import homsim"), ("-c", "import homsim.cli"), ("-m", "homsim.cli", "--help")],
-                         ids=["import-homsim", "import-cli", "help"])
+COMMANDS = sorted(cli.main.commands)
+
+
+@pytest.mark.parametrize("argv", [("-c", "import homsim"), ("-c", "import homsim.cli"), ("-m", "homsim.cli", "--help"),
+                                  *(("-m", "homsim.cli", c, "--help") for c in COMMANDS)],
+                         ids=["import-homsim", "import-cli", "help", *(f"{c}-help" for c in COMMANDS)])
 def test_start_loads_no_numerics(argv):
     loaded = imported_by(*argv)
     assert "homsim" in loaded
     assert sorted(m for m in loaded if m in NUMERICS or m.split(".")[0] in ("numpy", "scipy")) == []
+
+
+@pytest.mark.parametrize("command", ["depth", "witness"])
+def test_depth_and_witness_load_no_detector(tmp_path, command):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": TABLE_ROWS}))
+    loaded = imported_by("-m", "homsim.cli", "--out", tmp_path / "out", command, rows)
+    assert "homsim.entanglement" in loaded
+    assert sorted(loaded & {"homsim.detector", "homsim.channel"}) == []
+    assert (tmp_path / "out" / f"{command}.json").exists()
 
 
 def test_calibrate_loads_no_numpy_ma(tmp_path):
