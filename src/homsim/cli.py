@@ -3,9 +3,8 @@
 Commands are batch-style: read a config plus input files, write CSV tables
 and JSON reports into the output directory.  Every JSON artifact embeds the
 config hash and seed that produced it.  ``_guarded`` reads the config when a
-command runs (so ``--help`` needs neither a valid config nor numpy) and is the
-one place that maps failures to exit codes: 0 success, 2 invalid input or
-config, 3 fit or optimizer non-convergence.
+command runs, so ``--help`` needs no valid config, and maps failures to exit
+codes: 0 success, 2 invalid input or config, 3 fit or optimizer non-convergence.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ class RunConfig:
         for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
-            if name in ("n_values", "angles") and not isinstance(v, list):
-                raise ValueError(f"{name} must be a list of {'integers' if kind is int else 'numbers'}, not {v!r}")
             values = v if name in ("n_values", "angles") else [v]
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list of {'integers' if kind is int else 'numbers'}, not {v!r}")
             if not all(is_number(k) and isinstance(k, (int, kind)) for k in values):
                 raise ValueError(f"{name} must hold {'integers' if kind is int else 'numbers'}, not {v!r}")
         for name in ("quartic", "exclude_beyond_node"):
