@@ -6,16 +6,15 @@ experiment would record, as a fixed composition of stages:
     source -> rotation -> Poisson influx -> binomial loss
            -> calibration skew -> detection blur
 
-Each stage acts on the full (N+1)x(N+1) joint grid, conserves probability to
-1e-12 (off-grid mass is renormalized away and accumulated in ``tail_mass``),
-and never produces negative entries.  Only the influx and loss rates are free
-parameters; the skew and blur settings are fixed properties of the
-calibration.  ``fit`` recovers the free parameters from counting data by
-minimising the squared Hellinger distance over the whole grid, odd totals
-included: a bounded nonlinear least-squares problem in the residual
-sqrt(p) - sqrt(q), solved per angle by one search of
-:func:`homsim.stats.least_squares` from the given rates.  Each evaluation
-is one noise pass that yields the residual and its analytic Jacobian.
+Rotation maps a TwoModeDistribution, renormalizes it and adds the mass it
+pushes off the (N+1)x(N+1) grid to ``tail_mass``.  The four noise stages
+map a raw grid (its last two axes, a leading stack allowed) linearly and do
+not renormalize; ``_noise_forward`` composes them for ``predict`` and
+``fit``, renormalizes after each stage and reports the off-grid mass.  Only
+the influx and loss rates are free; the skew and blur settings are fixed
+properties of the calibration.  ``fit`` recovers the free rates from
+counting data by a bounded least-squares fit of the squared Hellinger
+distance over the whole grid, odd totals included, one solve per angle.
 
 The influx, loss and blur matrices are built in one broadcast each from
 closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
@@ -157,11 +156,6 @@ def _normalize(grid: np.ndarray) -> tuple[np.ndarray, float]:
     return grid / total, total
 
 
-def _renormalized(grid: np.ndarray, dist: TwoModeDistribution) -> TwoModeDistribution:
-    grid, total = _normalize(grid)
-    return TwoModeDistribution(grid=grid, n_max=dist.n_max, tail_mass=dist.tail_mass + max(0.0, 1.0 - total))
-
-
 def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistribution:
     """Rotate every fixed-N anti-diagonal by the pulse angle theta.
 
@@ -175,14 +169,14 @@ def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistributi
     for n_total in range(2 * n_max + 1):
         idx = _antidiagonal_indices(n_total, n_max)
         vec = dist.grid[idx, n_total - idx]
-        mass = vec.sum()
-        if mass <= 0:
+        if vec.sum() <= 0:
             continue
         full = np.zeros(n_total + 1)
         full[idx] = vec
         rotated = full @ _kernel(n_total, float(theta))
         out[idx, n_total - idx] = rotated[idx]
-    return _renormalized(out, dist)
+    grid, total = _normalize(out)
+    return TwoModeDistribution(grid=grid, n_max=n_max, tail_mass=dist.tail_mass + max(0.0, 1.0 - total))
 
 
 @lru_cache(maxsize=8)
@@ -209,13 +203,25 @@ def _influx_derivative(p: np.ndarray) -> np.ndarray:
     return d
 
 
-def convolve_poisson_influx(dist: TwoModeDistribution, a_plus: float, a_minus: float) -> TwoModeDistribution:
-    """Add independent Poisson counts to each mode; overflow goes to the tail."""
+def _per_mode(matrix, slope, r_plus: float, r_minus: float, grid: np.ndarray, jac: bool = False) -> np.ndarray:
+    """M(r+) grid M(r-)^T on the last two axes of ``grid``, with M = ``matrix`` and dM/dr = ``slope``.
+
+    With ``jac``, ``grid[0]`` is the grid and ``grid[1:]`` its derivatives in
+    earlier rates; the derivatives of ``grid[0]``'s image in r+ and r- follow.
+    """
+    size = grid.shape[-1]
+    mp, mm = matrix(r_plus, size), matrix(r_minus, size)
+    out = mp @ grid @ mm.T
+    if not jac:
+        return out
+    return np.concatenate([out, [slope(mp) @ grid[0] @ mm.T, mp @ grid[0] @ slope(mm).T]])
+
+
+def convolve_poisson_influx(grid: np.ndarray, a_plus: float, a_minus: float, jac: bool = False) -> np.ndarray:
+    """Add independent Poisson counts to each mode (``jac`` as in :func:`_per_mode`); overflow leaves the grid."""
     if a_plus < 0 or a_minus < 0:
         raise ValueError("influx means must be non-negative")
-    size = dist.n_max + 1
-    grid = _influx_matrix(a_plus, size) @ dist.grid @ _influx_matrix(a_minus, size).T
-    return _renormalized(grid, dist)
+    return _per_mode(_influx_matrix, _influx_derivative, a_plus, a_minus, grid, jac)
 
 
 def _loss_matrix(l: float, size: int) -> np.ndarray:
@@ -236,20 +242,24 @@ def _loss_derivative(b: np.ndarray) -> np.ndarray:
     return d * np.arange(len(b))
 
 
-def convolve_binomial_loss(dist: TwoModeDistribution, l_plus: float, l_minus: float) -> TwoModeDistribution:
-    """Each atom survives independently with probability 1 - l per mode."""
+def convolve_binomial_loss(grid: np.ndarray, l_plus: float, l_minus: float, jac: bool = False) -> np.ndarray:
+    """Each atom survives with probability 1 - l per mode (``jac`` as in :func:`_per_mode`); mass is kept."""
     if not (0 <= l_plus <= 1 and 0 <= l_minus <= 1):
         raise ValueError("loss probabilities must lie in [0, 1]")
-    size = dist.n_max + 1
-    grid = _loss_matrix(l_plus, size) @ dist.grid @ _loss_matrix(l_minus, size).T
-    return _renormalized(grid, dist)
+    return _per_mode(_loss_matrix, _loss_derivative, l_plus, l_minus, grid, jac)
 
 
-def _skew_map(g: np.ndarray, q: float) -> np.ndarray:
-    """The two calibration coins as a linear map on the last two axes of ``g``."""
+def apply_calibration_skew(grid: np.ndarray, skew: float) -> np.ndarray:
+    """Single-count miscalibration: minus over-counted, plus under-counted.
+
+    Two independent coins per shot, each with probability
+    :func:`skew_shift_probability`; shifts that would leave the grid are
+    clamped in place so probability is conserved exactly.
+    """
+    q = skew_shift_probability(skew)
     # minus coin: n_minus -> n_minus + 1, clamped at the top edge
-    tmp = (1 - q) * g
-    shifted = q * g
+    tmp = (1 - q) * grid
+    shifted = q * grid
     tmp[..., :, 1:] += shifted[..., :, :-1]
     tmp[..., :, -1] += shifted[..., :, -1]
     # plus coin: n_plus -> n_plus - 1, clamped at the bottom edge
@@ -258,19 +268,6 @@ def _skew_map(g: np.ndarray, q: float) -> np.ndarray:
     out[..., :-1, :] += shifted[..., 1:, :]
     out[..., 0, :] += shifted[..., 0, :]
     return out
-
-
-def apply_calibration_skew(dist: TwoModeDistribution, skew: float) -> TwoModeDistribution:
-    """Single-count miscalibration: minus over-counted, plus under-counted.
-
-    Two independent coins per shot, each with probability
-    :func:`skew_shift_probability`; shifts that would leave the grid are
-    clamped in place so probability is conserved exactly.
-    """
-    q = skew_shift_probability(skew)
-    if q == 0.0:
-        return dist
-    return _renormalized(_skew_map(dist.grid, q), dist)
 
 
 @lru_cache(maxsize=64)
@@ -291,19 +288,14 @@ def _blur_matrix(n_max: int, sigma0: float, c1: float) -> np.ndarray:
     return b
 
 
-def _blur_map(g: np.ndarray, blur_minus: BlurLaw, blur_plus: BlurLaw) -> np.ndarray:
-    """The detection blur B+ g B-^T as a linear map on the last two axes of ``g``."""
-    n_max = g.shape[-1] - 1
+def apply_detection_blur(
+    grid: np.ndarray, blur_minus: BlurLaw = DEFAULT_BLUR_MINUS, blur_plus: BlurLaw = DEFAULT_BLUR_PLUS
+) -> np.ndarray:
+    """Reassign true counts to detected counts through the Gaussian peak overlap: B+ grid B-^T."""
+    n_max = grid.shape[-1] - 1
     bp = _blur_matrix(n_max, blur_plus.sigma0, blur_plus.c1)
     bm = _blur_matrix(n_max, blur_minus.sigma0, blur_minus.c1)
-    return bp @ g @ bm.T
-
-
-def apply_detection_blur(
-    dist: TwoModeDistribution, blur_minus: BlurLaw = DEFAULT_BLUR_MINUS, blur_plus: BlurLaw = DEFAULT_BLUR_PLUS
-) -> TwoModeDistribution:
-    """Reassign true counts to detected counts through the Gaussian peak overlap."""
-    return _renormalized(_blur_map(dist.grid, blur_minus, blur_plus), dist)
+    return bp @ grid @ bm.T
 
 
 def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = False):
@@ -312,26 +304,24 @@ def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = Fa
     Only the skew and blur of ``params`` are read.  Returns the detected grid
     p, the mass the stages pushed off the grid and, with ``jac``, the
     derivatives dp/dx stacked on a leading axis of length 4 (else None).
-    Each stage renormalizes as its stage function does.  Loss, skew and blur
-    conserve mass for every rate, so their normalizations are constants in
-    the chain rule; the influx's is not: dG = (dU - G sum(dU)) / sum(U).
+    Each stage maps the grid stacked on its derivatives, and its output is
+    renormalized.  Loss, skew and blur conserve mass for every rate, so
+    their normalizations are constants in the chain rule; the influx's is
+    not: dG = (dU - G sum(dU)) / sum(U).
     """
-    size = len(grid)
-    pp, pm = _influx_matrix(x[0], size), _influx_matrix(x[1], size)
-    bp, bm = _loss_matrix(x[2], size), _loss_matrix(x[3], size)
-    q = skew_shift_probability(params.skew)
-    g1, s1 = _normalize(pp @ grid @ pm.T)
-    g2, s2 = _normalize(bp @ g1 @ bm.T)
-    g3, s3 = _normalize(_skew_map(g2, q))
-    p, s4 = _normalize(_blur_map(g3, params.blur_minus, params.blur_plus))
+    u = convolve_poisson_influx(grid[None], x[0], x[1], jac)
+    g, s1 = _normalize(u[0])
+    du = u[1:]
+    u = convolve_binomial_loss(np.concatenate([g[None], (du - g * du.sum(axis=(1, 2))[:, None, None]) / s1]),
+                               x[2], x[3], jac)
+    s2 = u[0].sum()
+    u = apply_calibration_skew(u / s2, params.skew)
+    s3 = u[0].sum()
+    u = apply_detection_blur(u / s3, params.blur_minus, params.blur_plus)
+    s4 = u[0].sum()
+    p = u / s4
     leak = sum(max(0.0, 1.0 - s) for s in (s1, s2, s3, s4))
-    if not jac:
-        return p, leak, None
-    du = np.stack([_influx_derivative(pp) @ grid @ pm.T, pp @ grid @ _influx_derivative(pm).T])
-    dg1 = (du - g1 * du.sum(axis=(1, 2))[:, None, None]) / s1
-    dg2 = np.concatenate([bp @ dg1 @ bm.T, [_loss_derivative(bp) @ g1 @ bm.T, bp @ g1 @ _loss_derivative(bm).T]])
-    dp = _blur_map(_skew_map(dg2 / s2, q) / s3, params.blur_minus, params.blur_plus) / s4
-    return p, leak, dp
+    return p[0], leak, p[1:] if jac else None
 
 
 def predict(dist_ideal: TwoModeDistribution, theta: float, params: NoiseModelParams) -> TwoModeDistribution:
@@ -407,7 +397,7 @@ def fit(
         raise ValueError("need at least one dataset")
     if bounds is None:
         hi_a = max(0.3, 4 * max(params0.a_plus, params0.a_minus))
-        hi_l = max(0.1, 4 * max(params0.l_plus, params0.l_minus))
+        hi_l = min(1.0, max(0.1, 4 * max(params0.l_plus, params0.l_minus)))  # a loss rate is a probability
         bounds = [(0.0, hi_a), (0.0, hi_a), (0.0, hi_l), (0.0, hi_l)]
     lo, hi = np.asarray(bounds, dtype=float).T
     x0 = np.clip([getattr(params0, k) for k in _RATES], lo, hi)

@@ -74,6 +74,8 @@ class RunConfig:
                 raise ValueError(f"angles {self.angles[keys.index(key)]!r} and {self.angles[i]!r} share the key {key}")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
+        if not self.n_values or any(n < 2 or n % 2 for n in self.n_values):
+            raise ValueError(f"n_values must list even atom numbers of at least 2, not {self.n_values!r}")
         repeated = sorted({n for n in self.n_values if self.n_values.count(n) > 1})
         if repeated:
             raise ValueError(f"n_values repeats {repeated}")

@@ -1,9 +1,12 @@
-"""The homsim names that the benchmark's tracer binds (bench/child.py) still exist."""
+"""The homsim names that the benchmark's tracer binds (bench/child.py) still exist and see the production code."""
 
 import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from homsim import channel, cli, fock, metrology, stats
@@ -49,3 +52,24 @@ def test_noise_fit_child_writes_a_converged_fit(tmp_path):
     assert sorted(fit["rates"]) == ["a_minus", "a_plus", "l_minus", "l_plus"]
     assert all(math.isfinite(v) for v in [*fit["rates"].values(), fit["objective"]])
     assert fit["converged"] is True
+
+
+def test_tracer_sees_every_noise_pass_of_the_fit(tmp_path):
+    # in its own process, because the tracer rebinds the module attributes of homsim
+    cfg = cli.RunConfig()
+    source = fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
+    table = metrology.ShotTable.sample(channel.predict(source, cli.HOM_ANGLE, channel.REFERENCE_PARAMS), 3816, seed=5)
+    table.to_csv(tmp_path / "shots.csv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(CHILD), "--spans", str(tmp_path / "spans.json"), "noise-fit",
+                    str(tmp_path / "shots.csv"), str(tmp_path / "fit.json")], env=env, check=True, timeout=120)
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    written = json.loads((tmp_path / "fit.json").read_text())
+    # the same fit in this process gives the evaluation count that the written JSON leaves out
+    theta = cli.HOM_ANGLE
+    res = channel.fit(cfg.noise_params(), {theta: metrology.ShotTable.from_csv(tmp_path / "shots.csv", theta=theta)},
+                      source)
+    assert written["objective"] == res.objectives[theta]
+    assert spans["counts"]["channel.noise_passes"] == res.nfev[theta] > 0
+    assert spans["self_s"]["channel.noise"] > 0

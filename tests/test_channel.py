@@ -90,65 +90,65 @@ def test_rotation_overflow_goes_to_tail():
 
 def test_influx_matches_enumeration():
     d = random_dist(2)
-    out = channel.convolve_poisson_influx(d, 0.3, 0.12)
+    out = channel.convolve_poisson_influx(d.grid, 0.3, 0.12)
     ref, lost_p = oracles.influx_enumerated(d.grid, 0.3, 0)
     ref, lost_m = oracles.influx_enumerated(ref, 0.12, 1)
-    np.testing.assert_allclose(out.grid, ref / ref.sum(), atol=1e-12)
-    assert out.tail_mass == pytest.approx(1.0 - ref.sum(), abs=1e-10)
+    np.testing.assert_allclose(out, ref, atol=1e-12)
+    np.testing.assert_allclose(out / out.sum(), ref / ref.sum(), atol=1e-12)
+    # what the stage pushes off the grid is the tail: 1 - output mass
+    assert 1.0 - out.sum() == pytest.approx(1.0 - ref.sum(), abs=1e-10)
 
 
 def test_influx_single_atom_probability():
     # delta at (0, 0): one added atom in the plus mode has the bare Poisson weight
     grid = np.zeros((21, 21))
     grid[0, 0] = 1.0
-    d = fock.TwoModeDistribution(grid=grid, n_max=20)
-    out = channel.convolve_poisson_influx(d, 0.0551, 0.0)
-    assert out.grid[1, 0] == pytest.approx(0.05214611677981971, abs=1e-15)
-    assert out.grid[0, 1] == 0.0
+    out = channel.convolve_poisson_influx(grid, 0.0551, 0.0)
+    assert out[1, 0] == pytest.approx(0.05214611677981971, abs=1e-15)
+    assert out[0, 1] == 0.0
 
 
 def test_influx_rejects_negative_mean():
     with pytest.raises(ValueError):
-        channel.convolve_poisson_influx(random_dist(3), -0.1, 0.0)
+        channel.convolve_poisson_influx(random_dist(3).grid, -0.1, 0.0)
 
 
 def test_loss_matches_enumeration():
     d = random_dist(4)
-    out = channel.convolve_binomial_loss(d, 0.08, 0.15)
+    out = channel.convolve_binomial_loss(d.grid, 0.08, 0.15)
     ref = oracles.loss_enumerated(d.grid, 0.08, 0)
     ref = oracles.loss_enumerated(ref, 0.15, 1)
-    np.testing.assert_allclose(out.grid, ref, atol=1e-12)
+    np.testing.assert_allclose(out, ref, atol=1e-12)
     # loss never pushes mass off the grid
-    assert out.tail_mass == pytest.approx(d.tail_mass, abs=1e-12)
+    assert out.sum() == pytest.approx(d.grid.sum(), abs=1e-12)
 
 
 def test_loss_small_case_exact():
     grid = np.zeros((3, 3))
     grid[1, 1] = 1.0
-    d = fock.TwoModeDistribution(grid=grid, n_max=2)
-    out = channel.convolve_binomial_loss(d, 0.2, 0.2)
-    assert out.grid[0, 0] == pytest.approx(0.04, abs=1e-15)
-    assert out.grid[1, 1] == pytest.approx(0.64, abs=1e-15)
+    out = channel.convolve_binomial_loss(grid, 0.2, 0.2)
+    assert out[0, 0] == pytest.approx(0.04, abs=1e-15)
+    assert out[1, 1] == pytest.approx(0.64, abs=1e-15)
 
 
 def test_loss_rejects_rate_outside_unit_interval():
     with pytest.raises(ValueError):
-        channel.convolve_binomial_loss(random_dist(5), 1.2, 0.0)
+        channel.convolve_binomial_loss(random_dist(5).grid, 1.2, 0.0)
 
 
 def test_skew_matches_enumeration_including_edges():
     # mass parked on every edge exercises both clamps
     d = random_dist(6, n_max=5)
-    out = channel.apply_calibration_skew(d, 1.052)
+    out = channel.apply_calibration_skew(d.grid, 1.052)
     ref = oracles.skew_enumerated(d.grid, 1.052)
-    np.testing.assert_allclose(out.grid, ref, atol=1e-14)
-    assert out.grid.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(out, ref, atol=1e-14)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_skew_of_one_is_identity():
     d = random_dist(7)
-    out = channel.apply_calibration_skew(d, 1.0)
-    np.testing.assert_allclose(out.grid, d.grid, atol=0)
+    out = channel.apply_calibration_skew(d.grid, 1.0)
+    np.testing.assert_allclose(out, d.grid, atol=0)
 
 
 def test_blur_columns_match_quadrature():
@@ -200,16 +200,26 @@ def test_blur_matrix_matches_normal_cdf_differences(n_max, sigma0, c1):
     assert b.min() >= 0.0
 
 
+def _blur_matrix_quadrature(law: channel.BlurLaw, n_max: int) -> np.ndarray:
+    return np.column_stack([oracles.blur_column_quadrature(n, law.sigma0, law.c1, n_max) for n in range(n_max + 1)])
+
+
 def test_predict_equals_manual_stage_composition():
+    # the reference composes the enumeration and quadrature oracles, renormalizing after each stage
     d = random_dist(8, n_max=10, fit_grid=True)
-    manual = channel.apply_rotation(d, 0.4)
-    manual = channel.convolve_poisson_influx(manual, REF.a_plus, REF.a_minus)
-    manual = channel.convolve_binomial_loss(manual, REF.l_plus, REF.l_minus)
-    manual = channel.apply_calibration_skew(manual, REF.skew)
-    manual = channel.apply_detection_blur(manual, REF.blur_minus, REF.blur_plus)
+    rotated = channel.apply_rotation(d, 0.4)
+    stages = [lambda g: oracles.influx_enumerated(oracles.influx_enumerated(g, REF.a_plus, 0)[0], REF.a_minus, 1)[0],
+              lambda g: oracles.loss_enumerated(oracles.loss_enumerated(g, REF.l_plus, 0), REF.l_minus, 1),
+              lambda g: oracles.skew_enumerated(g, REF.skew),
+              lambda g: _blur_matrix_quadrature(REF.blur_plus, 10) @ g @ _blur_matrix_quadrature(REF.blur_minus, 10).T]
+    manual, tail = rotated.grid, rotated.tail_mass
+    for stage in stages:
+        manual = stage(manual)
+        tail += max(0.0, 1.0 - manual.sum())
+        manual = manual / manual.sum()
     auto = channel.predict(d, 0.4, REF)
-    np.testing.assert_allclose(auto.grid, manual.grid, atol=1e-15)
-    assert auto.tail_mass == pytest.approx(manual.tail_mass, abs=1e-15)
+    np.testing.assert_allclose(auto.grid, manual, atol=1e-15)  # they agree to 1e-17 here
+    assert auto.tail_mass == pytest.approx(tail, abs=1e-15)  # and to 1.1e-16
 
 
 def test_predicted_hom_parities_frozen():
@@ -231,17 +241,47 @@ def test_predicted_hom_parities_frozen():
 
 def test_tail_mass_never_decreases_through_stages():
     src = fock.tmsv_distribution(fock.SqueezedSource(xi=1.2), n_max=12)
-    stages = [lambda d: channel.apply_rotation(d, 1.0),
-              lambda d: channel.convolve_poisson_influx(d, 0.1, 0.05),
-              lambda d: channel.convolve_binomial_loss(d, 0.01, 0.02),
-              lambda d: channel.apply_calibration_skew(d, 1.052),
-              lambda d: channel.apply_detection_blur(d)]
-    cur = src
+    rotated = channel.apply_rotation(src, 1.0)
+    assert rotated.tail_mass >= src.tail_mass - 1e-15
+    oracles.validate(rotated)
+    stages = [lambda g: channel.convolve_poisson_influx(g, 0.1, 0.05),
+              lambda g: channel.convolve_binomial_loss(g, 0.01, 0.02),
+              lambda g: channel.apply_calibration_skew(g, 1.052),
+              lambda g: channel.apply_detection_blur(g)]
+    cur = rotated.grid
     for stage in stages:
         nxt = stage(cur)
-        assert nxt.tail_mass >= cur.tail_mass - 1e-15
-        oracles.validate(nxt)
+        # the stages do not renormalize: the tail grows by the mass the grid loses
+        assert 1.0 - nxt.sum() >= 1.0 - cur.sum() - 1e-15
+        oracles.validate(fock.TwoModeDistribution(grid=nxt / nxt.sum(), n_max=12))
         cur = nxt
+
+
+def test_noise_stages_map_a_stack_slice_by_slice():
+    stack = np.stack([random_dist(seed).grid for seed in (10, 11)])
+    for stage in (lambda g: channel.convolve_poisson_influx(g, 0.1, 0.05),
+                  lambda g: channel.convolve_binomial_loss(g, 0.01, 0.02),
+                  lambda g: channel.apply_calibration_skew(g, 1.052),
+                  lambda g: channel.apply_detection_blur(g)):
+        out = stage(stack)
+        for k in range(2):
+            np.testing.assert_allclose(out[k], stage(stack[k]), rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("jac", [False, True])
+def test_noise_pass_runs_each_stage_once(monkeypatch, jac):
+    calls = []
+    for name in ("convolve_poisson_influx", "convolve_binomial_loss", "apply_calibration_skew", "apply_detection_blur"):
+        def counted(*args, _real=getattr(channel, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(channel, name, counted)
+    grid = channel.apply_rotation(random_dist(12, fit_grid=True), HOM).grid
+    p, _, dp = channel._noise_forward(grid, [0.05, 0.02, 0.001, 0.01], REF, jac=jac)
+    assert calls == ["convolve_poisson_influx", "convolve_binomial_loss", "apply_calibration_skew",
+                     "apply_detection_blur"]
+    assert (dp is not None) == jac
 
 
 def test_empirical_grid_counts_and_clips():
@@ -260,12 +300,15 @@ def test_empirical_grid_counts_and_clips():
 )
 def test_noise_stages_conserve_probability(seed, a, l, skew):
     d = random_dist(seed, n_max=6)
-    out = channel.convolve_poisson_influx(d, a, a / 2)
-    out = channel.convolve_binomial_loss(out, l, l)
+    influx = channel.convolve_poisson_influx(d.grid, a, a / 2)
+    out = channel.convolve_binomial_loss(influx, l, l)
     out = channel.apply_calibration_skew(out, skew)
     out = channel.apply_detection_blur(out)
-    oracles.validate(out)
-    assert np.all(out.grid >= 0)
+    # only the influx pushes mass off the grid; loss, skew and blur keep it
+    assert -oracles.NORM_ATOL <= 1.0 - influx.sum() <= 1.0
+    assert out.sum() == pytest.approx(influx.sum(), abs=oracles.NORM_ATOL)
+    oracles.validate(fock.TwoModeDistribution(grid=out / out.sum(), n_max=6))
+    assert np.all(out >= 0)
 
 
 def _sampled_table(pred: fock.TwoModeDistribution, n_shots: int, seed: int) -> metrology.ShotTable:
@@ -288,16 +331,19 @@ def _smoke_problem(n_shots: int) -> tuple[fock.TwoModeDistribution, metrology.Sh
 
 
 def _staged_objective(src: fock.TwoModeDistribution, tab: metrology.ShotTable):
-    """Squared Hellinger distance of the rates x, through the public stage functions."""
+    """Squared Hellinger distance of the rates x, through the public stage functions, each renormalized."""
     rotated = channel.apply_rotation(src, HOM)
     emp = channel.empirical_grid(tab.n_plus, tab.n_minus, src.n_max).grid.ravel()
 
     def objective(x):
-        out = channel.convolve_poisson_influx(rotated, x[0], x[1])
-        out = channel.convolve_binomial_loss(out, x[2], x[3])
-        out = channel.apply_calibration_skew(out, SMOKE_TRUTH.skew)
-        out = channel.apply_detection_blur(out, SMOKE_TRUTH.blur_minus, SMOKE_TRUTH.blur_plus)
-        return float(metrology._hell2(out.grid.ravel(), emp))
+        out = rotated.grid
+        for stage in (lambda g: channel.convolve_poisson_influx(g, x[0], x[1]),
+                      lambda g: channel.convolve_binomial_loss(g, x[2], x[3]),
+                      lambda g: channel.apply_calibration_skew(g, SMOKE_TRUTH.skew),
+                      lambda g: channel.apply_detection_blur(g, SMOKE_TRUTH.blur_minus, SMOKE_TRUTH.blur_plus)):
+            out = stage(out)
+            out = out / out.sum()
+        return float(metrology._hell2(out.ravel(), emp))
 
     return objective
 
@@ -482,6 +528,23 @@ def test_fit_budget_exhaustion_raises_with_best():
     assert isinstance(err.value, stats.FitError)
     assert isinstance(err.value.best, channel.ChannelFit)
     assert not err.value.best.converged
+
+
+def test_default_box_keeps_loss_rates_probabilities(monkeypatch):
+    # from l = 0.3 the box reached 4 x 0.3 = 1.2, where the noise pass returned "probabilities" of -210
+    uppers = []
+    real = stats.least_squares
+
+    def recorder(fun, x0, lo, hi, **kwargs):
+        uppers.append(np.array(hi))
+        return real(fun, x0, lo, hi, **kwargs)
+
+    monkeypatch.setattr(stats, "least_squares", recorder)
+    src, tab = _smoke_problem(4000)
+    for params0 in (replace(SMOKE_TRUTH, l_plus=0.3), REF):
+        channel.fit(params0, {HOM: tab}, src)
+    assert uppers[0][2:].tolist() == [1.0, 1.0]
+    assert uppers[1].tolist() == [hi for _, hi in DEFAULT_FIT_BOUNDS]  # unchanged around REFERENCE_PARAMS
 
 
 def test_fit_requires_data():

@@ -148,6 +148,19 @@ def test_repeated_atom_number_in_config_exits_2(runner, tmp_path, simulated):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --exact ideal"])
+@pytest.mark.parametrize("n_values", [[0, 4], [-2, 4], [3, 4], []])
+def test_atom_numbers_that_are_not_even_and_at_least_2_exit_2(runner, tmp_path, simulated, command, n_values):
+    # simulate exited 0 on these, and analyze and fisher failed deep in the numerics or (on []) wrote empty outputs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**NOISE_OFF, "n_values": n_values}))
+    args = [command, simulated] if command == "analyze" else command.split()
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert "n_values must list even atom numbers" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_2(runner, tmp_path):
     res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output
