@@ -159,22 +159,20 @@ def _normalize(grid: np.ndarray) -> tuple[np.ndarray, float]:
 def apply_rotation(dist: TwoModeDistribution, theta: float) -> TwoModeDistribution:
     """Rotate every fixed-N anti-diagonal by the pulse angle theta.
 
-    The total-number marginal is unchanged except for anti-diagonals that do
-    not fit the grid completely (N > n_max), whose off-grid output mass goes
-    to the tail.  Odd-N input mass is legal (noise upstream of the pulse
-    would create it) and is rotated with the half-integer-spin kernel.
+    Each populated input multiplies only its own kernel row (one row per even
+    N for the pair source).  The total-number marginal is unchanged except
+    for anti-diagonals that do not fit the grid completely (N > n_max), whose
+    off-grid output mass goes to the tail.  Odd-N input mass is legal (noise
+    upstream of the pulse would create it) and uses the half-integer spin.
     """
     n_max = dist.n_max
     out = np.zeros_like(dist.grid)
     for n_total in range(2 * n_max + 1):
         idx = _antidiagonal_indices(n_total, n_max)
         vec = dist.grid[idx, n_total - idx]
-        if vec.sum() <= 0:
-            continue
-        full = np.zeros(n_total + 1)
-        full[idx] = vec
-        rotated = full @ _kernel(n_total, float(theta))
-        out[idx, n_total - idx] = rotated[idx]
+        populated = vec > 0
+        if populated.any():
+            out[idx, n_total - idx] = (vec[populated] @ _kernel(n_total, float(theta), idx[populated]))[idx]
     grid, total = _normalize(out)
     return TwoModeDistribution(grid=grid, n_max=n_max, tail_mass=dist.tail_mass + max(0.0, 1.0 - total))
 

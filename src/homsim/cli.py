@@ -82,13 +82,13 @@ class RunConfig:
 
     def noise_params(self) -> channel.NoiseModelParams | None:
         from . import channel
-        if self.noise in (None, "none", "off", "ideal"):
+        if self.noise in (None, "none"):
             return None
         if self.noise == "reference":
             return channel.REFERENCE_PARAMS
         if isinstance(self.noise, dict):
             return channel.NoiseModelParams.from_json(self.noise)
-        raise ValueError(f"unrecognized noise setting: {self.noise!r}")
+        raise ValueError(f"noise must be none, reference or an object, not {self.noise!r}")
 
     def source(self) -> fock.SqueezedSource:
         from . import fock
@@ -110,7 +110,7 @@ class RunConfig:
             data = json.loads(text)
         else:
             data = {}
-            for line in text.splitlines():
+            for lineno, line in enumerate(text.splitlines(), 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -120,7 +120,11 @@ class RunConfig:
                 try:
                     data[key] = json.loads(raw)
                 except json.JSONDecodeError:
-                    data[key] = [json.loads(v) for v in raw.split(",")] if "," in raw else raw
+                    try:
+                        data[key] = [json.loads(v) for v in raw.split(",")] if "," in raw else raw
+                    except json.JSONDecodeError:
+                        raise ValueError(f"config line {lineno}: {key} = {raw} is not a comma-separated list "
+                                         "of JSON values") from None
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -156,14 +160,12 @@ def main(ctx, config_path, seed, out_dir):
     ctx.obj = {"config": config_path, "seed": seed, "out": Path(out_dir)}
 
 
-def _stamp(ctx_obj, payload: dict) -> dict:
-    return {"config_hash": ctx_obj["cfg"].hash(), "seed": ctx_obj["seed"], **payload}
-
-
-def _dump_json(path: Path, payload: dict) -> None:
+def _dump_json(obj, name: str, payload: dict) -> None:
+    """Write payload to the output directory as ``name``, stamped with the config hash and seed."""
+    path = obj["out"] / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"config_hash": obj["cfg"].hash(), "seed": obj["seed"], **payload}, fh, indent=2)
         fh.write("\n")
 
 
@@ -197,7 +199,7 @@ def simulate(obj):
         table.to_csv(out / name)
         files[f"{theta:.6f}"] = name
         tails[f"{theta:.6f}"] = dist.tail_mass
-    _dump_json(out / "metadata.json", _stamp(obj, {
+    _dump_json(obj, "metadata.json", {
         "command": "simulate",
         "shots_per_angle": cfg.shots_per_angle,
         "xi": cfg.xi,
@@ -206,7 +208,7 @@ def simulate(obj):
         "noise": None if params is None else params.to_json(),
         "files": files,
         "tail_mass": tails,
-    }))
+    })
     click.echo(f"wrote {len(files)} shot tables to {out}")
 
 
@@ -240,7 +242,7 @@ def calibrate(obj, signals_csv):
                             [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
         report["modes"][mode]["detection_fidelity_12"] = detector.detection_fidelity(12, calib)
-    _dump_json(out / "calibration.json", _stamp(obj, report))
+    _dump_json(obj, "calibration.json", report)
     click.echo(f"calibration written to {out / 'calibration.json'}")
 
 
@@ -352,7 +354,7 @@ def analyze(obj, dataset_dir):
         metrology.write_csv(out / "depth.csv",
                             ["N", "parity_point", "parity_confident", "variance_point", "variance_confident"],
                             depth_rows)
-    _dump_json(out / "report.json", _stamp(obj, report))
+    _dump_json(obj, "report.json", report)
     click.echo(f"report written to {out / 'report.json'}")
 
 
@@ -393,7 +395,7 @@ def fisher(obj, exact, dataset_dir):
         source = f"sampled:{dataset_dir}"
     payload = est.to_json()
     payload["source"] = source
-    _dump_json(out / "fisher.json", _stamp(obj, payload))
+    _dump_json(obj, "fisher.json", payload)
     rows = []
     for n in sorted(est.aggregated):
         fbar, dfbar = est.aggregated[n]
@@ -431,8 +433,8 @@ def depth(obj, rows_json):
     for data in rows:
         rp = entanglement.depth_parity(data)
         rv = entanglement.depth_variance(data)
-        results.append({"n_total": data.n_total, "parity": rp.to_json(), "variance": rv.to_json()})
-    _dump_json(out / "depth.json", _stamp(obj, {"command": "depth", "results": results}))
+        results.append({"n_total": data.n_total, "parity": asdict(rp), "variance": asdict(rv)})
+    _dump_json(obj, "depth.json", {"command": "depth", "results": results})
     metrology.write_csv(out / "depth.csv", ["N", "depth_parity", "parity_method", "depth_variance"],
                         [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
                          for r in results])
@@ -448,7 +450,6 @@ def depth(obj, rows_json):
 def witness(obj, rows_json):
     """Entanglement witnesses for stored collective-moment rows."""
     from . import entanglement
-    out = obj["out"]
     rows, weights = _load_rows(Path(rows_json))
     total = entanglement.witness_indefinite_n(rows, weights=weights)
     payload = {
@@ -460,7 +461,7 @@ def witness(obj, rows_json):
     for data in rows:
         pw = entanglement.parity_witness_xyz(data)
         payload["parity_xyz"].append({"n_total": data.n_total, "value": pw.value, "entangled": pw.entangled})
-    _dump_json(out / "witness.json", _stamp(obj, payload))
+    _dump_json(obj, "witness.json", payload)
     click.echo(f"indefinite-N witness: {total.value:.4f} ({'entangled' if total.entangled else 'not certified'})")
 
 

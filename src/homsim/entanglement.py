@@ -197,15 +197,6 @@ class DepthResult:
     clamped_k: tuple = ()
     confidence_level: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "method": self.method,
-            "n_total": self.n_total,
-            "clamped_k": list(self.clamped_k),
-            "confidence_level": self.confidence_level,
-        }
-
 
 def _pair_spread(n: int) -> float:
     # max <Jx^2+Jy^2> of an n-atom block; odd blocks lose the quarter

@@ -6,10 +6,10 @@ statistics of a fixed total atom number ``N = n_plus + n_minus`` live on a
 ladder indexed by ``Jz = (n_plus - n_minus)/2``.
 
 Amplitudes never leave this module.  A mode coupling (beam-splitter pulse) is
-represented by the matrix of squared rotation amplitudes of the collective
-spin ``j = N/2``; only those probabilities are observable here, so the axis
-phase convention of the pulse is irrelevant and rotations about x and y give
-the identical kernel.
+represented by rows of the matrix of squared rotation amplitudes of the
+collective spin ``j = N/2``, one row per populated input; only those
+probabilities are observable here, so the axis phase convention of the pulse
+is irrelevant and rotations about x and y give the identical kernel.
 """
 
 from __future__ import annotations
@@ -166,16 +166,16 @@ def _eigensystem(n_total: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _kernel(n_total: int, theta: float) -> np.ndarray:
-    """|<Jz_out| exp(-i theta Jx) |Jz_in>|^2 for collective spin j = N/2.
+def _kernel(n_total: int, theta: float, rows) -> np.ndarray:
+    """Rows ``rows`` (input Jz) of |<Jz_out| exp(-i theta Jx) |Jz_in>|^2 for collective spin j = N/2.
 
-    Row/column index k is Jz = k - N/2.  The propagator V e^{-i theta w} V^T
-    comes from the eigensystem of Jx, computed once per N for every angle;
-    the matrix of squared magnitudes is symmetric and doubly stochastic.
-    Valid for odd N as well (half-integer j), which the noise pipeline needs.
+    Index k is Jz = k - N/2.  Row k of the propagator is (V[k] e^{-i theta w}) V^T,
+    from the eigensystem of Jx computed once per N for every angle; all N + 1
+    rows form a symmetric, doubly stochastic matrix.  Valid for odd N as well
+    (half-integer j), which the noise pipeline needs.
     """
     w, v = _eigensystem(n_total)
-    u = (v * np.exp(-1j * theta * w)) @ v.T
+    u = (v[rows] * np.exp(-1j * theta * w)) @ v.T
     return np.clip(np.abs(u) ** 2, 0.0, 1.0)
 
 
@@ -183,7 +183,7 @@ def twin_fock_output(n_total: int, theta: float) -> FixedNDistribution:
     """Exact output of a twin input (Jz_in = 0) after a theta pulse: at pi/2, :func:`holland_burnett`."""
     if n_total % 2 != 0 or n_total < 0 or not 0.0 <= theta <= np.pi:
         raise DomainError("twin_fock_output needs an even total atom number >= 0 and theta in [0, pi]")
-    row = _kernel(n_total, float(theta))[n_total // 2]
+    row = _kernel(n_total, float(theta), n_total // 2)
     return FixedNDistribution(n_total=n_total, probs=row / row.sum())
 
 

@@ -76,6 +76,21 @@ def test_rotation_at_zero_is_identity():
     np.testing.assert_allclose(out.grid, d.grid, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.321, math.pi / 2, 2.5])
+def test_rotation_matches_factorial_kernel_on_a_dense_grid(theta):
+    # every entry is populated, so every anti-diagonal, odd and off-grid ones included, uses all its rows
+    d = random_dist(5)
+    ref = np.zeros_like(d.grid)
+    for n_total in range(2 * d.n_max + 1):
+        idx = np.arange(max(0, n_total - d.n_max), min(n_total, d.n_max) + 1)
+        full = np.zeros(n_total + 1)
+        full[idx] = d.grid[idx, n_total - idx]
+        ref[idx, n_total - idx] = (full @ oracles.kernel_factorial(n_total, theta))[idx]
+    out = channel.apply_rotation(d, theta)
+    np.testing.assert_allclose(out.grid, ref / ref.sum(), atol=1e-13)
+    assert out.tail_mass == pytest.approx(1.0 - ref.sum(), abs=1e-13)
+
+
 def test_rotation_overflow_goes_to_tail():
     # all mass at (n_max, n_max): the anti-diagonal extends off-grid, so the
     # rotation must leak probability into the tail

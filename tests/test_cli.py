@@ -161,6 +161,28 @@ def test_atom_numbers_that_are_not_even_and_at_least_2_exit_2(runner, tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
+def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(runner, tmp_path):
+    # the bare JSON error read "Expecting value: line 1 column 2 (char 1)", naming neither
+    config = tmp_path / "run.cfg"
+    config.write_text("xi = 1.2\nn_values = 2, 4, x\n")
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert "config line 2: n_values = 2, 4, x is not a comma-separated list" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fisher --exact model"])
+@pytest.mark.parametrize("noise", ["off", "ideal"])
+def test_undocumented_noise_alias_exits_2(runner, tmp_path, noise, command):
+    # both used to mean no noise; the documented spellings are none, reference and a rate object
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": noise}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split()])
+    assert res.exit_code == 2, res.output
+    assert f"noise must be none, reference or an object, not {noise!r}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_2(runner, tmp_path):
     res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output

@@ -464,6 +464,6 @@ def test_witnesses_never_fire_on_product_states():
 
 def test_depth_result_json():
     res = ent.depth_parity(table_data()[2])
-    blob = res.to_json()
+    blob = asdict(res)
     assert blob["depth"] == 6 and blob["method"] == "parity"
     assert "n_samples" not in blob

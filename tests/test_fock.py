@@ -52,7 +52,7 @@ def test_tmsv_jitter_matches_dense_average():
 @pytest.mark.parametrize("n_total", range(2, 17, 2))
 @pytest.mark.parametrize("theta", [0.1, 0.321, math.pi / 4, math.pi / 2, math.pi])
 def test_rotation_kernel_matches_factorial_route(n_total, theta):
-    ours = fock._kernel(n_total, theta)
+    ours = fock._kernel(n_total, theta, np.arange(n_total + 1))
     ref = oracles.kernel_factorial(n_total, theta)
     assert np.abs(ours - ref).max() < 1e-10
 
@@ -68,18 +68,19 @@ def test_kernel_matches_factorial_route_for_every_total(totals, bound):
     # odd totals too: the noise pipeline rotates them with half-integer spin
     for n_total in totals:
         for theta in (0.321, math.pi / 2, 2.5):
-            assert np.abs(fock._kernel(n_total, theta) - oracles.kernel_factorial(n_total, theta)).max() < bound
+            ours = fock._kernel(n_total, theta, np.arange(n_total + 1))
+            assert np.abs(ours - oracles.kernel_factorial(n_total, theta)).max() < bound
 
 
 def test_rotation_kernel_is_doubly_stochastic():
-    k = fock._kernel(10, 0.7)
+    k = fock._kernel(10, 0.7, np.arange(11))
     np.testing.assert_allclose(k.sum(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-12)
     assert k.min() >= 0.0
 
 
 def test_rotation_kernel_identity_at_zero():
-    np.testing.assert_allclose(fock._kernel(6, 0.0), np.eye(7), atol=1e-14)
+    np.testing.assert_allclose(fock._kernel(6, 0.0, np.arange(7)), np.eye(7), atol=1e-14)
 
 
 def test_rotation_kernel_domain_checks():
@@ -106,6 +107,20 @@ def test_rotation_diagonalizes_once_per_populated_total(monkeypatch):
     for theta in (0.0, 0.2, math.pi / 2):
         channel.apply_rotation(source, theta)
     assert sorted(sizes) == list(range(1, 2 * cfg.n_max + 2, 2))  # N = 0, 2, ..., 40, one eigh each
+
+
+def test_rotation_asks_for_one_row_per_populated_total(monkeypatch):
+    requested, kernel = [], fock._kernel
+
+    def spy(n_total, theta, *rows):
+        requested.append((n_total, *(list(r) for r in rows)))
+        return kernel(n_total, theta, *rows)
+
+    monkeypatch.setattr(channel, "_kernel", spy)
+    cfg = cli.RunConfig()
+    channel.apply_rotation(fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max), 0.2)
+    # the pair source populates only (N/2, N/2), at every even N up to 2 n_max
+    assert requested == [(n, [n // 2]) for n in range(0, 2 * cfg.n_max + 1, 2)]
 
 
 def test_twin_fock_output_diagonalizes_once_per_total(monkeypatch):
@@ -193,7 +208,7 @@ def test_distribution_validation_catches_bad_grids():
     theta=st.floats(min_value=0.0, max_value=math.pi, allow_nan=False),
 )
 def test_kernel_rows_are_distributions(n_total, theta):
-    k = fock._kernel(n_total, theta)
+    k = fock._kernel(n_total, theta, np.arange(n_total + 1))
     assert np.all(k >= 0)
     np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-10)
 
