@@ -79,16 +79,16 @@ class RunConfig:
         repeated = sorted({n for n in self.n_values if self.n_values.count(n) > 1})
         if repeated:
             raise ValueError(f"n_values repeats {repeated}")
+        if isinstance(self.noise, dict):
+            self.noise_params()  # only a noise object loads the channel
+        elif self.noise not in (None, "none", "reference"):
+            raise ValueError(f"noise must be none, reference or an object, not {self.noise!r}")
 
     def noise_params(self) -> channel.NoiseModelParams | None:
         from . import channel
         if self.noise in (None, "none"):
             return None
-        if self.noise == "reference":
-            return channel.REFERENCE_PARAMS
-        if isinstance(self.noise, dict):
-            return channel.NoiseModelParams.from_json(self.noise)
-        raise ValueError(f"noise must be none, reference or an object, not {self.noise!r}")
+        return channel.REFERENCE_PARAMS if self.noise == "reference" else channel.NoiseModelParams.from_json(self.noise)
 
     def source(self) -> fock.SqueezedSource:
         from . import fock
@@ -150,8 +150,8 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON or key=value config file.")
-# a Philox key is one uint64, and the second resample stream takes seed + 1
-@click.option("--seed", type=click.IntRange(0, 2**64 - 2), default=0, show_default=True,
+# one uint64, the first word of every stream key (stats.stream_key)
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
               help="Master seed; all randomness derives from it.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True, help="Output directory.")
 @click.pass_context
@@ -169,11 +169,6 @@ def _dump_json(obj, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _angle_seed(seed: int, index: int) -> int:
-    import numpy as np
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
     from . import channel, fock
     src = fock.tmsv_distribution(cfg.source(), n_max=cfg.n_max)
@@ -188,13 +183,13 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
 @_guarded
 def simulate(obj):
     """Sample per-angle shot tables from the modelled channel."""
-    from . import metrology
+    from . import metrology, stats
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
-    params = cfg.noise_params()  # a malformed noise config raises before anything is written
+    params = cfg.noise_params()
     files, tails = {}, {}
     for i, theta in enumerate(cfg.angles):
         dist = _predicted(cfg, theta)
-        table = metrology.ShotTable.sample(dist, cfg.shots_per_angle, seed=_angle_seed(seed, i), theta=theta)
+        table = metrology.ShotTable.sample(dist, cfg.shots_per_angle, seed=stats.stream_key(seed, i), theta=theta)
         name = f"shots_theta{theta:.6f}.csv"
         table.to_csv(out / name)
         files[f"{theta:.6f}"] = name
@@ -296,10 +291,10 @@ def analyze(obj, dataset_dir):
         p0 = ph = None
         if hom_key is not None:
             ph = metrology.empirical_distribution(tables[hom_key], n)
-            entry["fidelity_vs_ideal"] = metrology.fidelity(ph, fock.holland_burnett(n))
+            entry["fidelity_vs_ideal"] = metrology.fidelity(ph, fock.twin_fock_output(n, HOM_ANGLE))
             mh = fock.collective_moments(ph)
-            samples = fock.moments(stats.multinomial_resample(ph.probs, ph.n_shots, plan)).parity
-            lo, hi = stats.asymmetric_std(samples, center=mh.parity)
+            mh_stack = fock.moments(stats.resample_histogram(ph, plan, hom_key))
+            lo, hi = stats.asymmetric_std(mh_stack.parity, center=mh.parity)
             entry["parity_x"] = {"value": mh.parity, "err_minus": lo, "err_plus": hi}
             entry["jxjy2"] = metrology.jxjy2_estimate(mh)
             parity_rows.append((n, f"{mh.parity:.4f}", f"{lo:.4f}", f"{hi:.4f}"))
@@ -321,7 +316,8 @@ def analyze(obj, dataset_dir):
                 entry["squeezing"] = {"notice": str(exc)}
             point_p = entanglement.depth_parity(data)
             point_v = entanglement.depth_variance(data)
-            conf_p, conf_v = entanglement.depth_with_resampling(p0, ph, plan, cfg.confidence_level)
+            m0_stack = fock.moments(stats.resample_histogram(p0, plan, zero_key))
+            conf_p, conf_v = entanglement.depth_with_resampling(n, m0_stack, mh_stack, cfg.confidence_level)
             entry["depth"] = {
                 "parity_point": point_p.depth, "parity_method": point_p.method,
                 "variance_point": point_v.depth,

@@ -8,7 +8,7 @@ lower-bounds the entanglement depth by two routes: a parity-assisted
 inequality valid for partitions with k >= N/2, and a variance criterion
 built on the minimal-variance boundary F_j of spin-j states.  Both routes run
 in one array routine over rows of moments: a point estimate is one row, and
-:func:`depth_with_resampling` returns both depths from one resample draw.
+:func:`depth_with_resampling` returns both depths from a stack of resampled moments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .fock import CollectiveMoments, DomainError, FixedNDistribution, moments
+from .fock import CollectiveMoments, DomainError
 from .metrology import is_number, jxjy2_estimate
 
 MAX_BOUNDARY_DIM = 64  # largest (2j+1) in the boundary table
@@ -273,28 +273,20 @@ def depth_variance(data: CollectiveData) -> DepthResult:
     return DepthResult(depth=variance_k + 1, method="variance", n_total=data.n_total, clamped_k=clamped)
 
 
-def depth_with_resampling(
-    p_unrotated: FixedNDistribution,
-    post_hom: FixedNDistribution,
-    plan: stats.ResamplePlan,
-    level: float = 0.68,
-) -> tuple[DepthResult, DepthResult]:
-    """Parity and variance depths at a confidence level, from one resample draw.
+def depth_with_resampling(n: int, m0: CollectiveMoments, mh: CollectiveMoments,
+                          level: float = 0.68) -> tuple[DepthResult, DepthResult]:
+    """Parity and variance depths at a confidence level, from moment stacks of resampled histograms.
 
-    Both histograms are resampled once (:func:`stats.resample_pair`) and both
-    criteria run on the whole stack of moments; the parity route falls back
-    to the variance one per sample, as :func:`depth_parity` does.  Each
-    reported depth is the largest one reached by at least ``level`` of the
-    samples.  Returns ``(parity, variance)``.
+    ``m0`` and ``mh`` are the moments of matching resamples of the unrotated
+    and the post-pi/2 histogram at atom number ``n``.  Both criteria run on
+    the whole stack; the parity route falls back to the variance one per
+    sample, as :func:`depth_parity` does.  Each reported depth is the largest
+    one reached by at least ``level`` of the samples.  Returns ``(parity, variance)``.
     """
-    n = p_unrotated.n_total
-    if post_hom.n_total != n:
-        raise ValueError("histograms belong to different N")
     if n < 2:
         raise ValueError("need at least two atoms")
     if n % 2:
         raise DomainError("parity criterion defined for even N")
-    m0, mh = (moments(s) for s in stats.resample_pair(p_unrotated, post_hom, plan))
     parity_k, variance_k, _ = _criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
     variance = variance_k + 1
     parity = np.where(parity_k >= 0, parity_k + 1, variance)

@@ -14,7 +14,6 @@ is irrelevant and rotations about x and y give the identical kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,27 +179,11 @@ def _kernel(n_total: int, theta: float, rows) -> np.ndarray:
 
 
 def twin_fock_output(n_total: int, theta: float) -> FixedNDistribution:
-    """Exact output of a twin input (Jz_in = 0) after a theta pulse: at pi/2, :func:`holland_burnett`."""
+    """Exact output of a twin input (Jz_in = 0) after a theta pulse: at pi/2, the discrete arcsine law."""
     if n_total % 2 != 0 or n_total < 0 or not 0.0 <= theta <= np.pi:
         raise DomainError("twin_fock_output needs an even total atom number >= 0 and theta in [0, pi]")
     row = _kernel(n_total, float(theta), n_total // 2)
     return FixedNDistribution(n_total=n_total, probs=row / row.sum())
-
-
-def holland_burnett(n_total: int) -> FixedNDistribution:
-    """Discrete arcsine distribution: twin beams after a balanced coupling.
-
-    Only even output differences are populated; the closed form uses central
-    binomial products and is exact in double precision.
-    """
-    if n_total % 2 != 0:
-        raise DomainError("holland_burnett requires an even total atom number")
-    n = n_total // 2
-    probs = np.zeros(n_total + 1)
-    scale = 0.25**n
-    for k in range(n + 1):
-        probs[2 * k] = math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k) * scale
-    return FixedNDistribution(n_total=n_total, probs=probs)
 
 
 def moments(probs) -> CollectiveMoments:

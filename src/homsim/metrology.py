@@ -446,13 +446,13 @@ def fisher_from_distributions(
 
 
 def resampled_hellinger(p: FixedNDistribution, q: FixedNDistribution, plan: stats.ResamplePlan) -> tuple[float, float]:
-    """Monte-Carlo mean and spread of d^2 under multinomial re-draws of both sides.
+    """Mean and spread of d^2 over resamples of ``p`` and ``q``, drawn as :func:`fisher_from_shots` draws theta = 0.
 
     The mean is biased upward by sampling noise (strictly positive even for
     p = q); downstream fits absorb that through their free intercept.
     """
     _check_same_n(p, q)
-    d2 = _hell2(*stats.resample_pair(p, q, plan))
+    d2 = _hell2(stats.resample_histogram(p, plan, 0.0, side=0), stats.resample_histogram(q, plan, 0.0, side=1))
     return float(d2.mean()), float(d2.std(ddof=1)) if len(d2) > 1 else 0.0
 
 
@@ -465,19 +465,18 @@ def fisher_from_shots(
 ) -> FisherEstimate:
     """Sampled-data pipeline: resampled mean d^2 per angle pair, spread as weight.
 
-    Each histogram kept at N is resampled once as the first side of a pair
-    and once as the second, by ``stats.resample_pair`` of the histogram with
-    itself.  The pair theta_i <= theta_j takes the mean and spread of d^2
-    between the first stack of i and the second of j, the numbers
-    ``resampled_hellinger`` gives, mirrored to (j, i) so the input to the
-    parabola fits is symmetric like the exact pipeline's.
+    Each histogram kept at N is resampled twice by ``stats.resample_histogram``
+    at its angle, once as the first side of a pair and once as the second; the
+    first side is the stack ``analyze`` draws of that histogram.  The pair
+    theta_i <= theta_j takes the mean and spread of d^2 between the first stack
+    of i and the second of j, mirrored to (j, i) so the input to the parabola
+    fits is symmetric like the exact pipeline's.
     """
     per_n = {}
     for n in n_values:
         kept = _angles_for(n, sorted(tables), exclusions)
-        hists = [empirical_distribution(tables[t], n) for t in kept]
-        pairs = [stats.resample_pair(h, h, plan) for h in hists]
-        first, second = (np.array([pair[side] for pair in pairs]) for side in (0, 1))
+        hists = {t: empirical_distribution(tables[t], n) for t in kept}
+        first, second = (np.array([stats.resample_histogram(hists[t], plan, t, side) for t in kept]) for side in (0, 1))
         d2, spread = np.zeros((2, len(kept), len(kept)))
         for i in range(len(kept)):
             s = _hell2(first[i], second[i:])  # theta_i against every theta_j >= theta_i

@@ -1,8 +1,9 @@
-"""Shared numerics: resampling, error bars, and the least-squares solvers.
+"""Shared numerics: random streams, resampling, error bars, and the least-squares solvers.
 
-One convention for every analysis module: one seeded Philox stream per
-resample stack, one box-bounded least-squares solver on one function for the
-residual and its Jacobian, covariance scaled by the reduced chi-square.  Only
+One convention for every analysis module: one key rule for every random
+stream (:func:`stream_key`) and one resample stack per measured histogram and
+side; one box-bounded least-squares solver on one function for the residual
+and its Jacobian, covariance scaled by the reduced chi-square.  Only
 ``differential_evolution``, a test oracle, loads scipy, when called.
 """
 
@@ -53,12 +54,23 @@ def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) ->
     return rng.multinomial(n_shots, probs / total, size=plan.n_samples) / n_shots
 
 
-def resample_pair(p, q, plan: ResamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Resample stacks of two measured histograms: ``p`` from ``plan``'s seed, ``q`` from seed + 1."""
-    if p.n_shots is None or q.n_shots is None:
-        raise ValueError("resampling needs the original sample sizes")
-    return (multinomial_resample(p.probs, p.n_shots, plan),
-            multinomial_resample(q.probs, q.n_shots, ResamplePlan(plan.n_samples, plan.seed + 1)))
+def stream_key(seed: int, *coords: int) -> int:
+    """The Philox key of the stream at ``coords`` under the master seed: ``SeedSequence([seed, *coords])``.
+
+    Shot tables sit at (angle index,), resample stacks at (angle, N, side): a ``SeedSequence`` ignores
+    the trailing zeros of up to four words, so an N >= 1 keeps every stack's key off every shot key.
+    """
+    return int(np.random.SeedSequence([seed, *coords]).generate_state(1)[0])
+
+
+def resample_histogram(hist, plan: ResamplePlan, theta: float, side: int = 0) -> np.ndarray:
+    """``plan.n_samples`` resamples of a measured fixed-N histogram taken at the angle ``theta``.
+
+    Keyed at (``theta`` in micro-radians, its shot-table key; N; ``side``): one stack per histogram and side."""
+    if hist.n_shots is None or hist.n_total < 1:
+        raise ValueError("resampling needs the original sample size and at least one atom")
+    key = stream_key(plan.seed, round(theta * 1e6), hist.n_total, side)
+    return multinomial_resample(hist.probs, hist.n_shots, ResamplePlan(plan.n_samples, key))
 
 
 def asymmetric_std(samples: np.ndarray, center: float | None = None) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from scipy.special import comb
 from scipy.stats import binom, norm, poisson
 
 from homsim.entanglement import CollectiveData
-from homsim.fock import DomainError
+from homsim.fock import DomainError, FixedNDistribution
 from homsim.metrology import write_csv
 
 NORM_ATOL = 1e-12
@@ -93,6 +93,21 @@ def arcsine_row(n_total: int) -> np.ndarray:
     for k in range(n + 1):
         row[2 * k] = comb(2 * k, k, exact=True) * comb(2 * n - 2 * k, n - k, exact=True) * 0.25**n
     return row
+
+
+def holland_burnett(n_total: int) -> FixedNDistribution:
+    """Closed-form oracle of ``fock.twin_fock_output(n_total, pi/2)``: the discrete arcsine distribution.
+
+    Only even output differences are populated; the central binomial
+    products are exact in double precision.
+    """
+    if n_total % 2 != 0:
+        raise DomainError("holland_burnett requires an even total atom number")
+    n = n_total // 2
+    probs = np.zeros(n_total + 1)
+    for k in range(n + 1):
+        probs[2 * k] = math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k) * 0.25**n
+    return FixedNDistribution(n_total=n_total, probs=probs)
 
 
 def tmsv_weights_direct(xi: float, n_pairs: int) -> tuple[np.ndarray, float]:

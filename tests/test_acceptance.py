@@ -78,7 +78,7 @@ def test_criterion_1_arcsine_distribution():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 17, 2):
-        ours = fock.holland_burnett(n).probs
+        ours = fock.twin_fock_output(n, math.pi / 2).probs
         worst = max(worst, np.abs(ours - oracles.arcsine_row(n)).max())
         worst = max(worst, np.abs(ours - oracles.kernel_factorial(n, math.pi / 2)[n // 2]).max())
     elapsed = time.perf_counter() - t0

@@ -462,7 +462,7 @@ def gate_tables(default_source):
     cfg = cli.RunConfig()
     pred = channel.predict(default_source, HOM, REF)
     for seed in range(1, 7):  # as simulate draws its pi/2 table
-        angle_seed = cli._angle_seed(seed, cfg.angles.index(HOM))
+        angle_seed = stats.stream_key(seed, cfg.angles.index(HOM))
         tables[seed] = metrology.ShotTable.sample(pred, cfg.shots_per_angle, seed=angle_seed, theta=HOM)
     return tables
 

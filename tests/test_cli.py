@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from homsim import channel, cli, detector, metrology, stats
+from homsim import channel, cli, detector, entanglement, fock, metrology, stats
 from homsim.cli import RunConfig
 from test_acceptance import TABLE_ROWS
 
@@ -183,6 +183,19 @@ def test_undocumented_noise_alias_exits_2(runner, tmp_path, noise, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "analyze", "fisher --exact ideal", "fisher --dataset",
+                                     "depth", "witness"])
+def test_malformed_noise_exits_2_on_every_command(runner, tmp_path, command):
+    # noise is checked when the config loads, so no command stamps a config that simulate rejects
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": "garbage"}))
+    path = [] if command in ("simulate", "fisher --exact ideal") else [tmp_path]  # any existing path will do
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split(), *path])
+    assert res.exit_code == 2, res.output
+    assert "noise must be none, reference or an object, not 'garbage'" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_2(runner, tmp_path):
     res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output
@@ -347,6 +360,92 @@ def test_fisher_requires_exactly_one_source(runner, tmp_path):
     res = invoke(runner, ["--out", tmp_path / "o", "fisher"])
     assert res.exit_code == 2
     assert "exactly one" in res.output
+
+
+# ---------------------------------------------------------------- random streams
+
+
+@pytest.fixture(scope="module")
+def default_draws(runner, workdir):
+    """Every draw of simulate, analyze and fisher --dataset on the default config at seeds 0 and 1.
+
+    Per seed: the Philox key of each shot table; the key and the stack of each
+    resample, under the command that drew it; the n and moment stacks of each
+    resampled depth; and analyze's report.
+    """
+    sample, resample, depth = metrology.ShotTable.sample, stats.multinomial_resample, entanglement.depth_with_resampling
+    draws = {}
+    for master in (0, 1):
+        record = draws[master] = {"simulate": [], "analyze": [], "fisher --dataset": [], "depth": []}
+        stage = ["simulate"]
+
+        def sampling(cls, dist, n_shots, seed=0, theta=None):
+            record["simulate"].append(seed)
+            return sample(dist, n_shots, seed=seed, theta=theta)
+
+        def resampling(probs, n_shots, plan):
+            stack = resample(probs, n_shots, plan)
+            record[stage[0]].append((plan.seed, stack))
+            return stack
+
+        def depths(n, m0, mh, level=0.68):
+            record["depth"].append((n, m0, mh))
+            return depth(n, m0, mh, level)
+
+        run = workdir / f"default-{master}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrology.ShotTable, "sample", classmethod(sampling))
+            mp.setattr(stats, "multinomial_resample", resampling)
+            mp.setattr(entanglement, "depth_with_resampling", depths)
+            for command in ("simulate", "analyze", "fisher --dataset"):
+                stage[0] = command
+                dataset = [] if command == "simulate" else [run / "simulate"]
+                res = invoke(runner, ["--seed", master, "--out", run / command.split()[0], *command.split(), *dataset])
+                assert res.exit_code == 0, res.output
+        record["report"] = json.loads((run / "analyze" / "report.json").read_text())
+    return draws
+
+
+def test_analyze_draws_two_stacks_per_n_with_distinct_keys(default_draws):
+    for record in default_draws.values():
+        keys = [key for key, _ in record["analyze"]]
+        assert len(keys) == 2 * len(RunConfig().n_values) == len(set(keys))
+
+
+def test_analyze_reads_parity_error_and_confident_depths_from_one_pi_half_stack(default_draws):
+    for seed, record in default_draws.items():
+        stacks = dict(record["analyze"])
+        assert [n for n, _, _ in record["depth"]] == RunConfig().n_values
+        for n, m0, mh in record["depth"]:
+            hom = fock.moments(stacks[stats.stream_key(seed, round(HOM * 1e6), n, 0)])
+            zero = fock.moments(stacks[stats.stream_key(seed, 0, n, 0)])
+            for ours, drawn in ((mh, hom), (m0, zero)):
+                for name in ("jz2", "var_jz", "parity"):
+                    np.testing.assert_array_equal(getattr(ours, name), getattr(drawn, name))
+            parity = record["report"]["per_n"][str(n)]["parity_x"]
+            assert len(set(hom.parity)) > 1  # a stack that varies, so its spread tells stacks apart
+            assert (parity["err_minus"], parity["err_plus"]) == stats.asymmetric_std(hom.parity, parity["value"])
+
+
+def test_fisher_dataset_draws_two_stacks_per_kept_histogram(default_draws):
+    cfg = RunConfig()
+    kept = [t for t in cfg.angles if t < 1.0]
+    for seed, record in default_draws.items():
+        stacks = dict(record["fisher --dataset"])
+        assert len(record["fisher --dataset"]) == 2 * len(kept) * len(cfg.n_values) == len(stacks)
+        for n in cfg.n_values:  # the first side of theta = 0 is the stack analyze draws
+            key = stats.stream_key(seed, 0, n, 0)
+            np.testing.assert_array_equal(stacks[key], dict(record["analyze"])[key][:500])  # 500 of analyze's 1000
+
+
+def test_resample_keys_never_equal_shot_keys(default_draws):
+    shots = {key for record in default_draws.values() for key in record["simulate"]}
+    assert len(shots) == 2 * len(RunConfig().angles)
+    resamples = {key for record in default_draws.values() for command in ("analyze", "fisher --dataset")
+                 for key, _ in record[command]}
+    # per seed and N: pi/2 once, and each of the five small angles on two sides, theta = 0's first shared with analyze
+    assert len(resamples) == 2 * (1 + 2 * 5) * len(RunConfig().n_values)
+    assert not shots & resamples
 
 
 # ---------------------------------------------------------------- depth / witness
@@ -617,10 +716,10 @@ def test_angles_sharing_a_shot_table_name_exit_2(runner, tmp_path, angles, pair)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+@pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --dataset"])
 def test_seed_outside_the_philox_key_range_exits_2(runner, tmp_path, simulated, command, seed):
-    # a Philox key is one uint64, and the second resample stream takes seed + 1
+    # the master seed is one uint64, the first word of every stream key
     args = command.split() + ([] if command == "simulate" else [simulated])
     res = invoke(runner, ["--seed", seed, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
@@ -629,10 +728,10 @@ def test_seed_outside_the_philox_key_range_exits_2(runner, tmp_path, simulated, 
 
 
 def test_largest_seed_runs_analyze(runner, tmp_path, noise_off_config, simulated):
-    res = invoke(runner, ["--config", noise_off_config, "--seed", 2**64 - 2, "--out", tmp_path / "o",
+    res = invoke(runner, ["--config", noise_off_config, "--seed", 2**64 - 1, "--out", tmp_path / "o",
                           "analyze", simulated])
     assert res.exit_code == 0, res.output
-    assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**64 - 2
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**64 - 1
 
 
 # ---------------------------------------------------------------- exit codes

@@ -351,7 +351,7 @@ def camera_run(seed: int, path) -> detector.SignalTable:
     angles = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
     cfg = cli.RunConfig(angles=angles)
     tables = [metrology.ShotTable.sample(cli._predicted(cfg, t), cfg.shots_per_angle,
-                                         seed=cli._angle_seed(seed, i), theta=t)
+                                         seed=stats.stream_key(seed, i), theta=t)
               for i, t in enumerate(angles)]
     rng = np.random.default_rng(seed)
     idx = np.arange(len(angles) * cfg.shots_per_angle)

@@ -19,10 +19,19 @@ def table_data():
     return [ent.CollectiveData.from_json(r) for r in TABLE_ROWS]
 
 
-def resampled_depths(p0, ph, plan):
-    """Per-resample (parity, variance) depths, from the stacks ``depth_with_resampling`` draws."""
-    m0, mh = (fock.moments(s) for s in stats.resample_pair(p0, ph, plan))
-    parity_k, variance_k, _ = ent._criteria(p0.n_total, jxjy2_estimate(mh), m0.var_jz, m0.parity)
+def resampled_stacks(p0, ph, plan):
+    """One resample stack of the theta = 0 and of the pi/2 histogram, keyed as ``analyze`` keys them."""
+    return stats.resample_histogram(p0, plan, 0.0), stats.resample_histogram(ph, plan, math.pi / 2)
+
+
+def moment_stacks(p0, ph, plan):
+    """The moments of :func:`resampled_stacks`, the input of ``depth_with_resampling``."""
+    return tuple(fock.moments(s) for s in resampled_stacks(p0, ph, plan))
+
+
+def resampled_depths(n, m0, mh):
+    """Per-resample (parity, variance) depths of the moment stacks ``depth_with_resampling`` reads."""
+    parity_k, variance_k, _ = ent._criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
     return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1
 
 
@@ -62,7 +71,7 @@ def test_collective_from_distributions_matches_ideal():
     n = 6
     probs0 = np.eye(n + 1)[n // 2]
     p0 = fock.FixedNDistribution(n_total=n, probs=probs0)
-    data = ent.collective_data(n, fock.collective_moments(p0), fock.collective_moments(fock.holland_burnett(n)))
+    data = ent.collective_data(n, fock.collective_moments(p0), fock.collective_moments(oracles.holland_burnett(n)))
     ideal = oracles.ideal_twin_fock_data(n)
     assert data.var_jz == pytest.approx(0.0, abs=1e-12)
     assert data.jxjy2 == pytest.approx(ideal.jxjy2, abs=1e-12)
@@ -170,14 +179,14 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     binom = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
     p0 = 0.2 * binom
     p0[n // 2] += 0.8
-    ph = 0.8 * fock.holland_burnett(n).probs + 0.2 * binom
+    ph = 0.8 * oracles.holland_burnett(n).probs + 0.2 * binom
     ent._boundary_lines.cache_clear()
     ent._envelope.cache_clear()
     pair = (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
             fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
-    plan = stats.ResamplePlan(n_samples=100, seed=3)
-    _, var = ent.depth_with_resampling(*pair, plan=plan)
-    samples = resampled_depths(*pair, plan)[1]
+    stacks = moment_stacks(*pair, stats.ResamplePlan(n_samples=100, seed=3))
+    _, var = ent.depth_with_resampling(n, *stacks)
+    samples = resampled_depths(n, *stacks)[1]
     assert len(samples) == 100
     assert var.depth == stats.depth_confidence(samples, level=var.confidence_level)
     assert ent._boundary_lines.cache_info().currsize > 1  # the boundary was read for several spins
@@ -282,20 +291,20 @@ def test_depth_falls_back_when_parity_route_silent():
 def test_depth_with_resampling_ideal_and_determinism():
     n = 6
     p0 = fock.FixedNDistribution(n_total=n, probs=np.eye(n + 1)[n // 2], n_shots=3816)
-    ph = fock.FixedNDistribution(n_total=n, probs=fock.holland_burnett(n).probs, n_shots=3816)
+    ph = fock.FixedNDistribution(n_total=n, probs=oracles.holland_burnett(n).probs, n_shots=3816)
     plan = stats.ResamplePlan(n_samples=200, seed=2)
-    a, v = ent.depth_with_resampling(p0, ph, plan=plan)
-    b, _ = ent.depth_with_resampling(p0, ph, plan=plan)
+    a, v = ent.depth_with_resampling(n, *moment_stacks(p0, ph, plan))
+    b, _ = ent.depth_with_resampling(n, *moment_stacks(p0, ph, plan))
     assert a.depth == b.depth == n
     assert (a.method, v.method) == ("parity", "variance")
-    samples = resampled_depths(p0, ph, plan)[0]
-    np.testing.assert_array_equal(samples, resampled_depths(p0, ph, plan)[0])
+    samples = resampled_depths(n, *moment_stacks(p0, ph, plan))[0]
+    np.testing.assert_array_equal(samples, resampled_depths(n, *moment_stacks(p0, ph, plan))[0])
     assert a.depth == stats.depth_confidence(samples, level=a.confidence_level)
     assert a.confidence_level == v.confidence_level == 0.68
     assert v.depth >= n - 1
-    bare = fock.holland_burnett(n)
+    bare = oracles.holland_burnett(n)
     with pytest.raises(ValueError):
-        ent.depth_with_resampling(bare, bare, plan=plan)
+        moment_stacks(bare, bare, plan)  # sample sizes unknown
 
 
 def _mixed_pair():
@@ -304,7 +313,7 @@ def _mixed_pair():
     binom = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
     p0 = 0.3 * binom
     p0[n // 2] += 0.7
-    ph = 0.6 * fock.holland_burnett(n).probs + 0.4 * binom
+    ph = 0.6 * oracles.holland_burnett(n).probs + 0.4 * binom
     return (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
             fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
 
@@ -312,10 +321,11 @@ def _mixed_pair():
 def test_resampled_depths_equal_point_criteria_per_sample():
     p0, ph = _mixed_pair()
     plan = stats.ResamplePlan(n_samples=200, seed=5)
-    par, var = ent.depth_with_resampling(p0, ph, plan=plan)
-    par_samples, var_samples = resampled_depths(p0, ph, plan)
+    p0s, phs = resampled_stacks(p0, ph, plan)
+    m0, mh = fock.moments(p0s), fock.moments(phs)
+    par, var = ent.depth_with_resampling(p0.n_total, m0, mh)
+    par_samples, var_samples = resampled_depths(p0.n_total, m0, mh)
     assert (par.depth, var.depth) == (stats.depth_confidence(par_samples), stats.depth_confidence(var_samples))
-    p0s, phs = stats.resample_pair(p0, ph, plan)
     methods = set()
     for i in range(plan.n_samples):
         data = ent.collective_data(p0.n_total, fock.moments(p0s[i]), fock.moments(phs[i]))
@@ -329,12 +339,13 @@ def test_resampled_depths_equal_point_criteria_per_sample():
 
 @pytest.mark.parametrize("n0, nh, error, match", [
     (5, 5, DomainError, "even N"), (1, 1, ValueError, "two atoms"), (0, 0, ValueError, "two atoms"),
-    (8, 6, ValueError, "different N"),
 ])
 def test_depth_with_resampling_rejects_odd_tiny_or_mismatched_n(n0, nh, error, match):
-    p0, ph = (fock.FixedNDistribution(n_total=n, probs=np.full(n + 1, 1.0 / (n + 1)), n_shots=100) for n in (n0, nh))
+    # moment stacks carry no N, so a mismatch of the two histograms' N cannot reach the criteria;
+    # analyze takes both histograms at one N
+    m0, mh = (fock.moments(np.full((10, n + 1), 1.0 / (n + 1))) for n in (n0, nh))
     with pytest.raises(error, match=match):
-        ent.depth_with_resampling(p0, ph, plan=stats.ResamplePlan(n_samples=10, seed=0))
+        ent.depth_with_resampling(n0, m0, mh)
 
 
 def _scalar_boundary(j, x):

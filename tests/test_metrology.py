@@ -80,7 +80,7 @@ def test_empirical_distribution_delta_and_errors():
 
 
 def test_empirical_distribution_converges_to_truth():
-    truth = fock.holland_burnett(10)
+    truth = oracles.holland_burnett(10)
     grid = np.zeros((11, 11))
     k = np.arange(11)
     grid[k, 10 - k] = truth.probs
@@ -91,14 +91,14 @@ def test_empirical_distribution_converges_to_truth():
 
 
 def test_fidelity_and_hellinger_edge_cases():
-    p = fock.holland_burnett(4)
+    p = oracles.holland_burnett(4)
     assert metrology.fidelity(p, p) == pytest.approx(1.0, abs=1e-15)
     assert metrology.hellinger_sq(p, p) == 0.0
     q = fock.FixedNDistribution(n_total=4, probs=np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
     assert metrology.fidelity(p, q) == 0.0  # disjoint supports
     assert metrology.hellinger_sq(p, q) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        metrology.fidelity(p, fock.holland_burnett(6))
+        metrology.fidelity(p, oracles.holland_burnett(6))
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,7 +127,7 @@ def test_two_atom_distance_closed_form():
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
 def test_jxjy2_of_ideal_state(n):
-    est = metrology.jxjy2_estimate(fock.collective_moments(fock.holland_burnett(n)))
+    est = metrology.jxjy2_estimate(fock.collective_moments(oracles.holland_burnett(n)))
     assert est == pytest.approx((n / 2) * (n / 2 + 1), abs=1e-12)
     flat = fock.FixedNDistribution(n_total=n, probs=np.eye(n + 1)[n // 2])
     assert metrology.jxjy2_estimate(fock.collective_moments(flat)) == 0.0
@@ -307,14 +307,14 @@ def test_fisher_pipeline_agrees_across_kernels():
 
 
 def test_resampled_hellinger_bias_and_determinism():
-    p = fock.FixedNDistribution(n_total=4, probs=fock.holland_burnett(4).probs, n_shots=500)
+    p = fock.FixedNDistribution(n_total=4, probs=oracles.holland_burnett(4).probs, n_shots=500)
     plan = stats.ResamplePlan(n_samples=300, seed=9)
     mean1, std1 = metrology.resampled_hellinger(p, p, plan)
     mean2, std2 = metrology.resampled_hellinger(p, p, plan)
     assert (mean1, std1) == (mean2, std2)
     assert mean1 > 0  # finite-sample bias never vanishes
     assert std1 > 0
-    bare = fock.holland_burnett(4)
+    bare = oracles.holland_burnett(4)
     with pytest.raises(ValueError):
         metrology.resampled_hellinger(bare, bare, plan)  # sample sizes unknown
 
@@ -407,9 +407,11 @@ def _mixed_n_tables(ns, shots=2000):
 
 
 def test_fisher_from_shots_fits_the_resampled_hellinger_of_each_pair(monkeypatch):
-    # every d^2 the parabola fits see is resampled_hellinger of its pair
-    # (theta1 <= theta2) bit for bit, mirror entries included; a spread it
-    # cannot resolve takes the smallest resolved spread of the row
+    # every d^2 the parabola fits see is the resampled d^2 of its pair
+    # (theta1 <= theta2): the first stack of theta1 against the second of
+    # theta2, each drawn at its own (angle, N, side), bit for bit, mirror
+    # entries included; resampled_hellinger gives the theta = 0 self-pair; a
+    # spread it cannot resolve takes the smallest resolved spread of the row
     tables = _mixed_n_tables((2, 4, 14))
     plan = stats.ResamplePlan(n_samples=60, seed=5)
     fit, fitted = metrology.fit_fisher, []
@@ -424,10 +426,13 @@ def test_fisher_from_shots_fits_the_resampled_hellinger_of_each_pair(monkeypatch
     for n in (2, 4, 14):
         kept = [t for t in sorted(tables) if (n, t) != (14, 0.35)]
         hists = {t: metrology.empirical_distribution(tables[t], n) for t in kept}
+        stacks = {(t, side): stats.resample_histogram(hists[t], plan, t, side) for t in kept for side in (0, 1)}
         for t1 in kept:
             x, d2, sigma = next(rows)
-            ref = np.array([metrology.resampled_hellinger(hists[min(t1, t2)], hists[max(t1, t2)], plan)
-                            for t2 in kept])
+            pairs = [metrology._hell2(stacks[min(t1, t2), 0], stacks[max(t1, t2), 1]) for t2 in kept]
+            ref = np.array([(d.mean(), d.std(ddof=1)) for d in pairs])
+            if t1 == 0.0:
+                assert tuple(ref[0]) == metrology.resampled_hellinger(hists[0.0], hists[0.0], plan)
             assert x.tolist() == [t1 - t2 for t2 in kept]
             assert d2.tolist() == ref[:, 0].tolist()
             resolved = ref[:, 1] > 1e-12
@@ -448,6 +453,8 @@ def test_fisher_from_shots_resamples_each_kept_histogram_once_per_side(monkeypat
     plan = stats.ResamplePlan(n_samples=20, seed=7)
     metrology.fisher_from_shots(_mixed_n_tables((2, 4, 14)), [2, 4, 14], plan=plan,
                                 exclusions=metrology.DEFAULT_EXCLUSIONS)
-    # one stack per kept angle and side (seed, seed + 1): 8 at N = 14, where 0.35 is dropped
-    assert sorted(stacks) == sorted([(n, seed) for n, kept in ((2, 5), (4, 5), (14, 4))
-                                     for seed in (7, 8) for _ in range(kept)])
+    # one stack per kept angle and side, keyed (angle in micro-radians, N, side): 8 at N = 14, where 0.35 is dropped
+    assert sorted(stacks) == sorted([(n, stats.stream_key(7, round(t * 1e6), n, side)) for n in (2, 4, 14)
+                                     for t in metrology.SMALL_ROTATION_ANGLES if (n, t) != (14, 0.35)
+                                     for side in (0, 1)])
+    assert len(set(stacks)) == len(stacks)
