@@ -150,7 +150,7 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON or key=value config file.")
-# one uint64, the first word of every stream key (stats.stream_key)
+# one uint64, the first entry of every stream's SeedSequence (stats.stream_key)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
               help="Master seed; all randomness derives from it.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True, help="Output directory.")
