@@ -52,6 +52,7 @@ class RunConfig:
     exclude_beyond_node: bool = True
 
     def __post_init__(self):
+        from . import stats
         from .metrology import is_number
         for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
@@ -68,10 +69,10 @@ class RunConfig:
             raise ValueError("shots_per_angle must be positive")
         if any(not 0 <= a <= math.pi for a in self.angles):
             raise ValueError("angles must lie in [0, pi]")
-        keys = [f"{a:.6f}" for a in self.angles]  # each names one shot table
+        keys = [stats.angle_key(a) for a in self.angles]  # each names one shot table
         for i, key in enumerate(keys):
             if key in keys[:i]:
-                raise ValueError(f"angles {self.angles[keys.index(key)]!r} and {self.angles[i]!r} share the key {key}")
+                raise ValueError(f"angles {self.angles[keys.index(key)]!r} and {self.angles[i]!r} share the key {key:.6f}")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
         if not self.n_values or any(n < 2 or n % 2 for n in self.n_values):
@@ -83,6 +84,9 @@ class RunConfig:
             self.noise_params()  # only a noise object loads the channel
         elif self.noise not in (None, "none", "reference"):
             raise ValueError(f"noise must be none, reference or an object, not {self.noise!r}")
+        self.source()  # the owners check the ranges of xi, xi_jitter, resample_samples and confidence_level
+        stats.ResamplePlan(self.resample_samples, seed=0)
+        stats.check_level(self.confidence_level)
 
     def noise_params(self) -> channel.NoiseModelParams | None:
         from . import channel
@@ -242,7 +246,8 @@ def calibrate(obj, signals_csv):
 
 
 def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
-    from . import metrology
+    """The shot tables of a simulate output directory, each under its angle's key (``stats.angle_key``)."""
+    from . import metrology, stats
     meta_path = dataset_dir / "metadata.json"
     if not meta_path.exists():
         raise ValueError(f"no metadata.json in {dataset_dir}")
@@ -252,16 +257,11 @@ def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
         raise ValueError(f"{meta_path}: expected an object with a map of angle to file name under \"files\"")
     tables = {}
     for key, name in files.items():
-        theta = float(key)
+        theta = stats.angle_key(float(key))
+        if theta in tables:
+            raise ValueError(f"{meta_path}: {key!r} shares the angle key {theta:.6f} with an earlier file")
         tables[theta] = metrology.ShotTable.from_csv(dataset_dir / name, theta=theta)
     return tables
-
-
-def _find_angle(tables, target, tol=1e-6):
-    for theta in tables:
-        if abs(theta - target) < tol:
-            return theta
-    return None
 
 
 @main.command()
@@ -274,14 +274,13 @@ def analyze(obj, dataset_dir):
     from . import entanglement, fock, metrology, stats
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     tables = _load_dataset(Path(dataset_dir))
-    zero_key = _find_angle(tables, 0.0)
-    hom_key = _find_angle(tables, HOM_ANGLE)
+    zero, hom = (tables.get(stats.angle_key(theta)) for theta in (0.0, HOM_ANGLE))
     plan = stats.ResamplePlan(n_samples=cfg.resample_samples, seed=seed)
 
     report = {"command": "analyze", "per_n": {}, "notices": []}
-    if hom_key is None:
+    if hom is None:
         report["notices"].append("no pi/2 dataset: fidelity, parity, squeezing, and depth sections omitted")
-    if zero_key is None:
+    if zero is None:
         report["notices"].append("no theta=0 dataset: variance, z-parity, squeezing, and depth sections omitted")
 
     collective_rows, weights = [], []
@@ -289,17 +288,17 @@ def analyze(obj, dataset_dir):
     for n in cfg.n_values:
         entry: dict = {}
         p0 = ph = None
-        if hom_key is not None:
-            ph = metrology.empirical_distribution(tables[hom_key], n)
+        if hom is not None:
+            ph = metrology.empirical_distribution(hom, n)
             entry["fidelity_vs_ideal"] = metrology.fidelity(ph, fock.twin_fock_output(n, HOM_ANGLE))
             mh = fock.collective_moments(ph)
-            mh_stack = fock.moments(stats.resample_histogram(ph, plan, hom_key))
+            mh_stack = fock.moments(stats.resample_histogram(ph, plan, hom.theta))
             lo, hi = stats.asymmetric_std(mh_stack.parity, center=mh.parity)
             entry["parity_x"] = {"value": mh.parity, "err_minus": lo, "err_plus": hi}
             entry["jxjy2"] = metrology.jxjy2_estimate(mh)
             parity_rows.append((n, f"{mh.parity:.4f}", f"{lo:.4f}", f"{hi:.4f}"))
-        if zero_key is not None:
-            p0 = metrology.empirical_distribution(tables[zero_key], n)
+        if zero is not None:
+            p0 = metrology.empirical_distribution(zero, n)
             m0 = fock.collective_moments(p0)
             entry["var_jz"] = m0.var_jz
             entry["parity_z"] = m0.parity
@@ -316,8 +315,9 @@ def analyze(obj, dataset_dir):
                 entry["squeezing"] = {"notice": str(exc)}
             point_p = entanglement.depth_parity(data)
             point_v = entanglement.depth_variance(data)
-            m0_stack = fock.moments(stats.resample_histogram(p0, plan, zero_key))
-            conf_p, conf_v = entanglement.depth_with_resampling(n, m0_stack, mh_stack, cfg.confidence_level)
+            m0_stack = fock.moments(stats.resample_histogram(p0, plan, zero.theta))
+            conf_p, conf_v = entanglement.depth_with_resampling(
+                entanglement.collective_data(n, m0_stack, mh_stack), cfg.confidence_level)
             entry["depth"] = {
                 "parity_point": point_p.depth, "parity_method": point_p.method,
                 "variance_point": point_v.depth,
@@ -367,7 +367,8 @@ def fisher(obj, exact, dataset_dir):
     cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     if (exact is None) == (dataset_dir is None):
         raise ValueError("choose exactly one of --exact or --dataset")
-    angles = [a for a in cfg.angles if a < 1.0]
+    tables = {} if exact else {t: tab for t, tab in _load_dataset(Path(dataset_dir)).items() if t < 1.0}
+    angles = [a for a in cfg.angles if a < 1.0] if exact else list(tables)  # the probe angles of the source
     if len(angles) < 3:
         raise ValueError("need at least three small probe angles")
     exclusions = metrology.DEFAULT_EXCLUSIONS if cfg.exclude_beyond_node else {}
@@ -384,7 +385,6 @@ def fisher(obj, exact, dataset_dir):
                                                   exclusions=exclusions)
         source = f"exact-{exact}"
     else:
-        tables = {t: tab for t, tab in _load_dataset(Path(dataset_dir)).items() if t < 1.0}
         plan = stats.ResamplePlan(n_samples=min(cfg.resample_samples, 500), seed=seed)
         est = metrology.fisher_from_shots(tables, cfg.n_values, plan=plan,
                                           quartic=cfg.quartic, exclusions=exclusions)

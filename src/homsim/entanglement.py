@@ -7,8 +7,9 @@ certifies entanglement (parity-sum and indefinite-N variance witnesses) and
 lower-bounds the entanglement depth by two routes: a parity-assisted
 inequality valid for partitions with k >= N/2, and a variance criterion
 built on the minimal-variance boundary F_j of spin-j states.  Both routes run
-in one array routine over rows of moments: a point estimate is one row, and
-:func:`depth_with_resampling` returns both depths from a stack of resampled moments.
+in one array routine over the rows of one record, :class:`CollectiveData`:
+a point estimate is one row, and :func:`depth_with_resampling` returns both
+depths from a stack of resampled moments.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ MAX_BOUNDARY_DIM = 64  # largest (2j+1) in the boundary table
 
 @dataclass(frozen=True)
 class CollectiveData:
-    """Collective moments of one fixed-N dataset.
+    """Collective moments of one fixed-N dataset (floats) or of a stack of its resamples (arrays).
 
     ``parity_y`` defaults to ``parity_x``: the x and y product parities of an
     exchange-symmetric state with indefinite phase are equal, and only one is
@@ -47,13 +48,13 @@ class CollectiveData:
     def __post_init__(self):
         if self.n_total < 2:
             raise ValueError("need at least two atoms")
-        if self.var_jz < 0:
+        if np.any(self.var_jz < 0):
             raise ValueError("variance must be non-negative")
-        if self.jxjy2 < 0:
+        if np.any(self.jxjy2 < 0):
             raise ValueError("<Jx^2+Jy^2> must be non-negative")
         for name in ("parity_z", "parity_x", "parity_y"):
             v = getattr(self, name)
-            if v is not None and abs(v) > 1 + 1e-9:
+            if v is not None and np.any(np.abs(v) > 1 + 1e-9):
                 raise ValueError(f"{name} outside [-1, 1]")
         if self.parity_y is None:
             object.__setattr__(self, "parity_y", self.parity_x)
@@ -65,7 +66,7 @@ class CollectiveData:
     @property
     def symmetry_J(self) -> float:
         """Fraction of the maximal symmetric-subspace transverse spread, 1 = fully symmetric."""
-        return float(self.jxjy2 / (self.n_total * (self.n_total + 2) / 4.0))
+        return self.jxjy2 / (self.n_total * (self.n_total + 2) / 4.0)
 
     @classmethod
     def from_json(cls, row: dict) -> "CollectiveData":
@@ -85,16 +86,14 @@ class CollectiveData:
 
 
 def collective_data(n_total: int, m0: CollectiveMoments, mh: CollectiveMoments) -> CollectiveData:
-    """Witness inputs from the moments of the two measured J_z histograms.
+    """Witness and depth inputs from the moments of the two measured J_z histograms, or of stacks of their resamples.
 
     The unrotated histogram (m0) supplies Var(J_z) and the z product parity;
     the post-pi/2 histogram (mh) supplies <Jx^2+Jy^2> and the x parity (J_x
     has been mapped onto the measured axis).
     """
-    return CollectiveData(
-        n_total=n_total, jxjy2=float(jxjy2_estimate(mh)), var_jz=float(m0.var_jz),
-        parity_z=float(m0.parity), parity_x=float(mh.parity), mean_jz=float(m0.mean_jz),
-    )
+    return CollectiveData(n_total=n_total, jxjy2=jxjy2_estimate(mh), var_jz=m0.var_jz,
+                          parity_z=m0.parity, parity_x=mh.parity, mean_jz=m0.mean_jz)
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,8 @@ def _pair_spread(n: int) -> float:
     return v if n % 2 == 0 else v - 0.25
 
 
-def _criteria(n: int, jxjy2, var_jz, parity_z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both depth criteria at atom number ``n``, one entry per row of moments.
+def _criteria(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both depth criteria, one entry per row of ``data``.
 
     Returns the largest block size k beaten by the parity inequality (-1 if
     none), the largest beaten by the variance criterion (0 if none), and
@@ -214,7 +213,8 @@ def _criteria(n: int, jxjy2, var_jz, parity_z) -> tuple[np.ndarray, np.ndarray, 
     (k, bound), on the rows it decides: those not yet beaten whose
     square-root argument lies below one.
     """
-    jxjy2, var_jz, parity_z = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (jxjy2, var_jz, parity_z))
+    n, rows = data.n_total, (data.jxjy2, data.var_jz, data.parity_z)
+    jxjy2, var_jz, parity_z = (np.atleast_1d(np.asarray(a, dtype=float)) for a in rows)
     jmax = n / 2.0
     parity_k = np.full(len(jxjy2), -1)
     for k in range(math.ceil(n / 2), n):
@@ -239,10 +239,12 @@ def _criteria(n: int, jxjy2, var_jz, parity_z) -> tuple[np.ndarray, np.ndarray, 
     return parity_k, variance_k, applies
 
 
-def _point_criteria(data: CollectiveData) -> tuple[int, int, tuple]:
-    """:func:`_criteria` of one row, with the clamped (inapplicable) block sizes."""
-    parity_k, variance_k, applies = _criteria(data.n_total, data.jxjy2, data.var_jz, data.parity_z)
-    return int(parity_k[0]), int(variance_k[0]), tuple((np.flatnonzero(~applies[0]) + 2).tolist())
+def _depths(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Each route's depth per row of ``data`` (k + 1 for the largest block size k beaten; the parity route
+    takes the variance route's k where it beats none), where the parity route beat one, and row 0's clamped k."""
+    parity_k, variance_k, applies = _criteria(data)
+    clamped = tuple((np.flatnonzero(~applies[0]) + 2).tolist())
+    return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1, parity_k >= 0, clamped
 
 
 def depth_parity(data: CollectiveData) -> DepthResult:
@@ -254,10 +256,9 @@ def depth_parity(data: CollectiveData) -> DepthResult:
     """
     if data.n_total % 2:
         raise DomainError("parity criterion defined for even N")
-    parity_k, variance_k, clamped = _point_criteria(data)
-    if parity_k < 0:
-        return DepthResult(depth=variance_k + 1, method="fallback", n_total=data.n_total, clamped_k=clamped)
-    return DepthResult(depth=parity_k + 1, method="parity", n_total=data.n_total)
+    parity, _, certified, clamped = _depths(data)
+    method, clamped = ("parity", ()) if certified[0] else ("fallback", clamped)
+    return DepthResult(depth=int(parity[0]), method=method, n_total=data.n_total, clamped_k=clamped)
 
 
 def depth_variance(data: CollectiveData) -> DepthResult:
@@ -269,29 +270,24 @@ def depth_variance(data: CollectiveData) -> DepthResult:
     exceeds anything k-producible: trivially violated.  Negative arguments
     make the criterion inapplicable at that k (recorded, not certified).
     """
-    _, variance_k, clamped = _point_criteria(data)
-    return DepthResult(depth=variance_k + 1, method="variance", n_total=data.n_total, clamped_k=clamped)
+    _, variance, _, clamped = _depths(data)
+    return DepthResult(depth=int(variance[0]), method="variance", n_total=data.n_total, clamped_k=clamped)
 
 
-def depth_with_resampling(n: int, m0: CollectiveMoments, mh: CollectiveMoments,
-                          level: float = 0.68) -> tuple[DepthResult, DepthResult]:
-    """Parity and variance depths at a confidence level, from moment stacks of resampled histograms.
+def depth_with_resampling(data: CollectiveData, level: float = 0.68) -> tuple[DepthResult, DepthResult]:
+    """Parity and variance depths at a confidence level, from a stack of resampled moments.
 
-    ``m0`` and ``mh`` are the moments of matching resamples of the unrotated
-    and the post-pi/2 histogram at atom number ``n``.  Both criteria run on
-    the whole stack; the parity route falls back to the variance one per
-    sample, as :func:`depth_parity` does.  Each reported depth is the largest
-    one reached by at least ``level`` of the samples.  Returns ``(parity, variance)``.
+    ``data`` is :func:`collective_data` of the moment stacks of matching
+    resamples of the unrotated and the post-pi/2 histogram.  Both criteria
+    run on the whole stack, the parity route falling back per sample as in
+    :func:`depth_parity`.  Each reported depth is the largest one reached by
+    at least ``level`` of the samples.  Returns ``(parity, variance)``.
     """
-    if n < 2:
-        raise ValueError("need at least two atoms")
-    if n % 2:
+    if data.n_total % 2:
         raise DomainError("parity criterion defined for even N")
-    parity_k, variance_k, _ = _criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
-    variance = variance_k + 1
-    parity = np.where(parity_k >= 0, parity_k + 1, variance)
+    parity, variance, _, _ = _depths(data)
     return tuple(
-        DepthResult(depth=stats.depth_confidence(depths, level=level), method=method, n_total=n,
+        DepthResult(depth=stats.depth_confidence(depths, level=level), method=method, n_total=data.n_total,
                     confidence_level=level)
         for method, depths in (("parity", parity), ("variance", variance))
     )

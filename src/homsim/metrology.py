@@ -67,7 +67,7 @@ class ShotTable:
     """Per-shot detected occupations of the two side modes.
 
     ``theta`` labels the rotation angle of the sequence that generated the
-    data; None for unlabeled tables.
+    data, None for unlabeled tables; its ``stats.angle_key`` lies within those of 0 and pi.
     """
 
     n_plus: np.ndarray
@@ -81,7 +81,7 @@ class ShotTable:
             raise ValueError("n_plus and n_minus must be 1-d arrays of equal length")
         if (np_ < 0).any() or (nm < 0).any():
             raise ValueError("occupations must be non-negative")
-        if self.theta is not None and not 0.0 <= self.theta <= math.pi:
+        if self.theta is not None and not 0.0 <= stats.angle_key(self.theta) <= stats.angle_key(math.pi):
             raise ValueError("theta must lie in [0, pi]")
         object.__setattr__(self, "n_plus", np_)
         object.__setattr__(self, "n_minus", nm)
@@ -395,8 +395,8 @@ class FisherEstimate:
 
 
 def _angles_for(n_total: int, angles, exclusions) -> list[float]:
-    dropped = exclusions.get(n_total, ()) if exclusions else ()
-    return [a for a in angles if all(abs(a - d) > 1e-12 for d in dropped)]
+    dropped = {stats.angle_key(d) for d in exclusions.get(n_total, ())} if exclusions else set()
+    return [a for a in angles if stats.angle_key(a) not in dropped]
 
 
 def _run_pipeline(per_n, quartic, exclusions) -> FisherEstimate:

@@ -1,9 +1,9 @@
 """Shared numerics: random streams, resampling, error bars, and the least-squares solvers.
 
-One convention for every analysis module: one key rule for every random
-stream (:func:`stream_key`) and one resample stack per measured histogram and
-side; one box-bounded least-squares solver on one function for the residual
-and its Jacobian, covariance scaled by the reduced chi-square.  Only
+One convention for every analysis module: one key per angle (:func:`angle_key`),
+one key rule for every random stream (:func:`stream_key`) and one resample stack
+per measured histogram and side; one box-bounded least-squares solver on one
+function for the residual and its Jacobian, covariance scaled by the reduced chi-square.  Only
 ``differential_evolution``, a test oracle, loads scipy, when called.
 """
 
@@ -25,14 +25,14 @@ LSQ_TOL = 1e-10  # least_squares' relative tolerance on the cost drop, the step 
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """How many synthetic datasets to draw and from which seeded stream."""
+    """How many synthetic datasets to draw (the config's ``resample_samples``) and from which seeded stream."""
 
     n_samples: int
     seed: int
 
     def __post_init__(self):
         if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+            raise ValueError(f"resample_samples must be positive, not {self.n_samples}")
 
 
 def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) -> np.ndarray:
@@ -63,13 +63,18 @@ def stream_key(seed: int, *coords: int) -> int:
     return int(np.random.SeedSequence([seed, *coords]).generate_state(1)[0])
 
 
+def angle_key(theta: float) -> float:
+    """The key of the shot table at ``theta``, and of every lookup of it: the digits of ``f"{theta:.6f}"``."""
+    return round(float(theta), 6)  # Python's correctly rounded round, not numpy's scaled one
+
+
 def resample_histogram(hist, plan: ResamplePlan, theta: float, side: int = 0) -> np.ndarray:
     """``plan.n_samples`` resamples of a measured fixed-N histogram taken at the angle ``theta``.
 
-    Keyed at (``theta`` in micro-radians, its shot-table key; N; ``side``): one stack per histogram and side."""
+    Keyed at (``theta``'s :func:`angle_key` in micro-radians, N, ``side``): one stack per histogram and side."""
     if hist.n_shots is None or hist.n_total < 1:
         raise ValueError("resampling needs the original sample size and at least one atom")
-    key = stream_key(plan.seed, round(theta * 1e6), hist.n_total, side)
+    key = stream_key(plan.seed, round(angle_key(theta) * 1e6), hist.n_total, side)
     return multinomial_resample(hist.probs, hist.n_shots, ResamplePlan(plan.n_samples, key))
 
 
@@ -91,10 +96,15 @@ def asymmetric_std(samples: np.ndarray, center: float | None = None) -> tuple[fl
     return float(lower), float(upper)
 
 
+def check_level(level: float) -> None:
+    """The rule on a confidence level (the config's ``confidence_level``): it lies in (0, 1]."""
+    if not 0 < level <= 1:
+        raise ValueError(f"confidence_level must be in (0, 1], not {level!r}")
+
+
 def depth_confidence(samples, level: float = 0.68) -> int:
     """Largest depth k such that at least ``level`` of the samples reach k."""
-    if not 0 < level <= 1:
-        raise ValueError("level must be in (0, 1]")
+    check_level(level)
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) == 0:
         raise ValueError("empty sample")

@@ -196,6 +196,21 @@ def test_malformed_noise_exits_2_on_every_command(runner, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "analyze", "fisher --exact ideal", "fisher --dataset",
+                                     "depth", "witness"])
+@pytest.mark.parametrize("key, value", [("xi", -1), ("xi_jitter", -0.1), ("resample_samples", 0),
+                                        ("confidence_level", 5)])
+def test_out_of_range_config_value_exits_2_on_every_command(runner, tmp_path, command, key, value):
+    # each range was checked only by the command that used the field, so the others stamped the config's hash
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    path = [] if command in ("simulate", "fisher --exact ideal") else [tmp_path]  # any existing path will do
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split(), *path])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_2(runner, tmp_path):
     res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output
@@ -325,6 +340,46 @@ def test_analyze_without_metadata_exits_2(runner, tmp_path):
     assert "metadata.json" in res.output
 
 
+def test_analyze_reads_the_pi_half_table_by_its_key(runner, tmp_path):
+    # 1.570797 lies within 1e-6 of pi/2, and a tolerance window that met it first read its table as pi/2's
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**NOISE_OFF, "angles": [0.0, 1.570797, HOM], "n_values": [2, 4]}))
+    for command in (["simulate"], ["analyze", tmp_path / "sim"]):
+        res = invoke(runner, ["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
+        assert res.exit_code == 0, res.output
+    fidelity = {name: metrology.fidelity(metrology.empirical_distribution(
+        metrology.ShotTable.from_csv(tmp_path / "sim" / f"shots_theta{name}.csv"), 4), fock.twin_fock_output(4, HOM))
+        for name in ("1.570796", "1.570797")}
+    assert fidelity["1.570796"] != fidelity["1.570797"]
+    assert json.loads((tmp_path / "ana" / "report.json").read_text())["per_n"]["4"]["fidelity_vs_ideal"] == \
+        fidelity["1.570796"]
+
+
+def test_dataset_with_pi_runs_every_dataset_command(runner, tmp_path):
+    # simulate wrote shots_theta3.141593.csv, whose key lies above pi, and the dataset commands rejected it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**NOISE_OFF, "angles": [0.0, 0.14, 0.2, 0.28, HOM, math.pi], "resample_samples": 20}))
+    for command in (["simulate"], ["analyze", tmp_path / "sim"], ["fisher", "--dataset", tmp_path / "sim"]):
+        res = invoke(runner, ["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
+        assert res.exit_code == 0, res.output
+    assert "3.141593" in json.loads((tmp_path / "sim" / "metadata.json").read_text())["files"]
+    assert (tmp_path / "ana" / "report.json").exists() and (tmp_path / "fis" / "fisher.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "fisher --dataset"])
+def test_two_files_under_one_angle_key_exit_2(runner, tmp_path, simulated, command):
+    # "1.570796" and "1.5707961" name one angle; the lookup used whichever file its window met first
+    meta = json.loads((simulated / "metadata.json").read_text())
+    meta["files"]["1.5707961"] = meta["files"]["1.570796"]
+    dataset = tmp_path / "dataset"
+    shutil.copytree(simulated, dataset)
+    (dataset / "metadata.json").write_text(json.dumps(meta))
+    res = invoke(runner, ["--out", tmp_path / "o", *command.split(), dataset])
+    assert res.exit_code == 2, res.output
+    assert "'1.5707961' shares the angle key 1.570796" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- fisher
 
 
@@ -362,6 +417,35 @@ def test_fisher_requires_exactly_one_source(runner, tmp_path):
     assert "exactly one" in res.output
 
 
+@pytest.fixture(scope="module")
+def default_dataset(runner, workdir):
+    """A simulate run with the default config: five probe angles and pi/2."""
+    res = invoke(runner, ["--out", workdir / "default-dataset", "simulate"])
+    assert res.exit_code == 0, res.output
+    return workdir / "default-dataset"
+
+
+@pytest.mark.parametrize("probes, angles", [(5, [0.0, HOM]), (2, None)])
+def test_fisher_dataset_checks_the_probe_angles_of_its_tables(runner, tmp_path, default_dataset, probes, angles):
+    # the check read the config's angles: an analyze-only config rejected a five-probe dataset, and a
+    # two-probe dataset passed the default config's check and failed in the parabola fits
+    meta = json.loads((default_dataset / "metadata.json").read_text())
+    meta["files"] = dict(list(meta["files"].items())[:probes] + [("1.570796", meta["files"]["1.570796"])])
+    dataset = tmp_path / "dataset"
+    shutil.copytree(default_dataset, dataset)
+    (dataset / "metadata.json").write_text(json.dumps(meta))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"resample_samples": 20, **({"angles": angles} if angles else {})}))
+    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "fisher", "--dataset", dataset])
+    if probes == 2:
+        assert res.exit_code == 2, res.output
+        assert "need at least three small probe angles" in res.output
+        return
+    assert res.exit_code == 0, res.output
+    per_theta = json.loads((tmp_path / "o" / "fisher.json").read_text())["per_theta"]
+    assert list(per_theta["2"]) == ["0", "0.14", "0.2", "0.28", "0.35"]
+
+
 # ---------------------------------------------------------------- random streams
 
 
@@ -370,7 +454,7 @@ def default_draws(runner, workdir):
     """Every draw of simulate, analyze and fisher --dataset on the default config at seeds 0 and 1.
 
     Per seed: the Philox key of each shot table; the key and the stack of each
-    resample, under the command that drew it; the n and moment stacks of each
+    resample, under the command that drew it; the record (a stack) of each
     resampled depth; and analyze's report.
     """
     sample, resample, depth = metrology.ShotTable.sample, stats.multinomial_resample, entanglement.depth_with_resampling
@@ -388,9 +472,9 @@ def default_draws(runner, workdir):
             record[stage[0]].append((plan.seed, stack))
             return stack
 
-        def depths(n, m0, mh, level=0.68):
-            record["depth"].append((n, m0, mh))
-            return depth(n, m0, mh, level)
+        def depths(data, level=0.68):
+            record["depth"].append(data)
+            return depth(data, level)
 
         run = workdir / f"default-{master}"
         with pytest.MonkeyPatch.context() as mp:
@@ -415,13 +499,15 @@ def test_analyze_draws_two_stacks_per_n_with_distinct_keys(default_draws):
 def test_analyze_reads_parity_error_and_confident_depths_from_one_pi_half_stack(default_draws):
     for seed, record in default_draws.items():
         stacks = dict(record["analyze"])
-        assert [n for n, _, _ in record["depth"]] == RunConfig().n_values
-        for n, m0, mh in record["depth"]:
+        assert [data.n_total for data in record["depth"]] == RunConfig().n_values
+        for data in record["depth"]:
+            n = data.n_total
             hom = fock.moments(stacks[stats.stream_key(seed, round(HOM * 1e6), n, 0)])
             zero = fock.moments(stacks[stats.stream_key(seed, 0, n, 0)])
-            for ours, drawn in ((mh, hom), (m0, zero)):
-                for name in ("jz2", "var_jz", "parity"):
-                    np.testing.assert_array_equal(getattr(ours, name), getattr(drawn, name))
+            np.testing.assert_array_equal(data.jxjy2, 2 * hom.jz2)  # <Jx^2+Jy^2> of each pi/2 resample
+            np.testing.assert_array_equal(data.parity_x, hom.parity)
+            for ours, drawn in (("mean_jz", "mean_jz"), ("var_jz", "var_jz"), ("parity_z", "parity")):
+                np.testing.assert_array_equal(getattr(data, ours), getattr(zero, drawn))
             parity = record["report"]["per_n"][str(n)]["parity_x"]
             assert len(set(hom.parity)) > 1  # a stack that varies, so its spread tells stacks apart
             assert (parity["err_minus"], parity["err_plus"]) == stats.asymmetric_std(hom.parity, parity["value"])

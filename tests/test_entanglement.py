@@ -11,7 +11,6 @@ import oracles
 from homsim import entanglement as ent
 from homsim import fock, stats
 from homsim.fock import DomainError
-from homsim.metrology import jxjy2_estimate
 from test_acceptance import TABLE_ROWS, _script
 
 
@@ -24,14 +23,14 @@ def resampled_stacks(p0, ph, plan):
     return stats.resample_histogram(p0, plan, 0.0), stats.resample_histogram(ph, plan, math.pi / 2)
 
 
-def moment_stacks(p0, ph, plan):
-    """The moments of :func:`resampled_stacks`, the input of ``depth_with_resampling``."""
-    return tuple(fock.moments(s) for s in resampled_stacks(p0, ph, plan))
+def stack_data(p0, ph, plan):
+    """The record of the moments of :func:`resampled_stacks`, the input of ``depth_with_resampling``."""
+    return ent.collective_data(p0.n_total, *(fock.moments(s) for s in resampled_stacks(p0, ph, plan)))
 
 
-def resampled_depths(n, m0, mh):
-    """Per-resample (parity, variance) depths of the moment stacks ``depth_with_resampling`` reads."""
-    parity_k, variance_k, _ = ent._criteria(n, jxjy2_estimate(mh), m0.var_jz, m0.parity)
+def resampled_depths(data):
+    """Per-resample (parity, variance) depths of the stack ``depth_with_resampling`` reads."""
+    parity_k, variance_k, _ = ent._criteria(data)
     return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1
 
 
@@ -184,9 +183,9 @@ def test_depth_path_diagonalizes_nothing(monkeypatch):
     ent._envelope.cache_clear()
     pair = (fock.FixedNDistribution(n_total=n, probs=p0, n_shots=shots),
             fock.FixedNDistribution(n_total=n, probs=ph, n_shots=shots))
-    stacks = moment_stacks(*pair, stats.ResamplePlan(n_samples=100, seed=3))
-    _, var = ent.depth_with_resampling(n, *stacks)
-    samples = resampled_depths(n, *stacks)[1]
+    stack = stack_data(*pair, stats.ResamplePlan(n_samples=100, seed=3))
+    _, var = ent.depth_with_resampling(stack)
+    samples = resampled_depths(stack)[1]
     assert len(samples) == 100
     assert var.depth == stats.depth_confidence(samples, level=var.confidence_level)
     assert ent._boundary_lines.cache_info().currsize > 1  # the boundary was read for several spins
@@ -268,9 +267,10 @@ def test_criteria_call_the_boundary_only_where_it_decides(monkeypatch):
     real = ent.sm_boundary
     monkeypatch.setattr(ent, "sm_boundary", counted)
     ideal, flat = oracles.ideal_twin_fock_data(12), ent.CollectiveData(n_total=12, jxjy2=1.0, var_jz=0.5)
-    ent._criteria(12, [ideal.jxjy2, flat.jxjy2], [ideal.var_jz, flat.var_jz], [ideal.parity_z, flat.parity_z])
+    columns = [[ideal.jxjy2, flat.jxjy2], [ideal.var_jz, flat.var_jz], [ideal.parity_z, flat.parity_z]]
+    ent._criteria(ent.CollectiveData(12, *np.array(columns)))  # (n_total, jxjy2, var_jz, parity_z) of two rows
     assert calls == []  # beaten outright, or inapplicable at every k >= 2
-    ent._criteria(12, [ideal.jxjy2, 30.0], [0.0, 0.2], [1.0, 0.0])
+    ent._criteria(ent.CollectiveData(12, *np.array([[ideal.jxjy2, 30.0], [0.0, 0.2], [1.0, 0.0]])))
     assert calls and all(rows == 1 for _, rows in calls)  # only the second row needs the boundary
 
 
@@ -293,18 +293,18 @@ def test_depth_with_resampling_ideal_and_determinism():
     p0 = fock.FixedNDistribution(n_total=n, probs=np.eye(n + 1)[n // 2], n_shots=3816)
     ph = fock.FixedNDistribution(n_total=n, probs=oracles.holland_burnett(n).probs, n_shots=3816)
     plan = stats.ResamplePlan(n_samples=200, seed=2)
-    a, v = ent.depth_with_resampling(n, *moment_stacks(p0, ph, plan))
-    b, _ = ent.depth_with_resampling(n, *moment_stacks(p0, ph, plan))
+    a, v = ent.depth_with_resampling(stack_data(p0, ph, plan))
+    b, _ = ent.depth_with_resampling(stack_data(p0, ph, plan))
     assert a.depth == b.depth == n
     assert (a.method, v.method) == ("parity", "variance")
-    samples = resampled_depths(n, *moment_stacks(p0, ph, plan))[0]
-    np.testing.assert_array_equal(samples, resampled_depths(n, *moment_stacks(p0, ph, plan))[0])
+    samples = resampled_depths(stack_data(p0, ph, plan))[0]
+    np.testing.assert_array_equal(samples, resampled_depths(stack_data(p0, ph, plan))[0])
     assert a.depth == stats.depth_confidence(samples, level=a.confidence_level)
     assert a.confidence_level == v.confidence_level == 0.68
     assert v.depth >= n - 1
     bare = oracles.holland_burnett(n)
     with pytest.raises(ValueError):
-        moment_stacks(bare, bare, plan)  # sample sizes unknown
+        stack_data(bare, bare, plan)  # sample sizes unknown
 
 
 def _mixed_pair():
@@ -322,9 +322,9 @@ def test_resampled_depths_equal_point_criteria_per_sample():
     p0, ph = _mixed_pair()
     plan = stats.ResamplePlan(n_samples=200, seed=5)
     p0s, phs = resampled_stacks(p0, ph, plan)
-    m0, mh = fock.moments(p0s), fock.moments(phs)
-    par, var = ent.depth_with_resampling(p0.n_total, m0, mh)
-    par_samples, var_samples = resampled_depths(p0.n_total, m0, mh)
+    stack = ent.collective_data(p0.n_total, fock.moments(p0s), fock.moments(phs))
+    par, var = ent.depth_with_resampling(stack)
+    par_samples, var_samples = resampled_depths(stack)
     assert (par.depth, var.depth) == (stats.depth_confidence(par_samples), stats.depth_confidence(var_samples))
     methods = set()
     for i in range(plan.n_samples):
@@ -345,7 +345,7 @@ def test_depth_with_resampling_rejects_odd_tiny_or_mismatched_n(n0, nh, error, m
     # analyze takes both histograms at one N
     m0, mh = (fock.moments(np.full((10, n + 1), 1.0 / (n + 1))) for n in (n0, nh))
     with pytest.raises(error, match=match):
-        ent.depth_with_resampling(n0, m0, mh)
+        ent.depth_with_resampling(ent.collective_data(n0, m0, mh))
 
 
 def _scalar_boundary(j, x):
@@ -396,7 +396,7 @@ def test_batched_criteria_match_scalar_reference():
         edge = _edge_rows(n, rng)
         on_edge += len(edge)
         jxjy2, var, parity_z = (np.array(c) for c in zip(*rows, *edge))
-        batched = zip(*(a.tolist() for a in ent._criteria(n, jxjy2, var, parity_z)))
+        batched = zip(*(a.tolist() for a in ent._criteria(ent.CollectiveData(n, jxjy2, var, parity_z))))
         for (p, v, applies), s, vz, pz in zip(batched, jxjy2.tolist(), var.tolist(), parity_z.tolist()):
             ref_p = oracles.parity_depth_k(n, s, pz)
             ref_v, ref_clamped = oracles.variance_depth_k(n, s, vz, _scalar_boundary)

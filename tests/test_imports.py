@@ -1,4 +1,7 @@
-"""Import hygiene: the CLI starts without numerics, and no command or library fit loads scipy (only the tests' DE oracle does)."""
+"""Import hygiene: the CLI starts without numerics, and no command or library fit loads scipy (only the tests' DE oracle does).
+
+Each probe is one fresh interpreter, and every forbidden set is checked against the modules that start imported.
+"""
 
 import ast
 import json
@@ -16,17 +19,6 @@ from test_detector import camera_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-LIST_SCIPY = "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
-
-
-def scipy_modules_after(code: str, *args) -> list:
-    """Names of the scipy modules loaded by ``code`` in a fresh interpreter."""
-    prog = f"import sys; sys.path.insert(0, sys.argv[1]); {code}; {LIST_SCIPY}"
-    out = subprocess.run([sys.executable, "-c", prog, str(SRC), *map(str, args)],
-                         capture_output=True, text=True, check=True)
-    return out.stdout.splitlines()[-1].split()  # the listing is the last line
-
-
 NUMERICS = {f"homsim.{m}" for m in ("channel", "detector", "entanglement", "fock", "metrology", "stats")}
 
 
@@ -36,6 +28,10 @@ def imported_by(*argv) -> set:
     res = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
                          capture_output=True, text=True, check=True, env=env)
     return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
+
+
+def scipy_in(loaded: set) -> list:
+    return sorted(m for m in loaded if m.split(".")[0] == "scipy")
 
 
 COMMANDS = sorted(cli.main.commands)
@@ -57,34 +53,24 @@ def test_depth_and_witness_load_no_detector(tmp_path, command):
     loaded = imported_by("-m", "homsim.cli", "--out", tmp_path / "out", command, rows)
     assert "homsim.entanglement" in loaded
     assert sorted(loaded & {"homsim.detector", "homsim.channel"}) == []
+    assert scipy_in(loaded) == []
     assert (tmp_path / "out" / f"{command}.json").exists()
 
 
 def test_calibrate_loads_no_numpy_ma(tmp_path):
     # np.percentile and np.median import numpy.ma for their NaN check
     camera_run(1, tmp_path / "signals.csv")
-    assert "numpy.ma" not in imported_by("-m", "homsim.cli", "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv")
+    loaded = imported_by("-m", "homsim.cli", "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv")
+    assert "numpy.ma" not in loaded
+    assert scipy_in(loaded) == []
     assert (tmp_path / "cal" / "calibration.json").exists()
-
-
-def test_import_loads_no_scipy():
-    assert scipy_modules_after("import homsim, homsim.cli") == []
-
-
-def test_depth_and_witness_load_no_scipy(tmp_path):
-    rows = tmp_path / "rows.json"
-    rows.write_text(json.dumps({"rows": TABLE_ROWS}))
-    run = ("from homsim import cli; "
-           "[cli.main(['--out', sys.argv[2], c, sys.argv[3]], standalone_mode=False) for c in ('depth', 'witness')]")
-    assert scipy_modules_after(run, tmp_path, rows) == []
 
 
 def test_analyze_loads_no_scipy(tmp_path, simulated):
     config = tmp_path / "small.json"
     config.write_text(json.dumps({**NOISE_OFF, "resample_samples": 20}))
-    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
-    args = ("--config", config, "--out", tmp_path / "ana", "analyze", simulated)
-    assert scipy_modules_after(run, *args) == []
+    loaded = imported_by("-m", "homsim.cli", "--config", config, "--out", tmp_path / "ana", "analyze", simulated)
+    assert scipy_in(loaded) == []
     assert (tmp_path / "ana" / "depth.csv").exists()
 
 
@@ -102,17 +88,9 @@ def test_simulate_and_fisher_load_no_scipy(tmp_path, default_run, command):
     config = tmp_path / "small.json"
     config.write_text(json.dumps({"resample_samples": 20}))
     args = command.split() + ([default_run] if command.endswith("--dataset") else [])
-    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
-    assert scipy_modules_after(run, "--config", config, "--out", tmp_path / "out", *args) == []
+    assert scipy_in(imported_by("-m", "homsim.cli", "--config", config, "--out", tmp_path / "out", *args)) == []
     written = "metadata.json" if command == "simulate" else "fisher.json"
     assert (tmp_path / "out" / written).exists()
-
-
-def test_calibrate_loads_no_scipy(tmp_path):
-    camera_run(1, tmp_path / "signals.csv")
-    run = "from homsim import cli; cli.main(sys.argv[2:], standalone_mode=False)"
-    assert scipy_modules_after(run, "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv") == []
-    assert (tmp_path / "cal" / "calibration.json").exists()
 
 
 def test_noise_fit_loads_no_scipy():
@@ -121,7 +99,7 @@ def test_noise_fit_loads_no_scipy():
            "ref = channel.REFERENCE_PARAMS; "
            "tab = metrology.ShotTable.sample(channel.predict(src, 1.5, ref), 2000, seed=1); "
            "assert channel.fit(ref, {1.5: tab}, src).converged")
-    assert scipy_modules_after(run) == []
+    assert scipy_in(imported_by("-c", run)) == []
 
 
 def scipy_importers() -> set:

@@ -15,6 +15,16 @@ def test_resample_plan_validation():
         stats.ResamplePlan(n_samples=0, seed=0)
 
 
+def test_angle_key_is_the_digits_of_the_file_name():
+    rng = np.random.default_rng(11)
+    angles = [*rng.uniform(0.0, math.pi, 20000), *((rng.integers(0, 3141593, 2000) + 0.5) / 1e6),  # half-micro ties
+              0.0, 0.14, math.pi / 2, math.pi]
+    for theta in angles:
+        key = stats.angle_key(theta)
+        assert key == float(f"{theta:.6f}") and f"{key:.6f}" == f"{theta:.6f}"
+        assert stats.angle_key(key) == key  # a key read back from a file name is its own key
+
+
 def test_multinomial_resample_shape_and_rows():
     plan = stats.ResamplePlan(n_samples=50, seed=3)
     out = stats.multinomial_resample([0.2, 0.3, 0.5], 400, plan)
