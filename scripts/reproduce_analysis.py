@@ -25,8 +25,8 @@ def main() -> None:
 
     common = ["--config", str(cfg_path), "--seed", str(args.seed)]
     sim_dir = args.out / "dataset"
-    cli.main([*common, "--out", str(sim_dir), "simulate"], standalone_mode=False)
-    cli.main([*common, "--out", str(args.out), "analyze", str(sim_dir)], standalone_mode=False)
+    cli.main([*common, "--out", str(sim_dir), "simulate"])
+    cli.main([*common, "--out", str(args.out), "analyze", str(sim_dir)])
 
     report = json.loads((args.out / "report.json").read_text())
     print(f"config hash {report['config_hash']}, seed {report['seed']}")

@@ -31,8 +31,8 @@ def main() -> None:
     rows_path = args.out / "rows.json"
     rows_path.write_text(json.dumps({"rows": ROWS}, indent=2))
 
-    cli.main(["--out", str(args.out), "depth", str(rows_path)], standalone_mode=False)
-    cli.main(["--out", str(args.out), "witness", str(rows_path)], standalone_mode=False)
+    cli.main(["--out", str(args.out), "depth", str(rows_path)])
+    cli.main(["--out", str(args.out), "witness", str(rows_path)])
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ def main() -> None:
             cfg = run_dir / "config.json"
             cfg.write_text(json.dumps({"n_values": n_values, **flags}))
             cli.main(["--config", str(cfg), "--out", str(run_dir),
-                      "fisher", "--exact", state], standalone_mode=False)
+                      "fisher", "--exact", state])
             payload = json.loads((run_dir / "fisher.json").read_text())
             sc = payload["scaling"]
             print(f"{state:5s} {name:13s} r={sc['r']:.4f}+-{sc['r_err']:.4f} "

@@ -2,23 +2,21 @@
 
 Commands are batch-style: read a config plus input files, write CSV tables
 and JSON reports into the output directory.  Every JSON artifact embeds the
-config hash and seed that produced it.  ``_guarded`` reads the config when a
-command runs, so ``--help`` needs no valid config, and maps failures to exit
-codes: 0 success, 2 invalid input or config, 3 fit or optimizer non-convergence.
+config hash and seed that produced it.  ``COMMANDS`` names each command's
+function and arguments, and ``main`` builds the argparse front end from it.
+``_guarded`` reads the config when a command runs, so ``--help`` needs no
+valid config, and maps failures to exit codes: 0 success, 2 invalid input,
+config or usage, 3 fit or optimizer non-convergence.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
-import hashlib
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 if TYPE_CHECKING:  # --help loads no numerics: each function imports what it runs
     import numpy as np
@@ -35,25 +33,23 @@ def _default_angles() -> list:
     return list(SMALL_ROTATION_ANGLES) + [HOM_ANGLE]
 
 
-@dataclass
+# each config field and its default; a callable default makes a fresh list per config
+FIELDS = {"xi": DEFAULT_XI, "xi_jitter": 0.0, "n_max": 20, "angles": _default_angles, "shots_per_angle": 3816,
+          "n_values": lambda: [2, 4, 6, 8, 10, 12], "noise": "reference", "resample_samples": 1000,
+          "confidence_level": 0.68, "quartic": True, "exclude_beyond_node": True}
+
+
 class RunConfig:
-    """Run-level knobs shared by the pipeline commands."""
+    """Run-level knobs shared by the pipeline commands, one attribute per ``FIELDS`` entry."""
 
-    xi: float = DEFAULT_XI
-    xi_jitter: float = 0.0
-    n_max: int = 20
-    angles: list = field(default_factory=_default_angles)
-    shots_per_angle: int = 3816
-    n_values: list = field(default_factory=lambda: [2, 4, 6, 8, 10, 12])
-    noise: str | dict | None = "reference"
-    resample_samples: int = 1000
-    confidence_level: float = 0.68
-    quartic: bool = True
-    exclude_beyond_node: bool = True
-
-    def __post_init__(self):
+    def __init__(self, **given):
         from . import stats
         from .metrology import is_number
+        unknown = set(given) - set(FIELDS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, default in FIELDS.items():
+            setattr(self, name, given[name] if name in given else default() if callable(default) else default)
         for name, kind in (("shots_per_angle", int), ("n_max", int), ("resample_samples", int), ("n_values", int),
                            ("xi", float), ("xi_jitter", float), ("angles", float), ("confidence_level", float)):
             v = getattr(self, name)
@@ -99,16 +95,19 @@ class RunConfig:
         return fock.SqueezedSource(xi=self.xi, xi_jitter=self.xi_jitter)
 
     def canonical(self) -> dict:
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in FIELDS}
         d["angles"] = [float(a) for a in self.angles]
         return d
 
     def hash(self) -> str:
+        import hashlib
+        import json
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        import json
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
             data = json.loads(text)
@@ -129,9 +128,6 @@ class RunConfig:
                     except json.JSONDecodeError:
                         raise ValueError(f"config line {lineno}: {key} = {raw} is not a comma-separated list "
                                          "of JSON values") from None
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
 
@@ -143,29 +139,18 @@ def _guarded(fn):
             obj["cfg"] = RunConfig.from_file(obj["config"]) if obj["config"] else RunConfig()
             return fn(obj, *args, **kwargs)
         except (ValueError, OSError, KeyError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except stats.FitError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(3)
 
     return wrapper
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON or key=value config file.")
-# one uint64, the first entry of every stream's SeedSequence (stats.stream_key)
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
-              help="Master seed; all randomness derives from it.")
-@click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True, help="Output directory.")
-@click.pass_context
-def main(ctx, config_path, seed, out_dir):
-    """Number-resolved two-mode interference pipeline."""
-    ctx.obj = {"config": config_path, "seed": seed, "out": Path(out_dir)}
-
-
 def _dump_json(obj, name: str, payload: dict) -> None:
     """Write payload to the output directory as ``name``, stamped with the config hash and seed."""
+    import json
     path = obj["out"] / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -182,8 +167,6 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
     return channel.predict(src, theta, params)
 
 
-@main.command()
-@click.pass_obj
 @_guarded
 def simulate(obj):
     """Sample per-angle shot tables from the modelled channel."""
@@ -208,12 +191,9 @@ def simulate(obj):
         "files": files,
         "tail_mass": tails,
     })
-    click.echo(f"wrote {len(files)} shot tables to {out}")
+    print(f"wrote {len(files)} shot tables to {out}")
 
 
-@main.command()
-@click.argument("signals_csv", type=click.Path(exists=True))
-@click.pass_obj
 @_guarded
 def calibrate(obj, signals_csv):
     """Run the signal-correction chain on each side mode and fit its detector calibration."""
@@ -242,11 +222,12 @@ def calibrate(obj, signals_csv):
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
         report["modes"][mode]["detection_fidelity_12"] = detector.detection_fidelity(12, calib)
     _dump_json(obj, "calibration.json", report)
-    click.echo(f"calibration written to {out / 'calibration.json'}")
+    print(f"calibration written to {out / 'calibration.json'}")
 
 
 def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
     """The shot tables of a simulate output directory, each under its angle's key (``stats.angle_key``)."""
+    import json
     from . import metrology, stats
     meta_path = dataset_dir / "metadata.json"
     if not meta_path.exists():
@@ -264,9 +245,6 @@ def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
     return tables
 
 
-@main.command()
-@click.argument("dataset_dir", type=click.Path(exists=True, file_okay=False))
-@click.pass_obj
 @_guarded
 def analyze(obj, dataset_dir):
     """Per-N state quality, squeezing, witnesses, and depth from a dataset."""
@@ -351,15 +329,9 @@ def analyze(obj, dataset_dir):
                             ["N", "parity_point", "parity_confident", "variance_point", "variance_confident"],
                             depth_rows)
     _dump_json(obj, "report.json", report)
-    click.echo(f"report written to {out / 'report.json'}")
+    print(f"report written to {out / 'report.json'}")
 
 
-@main.command()
-@click.option("--exact", type=click.Choice(["ideal", "model"]), default=None,
-              help="Skip sampling: run on exact distributions of the named state family.")
-@click.option("--dataset", "dataset_dir", type=click.Path(exists=True, file_okay=False), default=None,
-              help="Shot-table directory produced by simulate (sampled pipeline).")
-@click.pass_obj
 @_guarded
 def fisher(obj, exact, dataset_dir):
     """Statistical-distance Fisher information and its N-scaling."""
@@ -399,13 +371,14 @@ def fisher(obj, exact, dataset_dir):
         rows.append((n, f"{fbar:.4f}", f"{dfbar:.4f}", f"{float(fit_val):.4f}"))
     metrology.write_csv(out / "fisher_scaling.csv", ["N", "F_mean", "F_err", "F_fit"], rows)
     if est.scaling:
-        click.echo(f"scaling: r={est.scaling.r:.4f}+-{est.scaling.r_err:.4f} "
-                   f"s={est.scaling.s:.4f}+-{est.scaling.s_err:.4f}")
-    click.echo(f"fisher results written to {out / 'fisher.json'}")
+        print(f"scaling: r={est.scaling.r:.4f}+-{est.scaling.r_err:.4f} "
+              f"s={est.scaling.s:.4f}+-{est.scaling.s_err:.4f}")
+    print(f"fisher results written to {out / 'fisher.json'}")
 
 
 def _load_rows(path: Path):
     """Rows and optional weights of a ``{"rows": [...], "weights": [...]}`` file."""
+    import json
     from . import entanglement, metrology
     payload = json.loads(Path(path).read_text())
     if not (isinstance(payload, dict) and isinstance(payload.get("rows"), list)):
@@ -416,12 +389,10 @@ def _load_rows(path: Path):
     return [entanglement.CollectiveData.from_json(r) for r in payload["rows"]], weights
 
 
-@main.command()
-@click.argument("rows_json", type=click.Path(exists=True))
-@click.pass_obj
 @_guarded
 def depth(obj, rows_json):
     """Point-estimate entanglement depth for stored collective-moment rows."""
+    from dataclasses import asdict
     from . import entanglement, metrology
     out = obj["out"]
     rows, _ = _load_rows(Path(rows_json))
@@ -435,13 +406,10 @@ def depth(obj, rows_json):
                         [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
                          for r in results])
     for r in results:
-        click.echo(f"N={r['n_total']}: parity depth {r['parity']['depth']} ({r['parity']['method']}), "
-                   f"variance depth {r['variance']['depth']}")
+        print(f"N={r['n_total']}: parity depth {r['parity']['depth']} ({r['parity']['method']}), "
+              f"variance depth {r['variance']['depth']}")
 
 
-@main.command()
-@click.argument("rows_json", type=click.Path(exists=True))
-@click.pass_obj
 @_guarded
 def witness(obj, rows_json):
     """Entanglement witnesses for stored collective-moment rows."""
@@ -458,8 +426,56 @@ def witness(obj, rows_json):
         pw = entanglement.parity_witness_xyz(data)
         payload["parity_xyz"].append({"n_total": data.n_total, "value": pw.value, "entangled": pw.entangled})
     _dump_json(obj, "witness.json", payload)
-    click.echo(f"indefinite-N witness: {total.value:.4f} ({'entangled' if total.entangled else 'not certified'})")
+    print(f"indefinite-N witness: {total.value:.4f} ({'entangled' if total.entangled else 'not certified'})")
+
+
+def _existing(metavar: str, directory: bool = False) -> dict:
+    """add_argument keywords for a path that must exist, and be a directory if ``directory``."""
+    def check(text: str) -> str:
+        if not (Path(text).is_dir() if directory else Path(text).exists()):
+            raise argparse.ArgumentTypeError(f"{text!r} is not an existing {'directory' if directory else 'path'}")
+        return text
+    return {"type": check, "metavar": metavar}
+
+
+def _seed(text: str) -> int:
+    """One uint64, the first entry of every stream's SeedSequence (``stats.stream_key``)."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**64 - 1]")
+    return int(text)
+
+
+# each command: its function and its arguments (name or flag -> add_argument keywords)
+COMMANDS = {
+    "simulate": (simulate, {}),
+    "calibrate": (calibrate, {"signals_csv": _existing("SIGNALS_CSV")}),
+    "analyze": (analyze, {"dataset_dir": _existing("DATASET_DIR", directory=True)}),
+    "fisher": (fisher, {
+        "--exact": {"choices": ["ideal", "model"],
+                    "help": "Skip sampling: run on exact distributions of the named state family."},
+        "--dataset": {**_existing("DIR", directory=True), "dest": "dataset_dir",
+                      "help": "Shot-table directory produced by simulate (sampled pipeline)."}}),
+    "depth": (depth, {"rows_json": _existing("ROWS_JSON")}),
+    "witness": (witness, {"rows_json": _existing("ROWS_JSON")}),
+}
+
+
+def main(args=None, prog_name: str = "homsim") -> int:
+    """Number-resolved two-mode interference pipeline."""
+    ap = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    ap.add_argument("--config", **_existing("PATH"), help="JSON or key=value config file.")
+    ap.add_argument("--seed", type=_seed, default=0, help="Master seed; all randomness derives from it (default: 0).")
+    ap.add_argument("--out", default="out", help="Output directory (default: out).")
+    commands = ap.add_subparsers(dest="command", required=True, metavar="<command>")
+    for name, (fn, arguments) in COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        for flag, keywords in arguments.items():
+            sub.add_argument(flag, **keywords)
+    opts = vars(ap.parse_args(args))
+    obj = {"config": opts.pop("config"), "seed": opts.pop("seed"), "out": Path(opts.pop("out"))}
+    COMMANDS[opts.pop("command")][0](obj, **opts)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

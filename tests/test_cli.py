@@ -1,13 +1,19 @@
-"""End-to-end checks of the command-line pipeline via click's test runner."""
+"""End-to-end checks of the command-line pipeline, run in-process through ``cli.main``."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import oracles
 from homsim import channel, cli, detector, entanglement, fock, metrology, stats
@@ -27,11 +33,6 @@ NOISE_OFF = {
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
 
@@ -44,18 +45,23 @@ def noise_off_config(workdir):
 
 
 @pytest.fixture(scope="module")
-def simulated(runner, workdir, noise_off_config):
+def simulated(workdir, noise_off_config):
     """One noise-free simulate run shared by the dataset-consuming tests."""
     out = workdir / "sim"
-    res = runner.invoke(cli.main, ["--config", str(noise_off_config), "--seed", "3",
-                                   "--out", str(out), "simulate"])
+    res = invoke(["--config", noise_off_config, "--seed", 3, "--out", out, "simulate"])
     assert res.exit_code == 0, res.output
     return out
 
 
-def invoke(runner, args):
-    res = runner.invoke(cli.main, [str(a) for a in args])
-    return res
+def invoke(args):
+    """Run ``cli.main`` on ``args``: its exit code, and its stdout and stderr together as ``output``."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, output=output.getvalue())
 
 
 # ---------------------------------------------------------------- config
@@ -118,31 +124,31 @@ def test_config_validation():
     assert custom.skew == 1.052  # skew and blur fall back to the fixed settings
 
 
-def test_unknown_config_key_exits_2(runner, tmp_path):
+def test_unknown_config_key_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus_key = 3\n")
-    res = invoke(runner, ["--config", bad, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", bad, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2
     assert "unknown config keys" in res.output
 
 
 @pytest.mark.parametrize("text, key", [('{"n_values": 5}', "n_values"), ('{"n_values": null}', "n_values"),
                                        ("angles = 0.1", "angles")])
-def test_scalar_for_a_list_field_exits_2(runner, tmp_path, text, key):
+def test_scalar_for_a_list_field_exits_2(tmp_path, text, key):
     # iterating the scalar used to fail with "'int' object is not iterable", naming no field
     config = tmp_path / "config.cfg"
     config.write_text(text)
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
     assert f"{key} must be a list" in res.output
     assert not (tmp_path / "o").exists()
 
 
-def test_repeated_atom_number_in_config_exits_2(runner, tmp_path, simulated):
+def test_repeated_atom_number_in_config_exits_2(tmp_path, simulated):
     # analyze wrote one collective.csv row per entry and split the witness weight between the copies
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**NOISE_OFF, "n_values": [2, 4, 2]}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "analyze", simulated])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "analyze", simulated])
     assert res.exit_code == 2, res.output
     assert "n_values repeats [2]" in res.output
     assert not (tmp_path / "o").exists()
@@ -150,22 +156,22 @@ def test_repeated_atom_number_in_config_exits_2(runner, tmp_path, simulated):
 
 @pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --exact ideal"])
 @pytest.mark.parametrize("n_values", [[0, 4], [-2, 4], [3, 4], []])
-def test_atom_numbers_that_are_not_even_and_at_least_2_exit_2(runner, tmp_path, simulated, command, n_values):
+def test_atom_numbers_that_are_not_even_and_at_least_2_exit_2(tmp_path, simulated, command, n_values):
     # simulate exited 0 on these, and analyze and fisher failed deep in the numerics or (on []) wrote empty outputs
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**NOISE_OFF, "n_values": n_values}))
     args = [command, simulated] if command == "analyze" else command.split()
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
+    res = invoke(["--config", config, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert "n_values must list even atom numbers" in res.output
     assert not (tmp_path / "o").exists()
 
 
-def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(runner, tmp_path):
+def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(tmp_path):
     # the bare JSON error read "Expecting value: line 1 column 2 (char 1)", naming neither
     config = tmp_path / "run.cfg"
     config.write_text("xi = 1.2\nn_values = 2, 4, x\n")
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
     assert "config line 2: n_values = 2, 4, x is not a comma-separated list" in res.output
     assert not (tmp_path / "o").exists()
@@ -173,11 +179,11 @@ def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(runner, tm
 
 @pytest.mark.parametrize("command", ["simulate", "fisher --exact model"])
 @pytest.mark.parametrize("noise", ["off", "ideal"])
-def test_undocumented_noise_alias_exits_2(runner, tmp_path, noise, command):
+def test_undocumented_noise_alias_exits_2(tmp_path, noise, command):
     # both used to mean no noise; the documented spellings are none, reference and a rate object
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": noise}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split()])
+    res = invoke(["--config", config, "--out", tmp_path / "o", *command.split()])
     assert res.exit_code == 2, res.output
     assert f"noise must be none, reference or an object, not {noise!r}" in res.output
     assert not (tmp_path / "o").exists()
@@ -185,12 +191,12 @@ def test_undocumented_noise_alias_exits_2(runner, tmp_path, noise, command):
 
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "analyze", "fisher --exact ideal", "fisher --dataset",
                                      "depth", "witness"])
-def test_malformed_noise_exits_2_on_every_command(runner, tmp_path, command):
+def test_malformed_noise_exits_2_on_every_command(tmp_path, command):
     # noise is checked when the config loads, so no command stamps a config that simulate rejects
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": "garbage"}))
     path = [] if command in ("simulate", "fisher --exact ideal") else [tmp_path]  # any existing path will do
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split(), *path])
+    res = invoke(["--config", config, "--out", tmp_path / "o", *command.split(), *path])
     assert res.exit_code == 2, res.output
     assert "noise must be none, reference or an object, not 'garbage'" in res.output
     assert not (tmp_path / "o").exists()
@@ -200,32 +206,32 @@ def test_malformed_noise_exits_2_on_every_command(runner, tmp_path, command):
                                      "depth", "witness"])
 @pytest.mark.parametrize("key, value", [("xi", -1), ("xi_jitter", -0.1), ("resample_samples", 0),
                                         ("confidence_level", 5)])
-def test_out_of_range_config_value_exits_2_on_every_command(runner, tmp_path, command, key, value):
+def test_out_of_range_config_value_exits_2_on_every_command(tmp_path, command, key, value):
     # each range was checked only by the command that used the field, so the others stamped the config's hash
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     path = [] if command in ("simulate", "fisher --exact ideal") else [tmp_path]  # any existing path will do
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *command.split(), *path])
+    res = invoke(["--config", config, "--out", tmp_path / "o", *command.split(), *path])
     assert res.exit_code == 2, res.output
     assert f"{key} must be" in res.output
     assert not (tmp_path / "o").exists()
 
 
-def test_unreadable_config_exits_2(runner, tmp_path):
-    res = invoke(runner, ["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
+def test_unreadable_config_exits_2(tmp_path):
+    res = invoke(["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: ")
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli.main.commands))
-def test_help_needs_no_valid_config(runner, tmp_path, command):
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_needs_no_valid_config(tmp_path, command):
     # the config is read when a command runs, so --help never reads it
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus_key = 3\n")
-    res = invoke(runner, ["--config", bad, command, "--help"])
+    res = invoke(["--config", bad, command, "--help"])
     assert res.exit_code == 0, res.output
-    assert res.output.startswith(f"Usage: main {command} ")
+    assert res.output.startswith(f"usage: homsim {command} ")
 
 
 # ---------------------------------------------------------------- simulate
@@ -243,9 +249,9 @@ def test_simulate_writes_tables_and_stamped_metadata(simulated):
     assert all(0.0 <= t < 1.0 for t in meta["tail_mass"].values())
 
 
-def test_simulate_is_byte_deterministic(runner, workdir, noise_off_config, simulated):
+def test_simulate_is_byte_deterministic(workdir, noise_off_config, simulated):
     out2 = workdir / "sim_again"
-    res = invoke(runner, ["--config", noise_off_config, "--seed", "3", "--out", out2, "simulate"])
+    res = invoke(["--config", noise_off_config, "--seed", "3", "--out", out2, "simulate"])
     assert res.exit_code == 0
     for name in ("shots_theta0.000000.csv", "shots_theta1.570796.csv", "metadata.json"):
         assert (out2 / name).read_bytes() == (simulated / name).read_bytes()
@@ -261,10 +267,9 @@ def test_noise_free_hom_shots_are_all_even(simulated):
 
 
 @pytest.fixture(scope="module")
-def analyzed(runner, workdir, noise_off_config, simulated):
+def analyzed(workdir, noise_off_config, simulated):
     out = workdir / "ana"
-    res = runner.invoke(cli.main, ["--config", str(noise_off_config), "--seed", "3",
-                                   "--out", str(out), "analyze", str(simulated)])
+    res = invoke(["--config", noise_off_config, "--seed", 3, "--out", out, "analyze", simulated])
     assert res.exit_code == 0, res.output
     return out
 
@@ -310,7 +315,7 @@ PARTIAL_DATASETS = {
 
 
 @pytest.mark.parametrize("dropped", PARTIAL_DATASETS)
-def test_analyze_partial_dataset_omits_sections(runner, tmp_path, noise_off_config, simulated, analyzed, dropped):
+def test_analyze_partial_dataset_omits_sections(tmp_path, noise_off_config, simulated, analyzed, dropped):
     notice, keys, tables = PARTIAL_DATASETS[dropped]
     meta = json.loads((simulated / "metadata.json").read_text())
     del meta["files"][dropped]
@@ -320,7 +325,7 @@ def test_analyze_partial_dataset_omits_sections(runner, tmp_path, noise_off_conf
     for name in meta["files"].values():
         shutil.copy(simulated / name, dataset / name)
     out = tmp_path / "o"
-    res = invoke(runner, ["--config", noise_off_config, "--seed", 3, "--out", out, "analyze", dataset])
+    res = invoke(["--config", noise_off_config, "--seed", 3, "--out", out, "analyze", dataset])
     assert res.exit_code == 0, res.output
     rep = json.loads((out / "report.json").read_text())
     assert len(rep["notices"]) == 1 and rep["notices"][0].startswith(notice)
@@ -332,20 +337,20 @@ def test_analyze_partial_dataset_omits_sections(runner, tmp_path, noise_off_conf
         assert (out / name).read_bytes() == (analyzed / name).read_bytes()
 
 
-def test_analyze_without_metadata_exits_2(runner, tmp_path):
+def test_analyze_without_metadata_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
-    res = invoke(runner, ["--out", tmp_path / "o", "analyze", empty])
+    res = invoke(["--out", tmp_path / "o", "analyze", empty])
     assert res.exit_code == 2
     assert "metadata.json" in res.output
 
 
-def test_analyze_reads_the_pi_half_table_by_its_key(runner, tmp_path):
+def test_analyze_reads_the_pi_half_table_by_its_key(tmp_path):
     # 1.570797 lies within 1e-6 of pi/2, and a tolerance window that met it first read its table as pi/2's
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**NOISE_OFF, "angles": [0.0, 1.570797, HOM], "n_values": [2, 4]}))
     for command in (["simulate"], ["analyze", tmp_path / "sim"]):
-        res = invoke(runner, ["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
+        res = invoke(["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
         assert res.exit_code == 0, res.output
     fidelity = {name: metrology.fidelity(metrology.empirical_distribution(
         metrology.ShotTable.from_csv(tmp_path / "sim" / f"shots_theta{name}.csv"), 4), fock.twin_fock_output(4, HOM))
@@ -355,26 +360,26 @@ def test_analyze_reads_the_pi_half_table_by_its_key(runner, tmp_path):
         fidelity["1.570796"]
 
 
-def test_dataset_with_pi_runs_every_dataset_command(runner, tmp_path):
+def test_dataset_with_pi_runs_every_dataset_command(tmp_path):
     # simulate wrote shots_theta3.141593.csv, whose key lies above pi, and the dataset commands rejected it
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**NOISE_OFF, "angles": [0.0, 0.14, 0.2, 0.28, HOM, math.pi], "resample_samples": 20}))
     for command in (["simulate"], ["analyze", tmp_path / "sim"], ["fisher", "--dataset", tmp_path / "sim"]):
-        res = invoke(runner, ["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
+        res = invoke(["--config", config, "--seed", 1, "--out", tmp_path / command[0][:3], *command])
         assert res.exit_code == 0, res.output
     assert "3.141593" in json.loads((tmp_path / "sim" / "metadata.json").read_text())["files"]
     assert (tmp_path / "ana" / "report.json").exists() and (tmp_path / "fis" / "fisher.json").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "fisher --dataset"])
-def test_two_files_under_one_angle_key_exit_2(runner, tmp_path, simulated, command):
+def test_two_files_under_one_angle_key_exit_2(tmp_path, simulated, command):
     # "1.570796" and "1.5707961" name one angle; the lookup used whichever file its window met first
     meta = json.loads((simulated / "metadata.json").read_text())
     meta["files"]["1.5707961"] = meta["files"]["1.570796"]
     dataset = tmp_path / "dataset"
     shutil.copytree(simulated, dataset)
     (dataset / "metadata.json").write_text(json.dumps(meta))
-    res = invoke(runner, ["--out", tmp_path / "o", *command.split(), dataset])
+    res = invoke(["--out", tmp_path / "o", *command.split(), dataset])
     assert res.exit_code == 2, res.output
     assert "'1.5707961' shares the angle key 1.570796" in res.output
     assert not (tmp_path / "o").exists()
@@ -383,11 +388,11 @@ def test_two_files_under_one_angle_key_exit_2(runner, tmp_path, simulated, comma
 # ---------------------------------------------------------------- fisher
 
 
-def test_fisher_exact_ideal_matches_frozen_scaling(runner, tmp_path):
+def test_fisher_exact_ideal_matches_frozen_scaling(tmp_path):
     cfgp = tmp_path / "fisher.json"
     cfgp.write_text(json.dumps({"n_values": [2, 4, 6, 8, 10, 12, 14], "noise": "none"}))
     out = tmp_path / "fish"
-    res = invoke(runner, ["--config", cfgp, "--out", out, "fisher", "--exact", "ideal"])
+    res = invoke(["--config", cfgp, "--out", out, "fisher", "--exact", "ideal"])
     assert res.exit_code == 0, res.output
     payload = json.loads((out / "fisher.json").read_text())
     assert payload["source"] == "exact-ideal"
@@ -401,32 +406,32 @@ def test_fisher_exact_ideal_matches_frozen_scaling(runner, tmp_path):
     assert lines[1].startswith("2,4.0000,")
 
 
-def test_fisher_reports_failed_fit_with_exit_code_3(runner, tmp_path, monkeypatch):
+def test_fisher_reports_failed_fit_with_exit_code_3(tmp_path, monkeypatch):
     def no_minimum(*args, **kwargs):
         raise stats.FitError("scaling fit: no cost minimum bracketed")
 
     monkeypatch.setattr(metrology, "fit_scaling", no_minimum)
-    res = invoke(runner, ["--out", tmp_path / "o", "fisher", "--exact", "ideal"])
+    res = invoke(["--out", tmp_path / "o", "fisher", "--exact", "ideal"])
     assert res.exit_code == 3
     assert "no cost minimum" in res.output
 
 
-def test_fisher_requires_exactly_one_source(runner, tmp_path):
-    res = invoke(runner, ["--out", tmp_path / "o", "fisher"])
+def test_fisher_requires_exactly_one_source(tmp_path):
+    res = invoke(["--out", tmp_path / "o", "fisher"])
     assert res.exit_code == 2
     assert "exactly one" in res.output
 
 
 @pytest.fixture(scope="module")
-def default_dataset(runner, workdir):
+def default_dataset(workdir):
     """A simulate run with the default config: five probe angles and pi/2."""
-    res = invoke(runner, ["--out", workdir / "default-dataset", "simulate"])
+    res = invoke(["--out", workdir / "default-dataset", "simulate"])
     assert res.exit_code == 0, res.output
     return workdir / "default-dataset"
 
 
 @pytest.mark.parametrize("probes, angles", [(5, [0.0, HOM]), (2, None)])
-def test_fisher_dataset_checks_the_probe_angles_of_its_tables(runner, tmp_path, default_dataset, probes, angles):
+def test_fisher_dataset_checks_the_probe_angles_of_its_tables(tmp_path, default_dataset, probes, angles):
     # the check read the config's angles: an analyze-only config rejected a five-probe dataset, and a
     # two-probe dataset passed the default config's check and failed in the parabola fits
     meta = json.loads((default_dataset / "metadata.json").read_text())
@@ -436,7 +441,7 @@ def test_fisher_dataset_checks_the_probe_angles_of_its_tables(runner, tmp_path, 
     (dataset / "metadata.json").write_text(json.dumps(meta))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"resample_samples": 20, **({"angles": angles} if angles else {})}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "fisher", "--dataset", dataset])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "fisher", "--dataset", dataset])
     if probes == 2:
         assert res.exit_code == 2, res.output
         assert "need at least three small probe angles" in res.output
@@ -450,7 +455,7 @@ def test_fisher_dataset_checks_the_probe_angles_of_its_tables(runner, tmp_path, 
 
 
 @pytest.fixture(scope="module")
-def default_draws(runner, workdir):
+def default_draws(workdir):
     """Every draw of simulate, analyze and fisher --dataset on the default config at seeds 0 and 1.
 
     Per seed: the Philox key of each shot table; the key and the stack of each
@@ -484,7 +489,7 @@ def default_draws(runner, workdir):
             for command in ("simulate", "analyze", "fisher --dataset"):
                 stage[0] = command
                 dataset = [] if command == "simulate" else [run / "simulate"]
-                res = invoke(runner, ["--seed", master, "--out", run / command.split()[0], *command.split(), *dataset])
+                res = invoke(["--seed", master, "--out", run / command.split()[0], *command.split(), *dataset])
                 assert res.exit_code == 0, res.output
         record["report"] = json.loads((run / "analyze" / "report.json").read_text())
     return draws
@@ -544,9 +549,9 @@ def rows_json(workdir):
     return path
 
 
-def test_depth_command_frozen_table(runner, workdir, rows_json):
+def test_depth_command_frozen_table(workdir, rows_json):
     out = workdir / "dep"
-    res = invoke(runner, ["--out", out, "depth", rows_json])
+    res = invoke(["--out", out, "depth", rows_json])
     assert res.exit_code == 0, res.output
     payload = json.loads((out / "depth.json").read_text())
     got = [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
@@ -560,30 +565,30 @@ def test_depth_command_frozen_table(runner, workdir, rows_json):
 
 @pytest.mark.parametrize("n_total", [4.0, 4.5])
 @pytest.mark.parametrize("command", ["depth", "witness"])
-def test_fractional_atom_number_in_rows_exits_2(runner, tmp_path, command, n_total):
+def test_fractional_atom_number_in_rows_exits_2(tmp_path, command, n_total):
     # 4.0 crashed depth; 4.5 gave depth a wrong message and witness a term keyed "4.5"
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps({"rows": [{**TABLE_ROWS[1], "n_total": n_total}]}))
-    res = invoke(runner, ["--out", tmp_path / "o", command, rows])
+    res = invoke(["--out", tmp_path / "o", command, rows])
     assert res.exit_code == 2, res.output
     assert "non-integer n_total" in res.output
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
-def test_repeated_atom_number_in_rows_exits_2(runner, tmp_path, order):
+def test_repeated_atom_number_in_rows_exits_2(tmp_path, order):
     # both N = 4 rows used the last row's term: "not certified" in one order, "entangled" in the other
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps({"rows": [{**TABLE_ROWS[i], "n_total": 4} for i in order]}))
-    res = invoke(runner, ["--out", tmp_path / "o", "witness", rows])
+    res = invoke(["--out", tmp_path / "o", "witness", rows])
     assert res.exit_code == 2, res.output
     assert "N = 4 appears in more than one row" in res.output
     assert not (tmp_path / "o").exists()
 
 
-def test_witness_command_frozen_value(runner, workdir, rows_json):
+def test_witness_command_frozen_value(workdir, rows_json):
     out = workdir / "wit"
-    res = invoke(runner, ["--out", out, "witness", rows_json])
+    res = invoke(["--out", out, "witness", rows_json])
     assert res.exit_code == 0, res.output
     payload = json.loads((out / "witness.json").read_text())
     total = payload["indefinite_n"]
@@ -595,10 +600,21 @@ def test_witness_command_frozen_value(runner, workdir, rows_json):
     assert all(r["entangled"] and r["value"] > 1.0 for r in per)
 
 
+def test_depth_tables_script_writes_its_tables(tmp_path):
+    # the script calls cli.main twice in one process, so main returns after a command instead of exiting
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_depth_tables.py"), "--out", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    for name in ("rows.json", "depth.json", "depth.csv", "witness.json"):
+        assert (tmp_path / name).exists()
+
+
 # ---------------------------------------------------------------- calibrate
 
 
-def test_calibrate_smoke(runner, tmp_path):
+def test_calibrate_smoke(tmp_path):
     rng = np.random.default_rng(7)
     shots = metrology.ShotTable(n_plus=rng.poisson(1.2, 12000), n_minus=rng.poisson(1.2, 12000))
     sig = detector.synthesize_signals(
@@ -611,7 +627,7 @@ def test_calibrate_smoke(runner, tmp_path):
     oracles.signals_to_csv(sig, csv_path)
 
     out = tmp_path / "cal"
-    res = invoke(runner, ["--seed", 1, "--out", out, "calibrate", csv_path])
+    res = invoke(["--seed", 1, "--out", out, "calibrate", csv_path])
     assert res.exit_code == 0, res.output
     report = json.loads((out / "calibration.json").read_text())
     assert report["command"] == "calibrate"
@@ -645,7 +661,7 @@ def stage_failure(stage: str, m: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("stage, message", [
     ("crosstalk", "zero-atom shots"), ("drift", "window 1 "), ("histogram", "two peaks"),
 ])
-def test_calibrate_error_names_the_mode(runner, tmp_path, mode, stage, message):
+def test_calibrate_error_names_the_mode(tmp_path, mode, stage, message):
     m = 2400
     rng = np.random.default_rng(4)
     shots = metrology.ShotTable(n_plus=np.minimum(rng.poisson(1.0, m), 10), n_minus=np.minimum(rng.poisson(1.0, m), 10))
@@ -653,7 +669,7 @@ def test_calibrate_error_names_the_mode(runner, tmp_path, mode, stage, message):
                                       crosstalk={"minus": 0.0, "plus": 0.0}, seed=6)
     csv_path = tmp_path / "signals.csv"
     oracles.signals_to_csv(replace(sig, **{f"s_{mode}": stage_failure(stage, m, rng)}), csv_path)
-    res = invoke(runner, ["--out", tmp_path / "cal", "calibrate", csv_path])
+    res = invoke(["--out", tmp_path / "cal", "calibrate", csv_path])
     assert res.exit_code == 2, res.output
     assert f"mode {mode}" in res.output and message in res.output, res.output
     assert not (tmp_path / "cal").exists()  # a plus-mode failure leaves no minus tables behind
@@ -664,7 +680,7 @@ def test_calibrate_error_names_the_mode(runner, tmp_path, mode, stage, message):
 
 @pytest.mark.parametrize("command", ["analyze", "fisher --dataset", "calibrate"])
 @pytest.mark.parametrize("body", ["", "1\n"], ids=["header-only", "short-row"])
-def test_malformed_csv_exits_2(runner, tmp_path, command, body):
+def test_malformed_csv_exits_2(tmp_path, command, body):
     if command == "calibrate":
         path = tmp_path / "signals.csv"
         path.write_text("shot_index,s_minus,s_zero,s_plus\n" + body)
@@ -676,7 +692,7 @@ def test_malformed_csv_exits_2(runner, tmp_path, command, body):
         path = dataset / "shots.csv"
         path.write_text("N_plus,N_minus\n" + body)
         args = [*command.split(), dataset]
-    res = invoke(runner, ["--out", tmp_path / "o", *args])
+    res = invoke(["--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert str(path) in res.output
     assert "columns" in res.output
@@ -702,10 +718,10 @@ MALFORMED_ROWS = {
     pytest.param(command, payload, message, id=command + suffix)
     for suffix, (payload, message) in MALFORMED_ROWS.items() for command in ("depth", "witness")
 ])
-def test_incomplete_rows_json_exits_2(runner, tmp_path, command, payload, message):
+def test_incomplete_rows_json_exits_2(tmp_path, command, payload, message):
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps(payload))
-    res = invoke(runner, ["--out", tmp_path / "o", command, rows])
+    res = invoke(["--out", tmp_path / "o", command, rows])
     assert res.exit_code == 2, res.output
     assert message in res.output
 
@@ -735,7 +751,7 @@ MALFORMED_INPUTS = {
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
-def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
+def test_malformed_config_or_metadata_exits_2(tmp_path, case):
     files, noise, command, message = MALFORMED_INPUTS[case]
     dataset = tmp_path / "dataset"
     dataset.mkdir()
@@ -743,7 +759,7 @@ def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": noise, "n_max": 4, "shots_per_angle": 10}))
     args = [command, dataset] if command == "analyze" else command.split()
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", *args])
+    res = invoke(["--config", config, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (tmp_path / "o").exists()  # rejected before the output directory is made
@@ -753,10 +769,10 @@ def test_malformed_config_or_metadata_exits_2(runner, tmp_path, case):
     ("shots_per_angle", 2.5), ("n_max", 20.5), ("resample_samples", 100.5), ("n_values", [2, 4.5]),
     ("shots_per_angle", True), ("n_max", True), ("resample_samples", False), ("n_values", [2, True]),
 ])
-def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
+def test_fractional_count_in_config_exits_2(tmp_path, key, value):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
     assert f"{key} must hold integers" in res.output
     with pytest.raises(ValueError, match=key):
@@ -767,10 +783,10 @@ def test_fractional_count_in_config_exits_2(runner, tmp_path, key, value):
     ("xi", True), ("xi_jitter", False), ("angles", [0.0, True]), ("confidence_level", True),
     ("xi_jitter", math.nan), ("xi", math.inf), pytest.param("xi", 10**400, id="xi-beyond-float"), ("confidence_level", math.nan),
 ])
-def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
+def test_boolean_number_in_config_exits_2(tmp_path, key, value):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
     assert f"{key} must hold numbers" in res.output
     assert not (tmp_path / "o" / "metadata.json").exists()
@@ -778,11 +794,11 @@ def test_boolean_number_in_config_exits_2(runner, tmp_path, key, value):
 
 @pytest.mark.parametrize("key", ["quartic", "exclude_beyond_node"])
 @pytest.mark.parametrize("text", ['{"KEY": "false"}', '{"KEY": 1}', '{"KEY": null}', "KEY = False"])
-def test_switch_that_is_not_a_boolean_exits_2(runner, tmp_path, key, text):
+def test_switch_that_is_not_a_boolean_exits_2(tmp_path, key, text):
     # a truthy string or number used to switch the fit on and be recorded in fisher.json as given
     config = tmp_path / "config.cfg"
     config.write_text(text.replace("KEY", key))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "fisher", "--exact", "ideal"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "fisher", "--exact", "ideal"])
     assert res.exit_code == 2, res.output
     assert f"{key} must be true or false" in res.output
     assert not (tmp_path / "o").exists()
@@ -792,11 +808,11 @@ def test_switch_that_is_not_a_boolean_exits_2(runner, tmp_path, key, text):
     ([0.0, 0.1, 0.1000001, 0.2, HOM], "0.1 and 0.1000001"),
     ([0.0, 0.2, HOM, 0.2], "0.2 and 0.2"),  # an exact duplicate too
 ])
-def test_angles_sharing_a_shot_table_name_exit_2(runner, tmp_path, angles, pair):
+def test_angles_sharing_a_shot_table_name_exit_2(tmp_path, angles, pair):
     # shots_theta{angle:.6f}.csv would hold only the last of them, and analyze could not tell them apart
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"angles": angles}))
-    res = invoke(runner, ["--config", config, "--out", tmp_path / "o", "simulate"])
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
     assert f"angles {pair} share" in res.output
     assert not (tmp_path / "o").exists()
@@ -804,23 +820,46 @@ def test_angles_sharing_a_shot_table_name_exit_2(runner, tmp_path, angles, pair)
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --dataset"])
-def test_seed_outside_the_philox_key_range_exits_2(runner, tmp_path, simulated, command, seed):
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, simulated, command, seed):
     # the master seed is one uint64, the first word of every stream key
     args = command.split() + ([] if command == "simulate" else [simulated])
-    res = invoke(runner, ["--seed", seed, "--out", tmp_path / "o", *args])
+    res = invoke(["--seed", seed, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert "--seed" in res.output
     assert not (tmp_path / "o").exists()
 
 
-def test_largest_seed_runs_analyze(runner, tmp_path, noise_off_config, simulated):
-    res = invoke(runner, ["--config", noise_off_config, "--seed", 2**64 - 1, "--out", tmp_path / "o",
+def test_largest_seed_runs_analyze(tmp_path, noise_off_config, simulated):
+    res = invoke(["--config", noise_off_config, "--seed", 2**64 - 1, "--out", tmp_path / "o",
                           "analyze", simulated])
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**64 - 1
 
 
 # ---------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize("args", [[], ["bogus"], ["fisher", "--ex", "ideal"]],
+                         ids=["no-command", "unknown-command", "abbreviated-option"])
+def test_usage_error_exits_2(tmp_path, args):
+    # argparse would expand --ex to --exact unless abbreviations are off
+    res = invoke(["--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("usage: homsim ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--config", None, "simulate"], "--config"), (["calibrate", None], "SIGNALS_CSV"),
+    (["analyze", None], "DATASET_DIR"), (["fisher", "--dataset", None], "--dataset"),
+    (["depth", None], "ROWS_JSON"), (["witness", None], "ROWS_JSON"),
+], ids=["config", "calibrate", "analyze", "fisher", "depth", "witness"])
+def test_missing_path_exits_2_and_names_its_argument(tmp_path, args, name):
+    missing = tmp_path / "missing"
+    res = invoke(["--out", tmp_path / "o", *(missing if a is None else a for a in args)])
+    assert res.exit_code == 2, res.output
+    assert f"argument {name}: '{missing}' is not an existing" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_guarded_maps_exceptions_to_exit_codes():

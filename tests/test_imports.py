@@ -1,6 +1,7 @@
 """Import hygiene: the CLI starts without numerics, and no command or library fit loads scipy (only the tests' DE oracle does).
 
 Each probe is one fresh interpreter, and every forbidden set is checked against the modules that start imported.
+The probes start side by side, as many at a time as this process may use cores.
 """
 
 import ast
@@ -8,13 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from homsim import cli
 from test_acceptance import TABLE_ROWS
-from test_cli import NOISE_OFF, noise_off_config, runner, simulated, workdir  # noqa: F401 (fixtures)
+from test_cli import NOISE_OFF, invoke, noise_off_config, simulated, workdir  # noqa: F401 (fixtures)
 from test_detector import camera_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,72 +36,112 @@ def scipy_in(loaded: set) -> list:
     return sorted(m for m in loaded if m.split(".")[0] == "scipy")
 
 
-COMMANDS = sorted(cli.main.commands)
+COMMANDS = sorted(cli.COMMANDS)
 
-
-@pytest.mark.parametrize("argv", [("-c", "import homsim"), ("-c", "import homsim.cli"), ("-m", "homsim.cli", "--help"),
-                                  *(("-m", "homsim.cli", c, "--help") for c in COMMANDS)],
-                         ids=["import-homsim", "import-cli", "help", *(f"{c}-help" for c in COMMANDS)])
-def test_start_loads_no_numerics(argv):
-    loaded = imported_by(*argv)
-    assert "homsim" in loaded
-    assert sorted(m for m in loaded if m in NUMERICS or m.split(".")[0] in ("numpy", "scipy")) == []
-
-
-@pytest.mark.parametrize("command", ["depth", "witness"])
-def test_depth_and_witness_load_no_detector(tmp_path, command):
-    rows = tmp_path / "rows.json"
-    rows.write_text(json.dumps({"rows": TABLE_ROWS}))
-    loaded = imported_by("-m", "homsim.cli", "--out", tmp_path / "out", command, rows)
-    assert "homsim.entanglement" in loaded
-    assert sorted(loaded & {"homsim.detector", "homsim.channel"}) == []
-    assert scipy_in(loaded) == []
-    assert (tmp_path / "out" / f"{command}.json").exists()
-
-
-def test_calibrate_loads_no_numpy_ma(tmp_path):
-    # np.percentile and np.median import numpy.ma for their NaN check
-    camera_run(1, tmp_path / "signals.csv")
-    loaded = imported_by("-m", "homsim.cli", "--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv")
-    assert "numpy.ma" not in loaded
-    assert scipy_in(loaded) == []
-    assert (tmp_path / "cal" / "calibration.json").exists()
-
-
-def test_analyze_loads_no_scipy(tmp_path, simulated):
-    config = tmp_path / "small.json"
-    config.write_text(json.dumps({**NOISE_OFF, "resample_samples": 20}))
-    loaded = imported_by("-m", "homsim.cli", "--config", config, "--out", tmp_path / "ana", "analyze", simulated)
-    assert scipy_in(loaded) == []
-    assert (tmp_path / "ana" / "depth.csv").exists()
+# the standard-library modules that the CLI's start leaves to the commands that use them
+DEFERRED = {"dataclasses", "hashlib", "json"}
 
 
 @pytest.fixture(scope="module")
-def default_run(runner, tmp_path_factory):
+def probe_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("probes")
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
     """A simulate run with the default config (reference noise, all probe angles), made in-process."""
     out = tmp_path_factory.mktemp("default") / "sim"
-    res = runner.invoke(cli.main, ["--seed", "5", "--out", str(out), "simulate"])
+    res = invoke(["--seed", 5, "--out", out, "simulate"])
     assert res.exit_code == 0, res.output
     return out
 
 
+NOISE_FIT = ("from homsim import channel, fock, metrology; "
+             "src = fock.tmsv_distribution(fock.SqueezedSource(xi=0.9), n_max=10); "
+             "ref = channel.REFERENCE_PARAMS; "
+             "tab = metrology.ShotTable.sample(channel.predict(src, 1.5, ref), 2000, seed=1); "
+             "assert channel.fit(ref, {1.5: tab}, src).converged")
+
+STARTS = {"import-homsim": ("-c", "import homsim"), "import-cli": ("-c", "import homsim.cli"),
+          "help": ("-m", "homsim.cli", "--help"), **{f"{c}-help": ("-m", "homsim.cli", c, "--help") for c in COMMANDS}}
+
+
+@pytest.fixture(scope="module")
+def probes(probe_dir, simulated, default_run):
+    """Every probe of this module, started side by side: probe name -> the future of its ``imported_by``.
+
+    A test reads its own probe's result, so a start that fails fails the test that reads it.
+    """
+    rows = probe_dir / "rows.json"
+    rows.write_text(json.dumps({"rows": TABLE_ROWS}))
+    camera_run(1, probe_dir / "signals.csv")
+    small = probe_dir / "small.json"
+    small.write_text(json.dumps({"resample_samples": 20}))
+    analyze_config = probe_dir / "analyze.json"
+    analyze_config.write_text(json.dumps({**NOISE_OFF, "resample_samples": 20}))
+
+    def command(out: str, *argv):  # a CLI start that writes into its own output directory
+        return ("-m", "homsim.cli", "--out", probe_dir / out, *argv)
+
+    argvs = {
+        **STARTS,
+        **{c: command(c, c, rows) for c in ("depth", "witness")},
+        "calibrate": command("calibrate", "calibrate", probe_dir / "signals.csv"),
+        "analyze": command("analyze", "--config", analyze_config, "analyze", simulated),
+        **{c: command(c, "--config", small, *c.split(), *([default_run] if c.endswith("--dataset") else []))
+           for c in ("simulate", "fisher --exact ideal", "fisher --exact model", "fisher --dataset")},
+        "noise-fit": ("-c", NOISE_FIT),
+    }
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        return {name: pool.submit(imported_by, *argv) for name, argv in argvs.items()}
+
+
+def loaded_by(probes, name: str) -> set:
+    """The modules probe ``name`` imported; no probe may load click."""
+    loaded = probes[name].result()
+    assert "click" not in loaded
+    return loaded
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_start_loads_no_numerics(probes, start):
+    loaded = loaded_by(probes, start)
+    assert "homsim" in loaded
+    assert sorted(m for m in loaded if m in NUMERICS or m.split(".")[0] in ("numpy", "scipy")) == []
+    assert sorted(loaded & DEFERRED) == []
+
+
+@pytest.mark.parametrize("command", ["depth", "witness"])
+def test_depth_and_witness_load_no_detector(probes, probe_dir, command):
+    loaded = loaded_by(probes, command)
+    assert "homsim.entanglement" in loaded
+    assert sorted(loaded & {"homsim.detector", "homsim.channel"}) == []
+    assert scipy_in(loaded) == []
+    assert (probe_dir / command / f"{command}.json").exists()
+
+
+def test_calibrate_loads_no_numpy_ma(probes, probe_dir):
+    # np.percentile and np.median import numpy.ma for their NaN check
+    loaded = loaded_by(probes, "calibrate")
+    assert "numpy.ma" not in loaded
+    assert scipy_in(loaded) == []
+    assert (probe_dir / "calibrate" / "calibration.json").exists()
+
+
+def test_analyze_loads_no_scipy(probes, probe_dir):
+    assert scipy_in(loaded_by(probes, "analyze")) == []
+    assert (probe_dir / "analyze" / "depth.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "fisher --exact ideal", "fisher --exact model", "fisher --dataset"])
-def test_simulate_and_fisher_load_no_scipy(tmp_path, default_run, command):
-    config = tmp_path / "small.json"
-    config.write_text(json.dumps({"resample_samples": 20}))
-    args = command.split() + ([default_run] if command.endswith("--dataset") else [])
-    assert scipy_in(imported_by("-m", "homsim.cli", "--config", config, "--out", tmp_path / "out", *args)) == []
+def test_simulate_and_fisher_load_no_scipy(probes, probe_dir, command):
+    assert scipy_in(loaded_by(probes, command)) == []
     written = "metadata.json" if command == "simulate" else "fisher.json"
-    assert (tmp_path / "out" / written).exists()
+    assert (probe_dir / command / written).exists()
 
 
-def test_noise_fit_loads_no_scipy():
-    run = ("from homsim import channel, fock, metrology; "
-           "src = fock.tmsv_distribution(fock.SqueezedSource(xi=0.9), n_max=10); "
-           "ref = channel.REFERENCE_PARAMS; "
-           "tab = metrology.ShotTable.sample(channel.predict(src, 1.5, ref), 2000, seed=1); "
-           "assert channel.fit(ref, {1.5: tab}, src).converged")
-    assert scipy_in(imported_by("-c", run)) == []
+def test_noise_fit_loads_no_scipy(probes):
+    assert scipy_in(loaded_by(probes, "noise-fit")) == []
 
 
 def scipy_importers() -> set:

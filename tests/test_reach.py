@@ -3,8 +3,7 @@
 A name counts as used when some module under src/, scripts/ or bench/ (their
 tests excluded) loads it, reads it as an attribute or imports it, or when
 bench/child.py's ``LAYERS`` names it for tracing.  Its own definition is not
-a use, so a helper that only the tests call shows up here.  CLI commands are
-reached through their click group and are exempt.
+a use, so a helper that only the tests call shows up here.
 """
 
 import ast
@@ -15,14 +14,12 @@ PACKAGE = ROOT / "src" / "homsim"
 
 
 def defined_names() -> dict:
-    """Top-level functions, classes and constants of each package module, dunders and CLI commands exempt."""
+    """Top-level functions, classes and constants of each package module, dunders exempt."""
     names = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                commands = [d for d in node.decorator_list
-                            if isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"]
-                targets = [] if commands else [node.name]
+                targets = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
                            if isinstance(t, ast.Name)]
