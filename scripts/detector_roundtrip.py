@@ -4,10 +4,13 @@
 Draws model shot tables over the standard angle set, converts them to camera
 counts with the default drift/crosstalk/noise settings, then runs the full
 correction chain and compares the recovered calibration and the per-shot
-occupations against the ground truth.
+occupations against the ground truth, the channel's default blur laws.  The
+recovered laws go to ``blur.json`` in the shape of the noise config's
+``blur``, ready to paste into a config.
 """
 
 import argparse
+import json
 import math
 from pathlib import Path
 
@@ -39,9 +42,8 @@ def main() -> None:
     signals = detector.synthesize_signals(union, seed=args.seed)
     print(f"{len(union.n_plus)} shots")
 
-    rows = []
-    for mode, ref in (("minus", detector.DEFAULT_CALIBRATION_MINUS),
-                      ("plus", detector.DEFAULT_CALIBRATION_PLUS)):
+    rows, laws = [], {}
+    for mode, ref in (("minus", channel.DEFAULT_BLUR_MINUS), ("plus", channel.DEFAULT_BLUR_PLUS)):
         corrected, kappa = detector.correct_crosstalk(getattr(signals, f"s_{mode}"), signals.s_zero)
         corrected, _ = detector.correct_drift(corrected)
         calib = detector.fit_histogram(corrected)
@@ -52,9 +54,11 @@ def main() -> None:
               f"exact recovery {agree:.4f}")
         rows.append((mode, f"{calib.g:.3f}", f"{calib.sigma0:.5f}", f"{calib.c1:.5f}",
                      f"{kappa:.3e}", f"{agree:.5f}"))
+        laws[mode] = calib.to_json()["blur"]
     metrology.write_csv(args.out / "roundtrip.csv",
                         ["mode", "g", "sigma0", "c1", "crosstalk", "exact_recovery"], rows)
-    print(f"summary written to {args.out / 'roundtrip.csv'}")
+    (args.out / "blur.json").write_text(json.dumps({"blur": laws}, indent=2) + "\n")
+    print(f"summary written to {args.out / 'roundtrip.csv'}, blur laws to {args.out / 'blur.json'}")
 
 
 if __name__ == "__main__":

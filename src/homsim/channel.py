@@ -32,7 +32,7 @@ Their rate derivatives are closed forms too:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -75,11 +75,22 @@ class BlurLaw:
     b: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name, value in BlurLaw.to_json(self).items():
             if not is_number(value):
                 raise ValueError(f"blur law: {name} must be a number")
             if name in ("sigma0", "c1") and value < 0:
                 raise ValueError(f"blur law: {name} must be non-negative")
+
+    def sigma(self, n) -> np.ndarray:
+        return sigma_law(self.sigma0, self.c1, n)
+
+    def matrix(self, n_max: int) -> np.ndarray:
+        """P(count m | n atoms) at [m, n] on the counts 0..n_max (:func:`_blur_matrix`)."""
+        return _blur_matrix(n_max, self.sigma0, self.c1)
+
+    def to_json(self) -> dict:
+        """The law as one mode of the noise config's ``blur`` reads it: ``BlurLaw(**law.to_json())`` rebuilds it."""
+        return {f.name: getattr(self, f.name) for f in fields(BlurLaw)}
 
 
 # Reference calibration constants of the modelled experiment.
@@ -126,7 +137,7 @@ class NoiseModelParams:
         skew_shift_probability(self.skew)  # raises for a skew outside [1, 4]
 
     def to_json(self) -> dict:
-        blur = {"minus": vars(self.blur_minus).copy(), "plus": vars(self.blur_plus).copy()}
+        blur = {"minus": BlurLaw.to_json(self.blur_minus), "plus": BlurLaw.to_json(self.blur_plus)}
         return {**{k: getattr(self, k) for k in (*_RATES, "skew")}, "blur": blur}
 
     @classmethod
@@ -291,9 +302,7 @@ def apply_detection_blur(
 ) -> np.ndarray:
     """Reassign true counts to detected counts through the Gaussian peak overlap: B+ grid B-^T."""
     n_max = grid.shape[-1] - 1
-    bp = _blur_matrix(n_max, blur_plus.sigma0, blur_plus.c1)
-    bm = _blur_matrix(n_max, blur_minus.sigma0, blur_minus.c1)
-    return bp @ grid @ bm.T
+    return blur_plus.matrix(n_max) @ grid @ blur_minus.matrix(n_max).T
 
 
 def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = False):

@@ -220,7 +220,6 @@ def calibrate(obj, signals_csv):
         metrology.write_csv(out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
                             [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
-        report["modes"][mode]["detection_fidelity_12"] = detector.detection_fidelity(12, calib)
     _dump_json(obj, "calibration.json", report)
     print(f"calibration written to {out / 'calibration.json'}")
 
@@ -301,6 +300,7 @@ def analyze(obj, dataset_dir):
                 "variance_point": point_v.depth,
                 "parity_confident": conf_p.depth, "variance_confident": conf_v.depth,
                 "level": cfg.confidence_level,
+                "unevaluated_k": sorted({*point_v.unevaluated_k, *conf_v.unevaluated_k}),  # the parity route's too
             }
             depth_rows.append((n, point_p.depth, conf_p.depth, point_v.depth, conf_v.depth))
         report["per_n"][str(n)] = entry
@@ -312,10 +312,12 @@ def analyze(obj, dataset_dir):
             "per_n": {str(k): v for k, v in wit.per_n.items()},
             "weights": {str(d.n_total): w / sum(weights) for d, w in zip(collective_rows, weights)},
         }
-        dbs = [report["per_n"][str(n)].get("squeezing", {}).get("db") for n in cfg.n_values]
-        finite = [d for d in dbs if isinstance(d, float) and math.isfinite(d)]
+        dbs = {n: report["per_n"][str(n)].get("squeezing", {}).get("db") for n in cfg.n_values}
+        finite = [n for n, d in dbs.items() if isinstance(d, float) and math.isfinite(d)]
         if finite:
-            report["squeezing_db_mean"] = float(np.mean(finite))
+            report["squeezing_db_mean"] = float(np.mean([dbs[n] for n in finite]))
+        report["squeezing_db_mean_of_n"] = finite
+        report["squeezing_db_mean_omits_n"] = [n for n in cfg.n_values if n not in finite]
         metrology.write_csv(out / "collective.csv",
                             ["N", "var_jz", "jxjy2", "parity_z", "parity_x", "symmetry_J"],
                             [(d.n_total, f"{d.var_jz:.5f}", f"{d.jxjy2:.4f}", f"{d.parity_z:.4f}",

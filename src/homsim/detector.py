@@ -16,12 +16,12 @@ nearest-peak integer occupation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import stats
-from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, normal_cdf, sigma_law
+from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, BlurLaw
 from .metrology import read_csv_columns
 
 
@@ -29,9 +29,9 @@ class CalibrationError(ValueError):
     """Signal data insufficient or inconsistent for the requested correction."""
 
 
-@dataclass
-class DetectorCalibration:
-    """Result of the histogram and noise-law fits for one mode.
+@dataclass(frozen=True)
+class DetectorCalibration(BlurLaw):
+    """Result of the histogram and noise-law fits for one mode: its blur law, with the fit's errors and peaks.
 
     Widths are kept in atom units; peak n sits at ``b + n * g`` counts and has
     rms width ``sigma(n) * g`` counts.  Quantization intervals are the
@@ -39,10 +39,6 @@ class DetectorCalibration:
     fitted peak by the even spacing.
     """
 
-    g: float
-    b: float
-    sigma0: float
-    c1: float
     n_max_fit: int = 12
     peak_heights: np.ndarray | None = None
     peak_sigmas: np.ndarray | None = None
@@ -52,15 +48,13 @@ class DetectorCalibration:
     sigma0_err: float = float("nan")
     c1_err: float = float("nan")
 
-    def sigma(self, n) -> np.ndarray:
-        return sigma_law(self.sigma0, self.c1, n)
-
     def to_json(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
-        for k in ("peak_heights", "peak_sigmas", "peak_sigma_errs"):
-            v = getattr(self, k)
-            out[k] = None if v is None else [float(x) for x in v]
-        return out
+        """The mode object of ``calibration.json``, a missing or non-finite value as null; ``blur`` holds the law."""
+        out = {k: getattr(self, k) for k in ("g", "b", "sigma0", "c1", "n_max_fit")}
+        for k in ("g_err", "b_err", "sigma0_err", "c1_err", "peak_heights", "peak_sigmas", "peak_sigma_errs"):
+            v = np.asarray(getattr(self, k), dtype=float)  # None reads as NaN
+            out[k] = np.where(np.isfinite(v), v, None).tolist()
+        return {**out, "detection_fidelity_12": detection_fidelity(12, self), "blur": super().to_json()}
 
 
 # Reference calibrations of the modelled experiment: the channel's blur laws
@@ -389,9 +383,9 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     lower = np.concatenate([[0.5 * g0, b0 - g0], np.full(n_max_fit, math.log(0.02))])
     upper = np.concatenate([[1.5 * g0, b0 + g0], np.full(n_max_fit, math.log(1.5))])
 
-    sigma0, c1 = 0.15, 0.02
+    law = DetectorCalibration(sigma0=0.15, c1=0.02)
     for _ in range(3):
-        sigma_last = sigma_law(sigma0, c1, n_max_fit)
+        sigma_last = law.sigma(n_max_fit)
 
         p, cov = stats.weighted_least_squares(lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last)[:2],
                                               x, y, p, weights=weights, bounds=(lower, upper))
@@ -400,36 +394,24 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
         free_sigmas = np.exp(p[2:])
         # delta method: err(sigma) = sigma * err(log sigma)
         sigma_errs = free_sigmas * np.sqrt(np.diag(cov)[2:])
-        curve = fit_noise_curve(free_sigmas, sigma_errs=sigma_errs)
-        sigma0, c1 = curve.sigma0, curve.c1
+        law = fit_noise_curve(free_sigmas, sigma_errs=sigma_errs)
 
     err = np.sqrt(np.diag(cov))
-    return DetectorCalibration(
+    return replace(
+        law,
         g=float(p[0]),
         b=float(p[1]),
-        sigma0=sigma0,
-        c1=c1,
         n_max_fit=n_max_fit,
         peak_heights=_projected_comb(p, x, y, weights, sigma_last)[2],
-        peak_sigmas=np.concatenate([free_sigmas, [sigma_law(sigma0, c1, n_max_fit)]]),
+        peak_sigmas=np.concatenate([free_sigmas, [law.sigma(n_max_fit)]]),
         peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
         g_err=float(err[0]),
         b_err=float(err[1]),
-        sigma0_err=curve.sigma0_err,
-        c1_err=curve.c1_err,
     )
 
 
-@dataclass(frozen=True)
-class NoiseCurve:
-    sigma0: float
-    c1: float
-    sigma0_err: float
-    c1_err: float
-
-
-def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) -> NoiseCurve:
-    """Weighted linear fit of sigma_n^2 = sigma0^2 + c1^2 * n.
+def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) -> DetectorCalibration:
+    """Weighted linear fit of sigma_n^2 = sigma0^2 + c1^2 * n: the noise law alone, in atom units (g 1, b 0).
 
     Linear in the squared parameters; their standard errors propagate to
     sigma0 and c1 by the delta method.  A negative fitted sigma0^2 is
@@ -464,7 +446,7 @@ def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) ->
     s0sq_err, c1sq_err = np.sqrt(np.diag(cov))
     sigma0_err = s0sq_err / (2 * sigma0) if sigma0 > 0 else math.sqrt(s0sq_err)
     c1_err = c1sq_err / (2 * c1) if c1 > 0 else math.sqrt(c1sq_err)
-    return NoiseCurve(sigma0=sigma0, c1=c1, sigma0_err=float(sigma0_err), c1_err=float(c1_err))
+    return DetectorCalibration(sigma0=sigma0, c1=c1, sigma0_err=float(sigma0_err), c1_err=float(c1_err))
 
 
 def histogram_table(values: np.ndarray, calib: DetectorCalibration):
@@ -479,12 +461,13 @@ def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:
     return np.maximum(0, np.ceil(x - 0.5)).astype(int)
 
 
-def detection_fidelity(n: int, calib: DetectorCalibration) -> float:
-    """Chance of counting exactly n atoms when n are present.
+def detection_fidelity(n: int, calib: BlurLaw) -> float:
+    """Chance of counting exactly n atoms when n are present: P(n | n) of the channel's blur matrix.
 
-    Gaussian mass of peak n inside the symmetric half-count window; at n = 0
-    this is conservative because nothing lies below the lowest peak.
+    The matrix runs to count n + 1, so only the interval below count 0 is
+    open, as :func:`quantize_mode` clamps every signal below the first
+    midpoint to 0.
     """
     if n < 0:
         raise ValueError("occupation must be non-negative")
-    return float(1.0 - 2.0 * normal_cdf(-0.5 / calib.sigma(n)))
+    return float(calib.matrix(n + 1)[n, n])

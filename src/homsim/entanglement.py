@@ -187,13 +187,15 @@ class DepthResult:
     ``method`` records which route certified the bound: "parity",
     "variance", or "fallback" when the parity route found no violation and
     deferred to the variance route.  ``clamped_k`` lists block sizes whose
-    square-root argument was negative (criterion not applicable there).
+    square-root argument was negative (criterion not applicable there),
+    ``unevaluated_k`` those left uncertified as their boundary is beyond the table.
     """
 
     depth: int
     method: str
     n_total: int
     clamped_k: tuple = ()
+    unevaluated_k: tuple = ()
     confidence_level: float | None = None
 
 
@@ -203,15 +205,16 @@ def _pair_spread(n: int) -> float:
     return v if n % 2 == 0 else v - 0.25
 
 
-def _criteria(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _criteria(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Both depth criteria, one entry per row of ``data``.
 
     Returns the largest block size k beaten by the parity inequality (-1 if
-    none), the largest beaten by the variance criterion (0 if none), and
-    whether any variance bound applies at each k >= 2 (column k - 2).  Only
-    block sizes are looped over; each boundary is evaluated at most once per
-    (k, bound), on the rows it decides: those not yet beaten whose
-    square-root argument lies below one.
+    none), the largest beaten by the variance criterion (0 if none), whether
+    any variance bound applies at each k >= 2 (column k - 2), and whether a
+    row needed a boundary beyond the table there, which leaves it unbeaten by
+    that bound.  Only block sizes are looped over; each boundary is evaluated
+    at most once per (k, bound), on the rows it decides: those not yet beaten
+    whose square-root argument lies below one.
     """
     n, rows = data.n_total, (data.jxjy2, data.var_jz, data.parity_z)
     jxjy2, var_jz, parity_z = (np.atleast_1d(np.asarray(a, dtype=float)) for a in rows)
@@ -222,6 +225,7 @@ def _criteria(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     variance_k = np.where((n - 1) * var_jz - jxjy2 + n / 2.0 < 0, 1, 0)
     applies = np.zeros((len(jxjy2), n - 2), dtype=bool)
+    unevaluated = np.zeros_like(applies)
     for k in range(2, n):
         blocks = n // k
         # the boundary bound, then the block-decomposition one; jmax - k/2 > 0 as k < n
@@ -232,19 +236,23 @@ def _criteria(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                          (num2, np.sqrt(np.maximum(num2, 0.0)) / jmax)):
             violated |= (num > 0) & (arg >= 1.0)
             below = (num > 0) & (arg < 1.0) & ~violated  # the boundary only where it decides
-            if below.any():
+            if k + 1 > MAX_BOUNDARY_DIM:
+                unevaluated[:, k - 2] |= below
+            elif below.any():
                 violated[below] = var_jz[below] < jmax * sm_boundary(k / 2.0, arg[below])
             applies[:, k - 2] |= num > 0
         variance_k[violated] = k
-    return parity_k, variance_k, applies
+    return parity_k, variance_k, applies, unevaluated
 
 
-def _depths(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _depths(data: CollectiveData) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Each route's depth per row of ``data`` (k + 1 for the largest block size k beaten; the parity route
-    takes the variance route's k where it beats none), where the parity route beat one, and row 0's clamped k."""
-    parity_k, variance_k, applies = _criteria(data)
-    clamped = tuple((np.flatnonzero(~applies[0]) + 2).tolist())
-    return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1, parity_k >= 0, clamped
+    takes the variance route's k where it beats none), where the parity route beat one, and the block sizes
+    a DepthResult notes: row 0's clamped k and the k that any row left unevaluated."""
+    parity_k, variance_k, applies, unevaluated = _criteria(data)
+    notes = {name: tuple((np.flatnonzero(m) + 2).tolist())
+             for name, m in (("clamped_k", ~applies[0]), ("unevaluated_k", unevaluated.any(axis=0)))}
+    return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1, parity_k >= 0, notes
 
 
 def depth_parity(data: CollectiveData) -> DepthResult:
@@ -256,9 +264,9 @@ def depth_parity(data: CollectiveData) -> DepthResult:
     """
     if data.n_total % 2:
         raise DomainError("parity criterion defined for even N")
-    parity, _, certified, clamped = _depths(data)
-    method, clamped = ("parity", ()) if certified[0] else ("fallback", clamped)
-    return DepthResult(depth=int(parity[0]), method=method, n_total=data.n_total, clamped_k=clamped)
+    parity, _, certified, notes = _depths(data)
+    method, notes = ("parity", {}) if certified[0] else ("fallback", notes)
+    return DepthResult(depth=int(parity[0]), method=method, n_total=data.n_total, **notes)
 
 
 def depth_variance(data: CollectiveData) -> DepthResult:
@@ -270,8 +278,8 @@ def depth_variance(data: CollectiveData) -> DepthResult:
     exceeds anything k-producible: trivially violated.  Negative arguments
     make the criterion inapplicable at that k (recorded, not certified).
     """
-    _, variance, _, clamped = _depths(data)
-    return DepthResult(depth=int(variance[0]), method="variance", n_total=data.n_total, clamped_k=clamped)
+    _, variance, _, notes = _depths(data)
+    return DepthResult(depth=int(variance[0]), method="variance", n_total=data.n_total, **notes)
 
 
 def depth_with_resampling(data: CollectiveData, level: float = 0.68) -> tuple[DepthResult, DepthResult]:
@@ -281,14 +289,15 @@ def depth_with_resampling(data: CollectiveData, level: float = 0.68) -> tuple[De
     resamples of the unrotated and the post-pi/2 histogram.  Both criteria
     run on the whole stack, the parity route falling back per sample as in
     :func:`depth_parity`.  Each reported depth is the largest one reached by
-    at least ``level`` of the samples.  Returns ``(parity, variance)``.
+    at least ``level`` of the samples, and ``unevaluated_k`` holds every
+    sample's.  Returns ``(parity, variance)``.
     """
     if data.n_total % 2:
         raise DomainError("parity criterion defined for even N")
-    parity, variance, _, _ = _depths(data)
+    parity, variance, _, notes = _depths(data)
     return tuple(
         DepthResult(depth=stats.depth_confidence(depths, level=level), method=method, n_total=data.n_total,
-                    confidence_level=level)
+                    unevaluated_k=notes["unevaluated_k"], confidence_level=level)
         for method, depths in (("parity", parity), ("variance", variance))
     )
 

@@ -15,7 +15,6 @@ from scipy.stats import binom, norm, poisson
 
 from homsim.entanglement import CollectiveData
 from homsim.fock import DomainError, FixedNDistribution
-from homsim.metrology import write_csv
 
 NORM_ATOL = 1e-12
 
@@ -27,13 +26,6 @@ def validate(dist, atol: float = NORM_ATOL) -> None:
         raise ValueError("negative probability")
     if abs(p.sum() - 1.0) > atol:
         raise ValueError(f"not normalized: sum={p.sum()!r}")
-
-
-def signals_to_csv(table, path) -> None:
-    """Write a ``detector.SignalTable`` as the signal CSV that ``calibrate`` reads, six decimals per signal."""
-    write_csv(path, ["shot_index", "s_minus", "s_zero", "s_plus"],
-              ((int(i), f"{m:.6f}", f"{z:.6f}", f"{p:.6f}")
-               for i, m, z, p in zip(table.shot_index, table.s_minus, table.s_zero, table.s_plus)))
 
 
 def ideal_twin_fock_data(n_total: int) -> CollectiveData:

@@ -7,34 +7,18 @@ model against externally stated target windows that the model does not
 reach; they fail by design and their lines carry the measured numbers.
 """
 
-import importlib.util
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from homsim import channel, detector, entanglement, fock, metrology, stats
+from shared import TABLE_ROWS
 
 XI = math.asinh(math.sqrt(3.75))  # 7.5 atoms per shot on average
 EVEN_N = (2, 4, 6, 8, 10, 12)
-
-
-def _script(name: str):
-    """Load ``scripts/<name>.py`` as a module without running its main()."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# central values of the measured collective-moment table, kept once in the
-# script that reproduces the depth tables (also used by test_entanglement
-# and test_cli)
-TABLE_ROWS = _script("reproduce_depth_tables").ROWS
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

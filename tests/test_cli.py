@@ -1,7 +1,5 @@
 """End-to-end checks of the command-line pipeline, run in-process through ``cli.main``."""
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -10,58 +8,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import oracles
 from homsim import channel, cli, detector, entanglement, fock, metrology, stats
 from homsim.cli import RunConfig
-from test_acceptance import TABLE_ROWS
-
-HOM = math.pi / 2.0
-
-NOISE_OFF = {
-    "noise": "none",
-    "angles": [0.0, HOM],
-    "shots_per_angle": 5000,
-    "n_values": [2, 4, 6],
-    "n_max": 10,
-    "resample_samples": 200,
-}
-
-
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("cli")
-
-
-@pytest.fixture(scope="module")
-def noise_off_config(workdir):
-    path = workdir / "noise_off.json"
-    path.write_text(json.dumps(NOISE_OFF))
-    return path
-
-
-@pytest.fixture(scope="module")
-def simulated(workdir, noise_off_config):
-    """One noise-free simulate run shared by the dataset-consuming tests."""
-    out = workdir / "sim"
-    res = invoke(["--config", noise_off_config, "--seed", 3, "--out", out, "simulate"])
-    assert res.exit_code == 0, res.output
-    return out
-
-
-def invoke(args):
-    """Run ``cli.main`` on ``args``: its exit code, and its stdout and stderr together as ``output``."""
-    output = io.StringIO()
-    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
-        try:
-            code = cli.main([str(a) for a in args])
-        except SystemExit as exc:
-            code = exc.code
-    return SimpleNamespace(exit_code=code, output=output.getvalue())
+from shared import (HOM, NOISE_OFF, TABLE_ROWS, camera_run, invoke, noise_off_config, signals_to_csv,  # noqa: F401
+                    simulated, workdir)
 
 
 # ---------------------------------------------------------------- config
@@ -290,8 +244,10 @@ def test_analyze_noise_free_report(analyzed):
         assert d["parity_confident"] == n and d["variance_confident"] == n
     wit = rep["witness_indefinite_n"]
     assert wit["entangled"] and wit["value"] < -0.3
-    # every per-N squeezing is -inf dB, so no finite mean is reported
+    # every per-N squeezing is -inf dB, so no finite mean is reported, and the report says it left out every N
     assert "squeezing_db_mean" not in rep
+    assert rep["squeezing_db_mean_of_n"] == [] and rep["squeezing_db_mean_omits_n"] == [2, 4, 6]
+    assert all(entry["depth"]["unevaluated_k"] == [] for entry in rep["per_n"].values())
 
 
 def test_analyze_csv_artifacts(analyzed):
@@ -495,6 +451,14 @@ def default_draws(workdir):
     return draws
 
 
+def test_squeezing_mean_names_the_n_it_averaged(default_draws):
+    # at seed 1 all 197 N = 10 shots at theta = 0 sit at Jz = 0: its squeezing is -inf dB and stays out of the mean
+    rep = default_draws[1]["report"]
+    assert rep["per_n"]["10"]["squeezing"]["db"] == -math.inf
+    assert rep["squeezing_db_mean_of_n"] == [2, 4, 6, 8, 12] and rep["squeezing_db_mean_omits_n"] == [10]
+    assert rep["squeezing_db_mean"] == np.mean([rep["per_n"][str(n)]["squeezing"]["db"] for n in (2, 4, 6, 8, 12)])
+
+
 def test_analyze_draws_two_stacks_per_n_with_distinct_keys(default_draws):
     for record in default_draws.values():
         keys = [key for key, _ in record["analyze"]]
@@ -563,6 +527,24 @@ def test_depth_command_frozen_table(workdir, rows_json):
     assert lines[5] == "10,9,parity,8"
 
 
+def test_depth_leaves_block_sizes_beyond_the_boundary_table_unevaluated(tmp_path):
+    # at N = 70 and 95% of the largest spread, blocks of 64..68 atoms need the boundary of spins up to 34,
+    # beyond the table's 2j + 1 <= 64; the command once exited 2 there
+    rows = tmp_path / "rows.json"
+    jxjy2 = 0.95 * 35 * 36
+    rows.write_text(json.dumps({"rows": [{"n_total": 70, "jxjy2": jxjy2, "var_jz": 0.5},
+                                         {"n_total": 70, "jxjy2": jxjy2, "var_jz": 0.5, "parity_z": 0.9}]}))
+    res = invoke(["--out", tmp_path / "o", "depth", rows])
+    assert res.exit_code == 0, res.output
+    fallback, parity = json.loads((tmp_path / "o" / "depth.json").read_text())["results"]
+    beyond = list(range(64, 69))
+    assert fallback["variance"]["unevaluated_k"] == fallback["parity"]["unevaluated_k"] == beyond
+    assert fallback["parity"]["method"] == "fallback"
+    assert fallback["variance"]["depth"] == fallback["parity"]["depth"] <= 64  # no k >= 64 certified
+    assert parity["parity"]["method"] == "parity" and parity["parity"]["unevaluated_k"] == []
+    assert parity["variance"]["unevaluated_k"] == beyond
+
+
 @pytest.mark.parametrize("n_total", [4.0, 4.5])
 @pytest.mark.parametrize("command", ["depth", "witness"])
 def test_fractional_atom_number_in_rows_exits_2(tmp_path, command, n_total):
@@ -624,7 +606,7 @@ def test_calibrate_smoke(tmp_path):
         seed=21,
     )
     csv_path = tmp_path / "signals.csv"
-    oracles.signals_to_csv(sig, csv_path)
+    signals_to_csv(sig, csv_path)
 
     out = tmp_path / "cal"
     res = invoke(["--seed", 1, "--out", out, "calibrate", csv_path])
@@ -642,6 +624,66 @@ def test_calibrate_smoke(tmp_path):
         assert 0.9 < fit["detection_fidelity_12"] <= 1.0
         for stem in ("histogram", "noise_curve", "drift"):
             assert (out / f"{stem}_{mode}.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def calibrated(workdir):
+    """calibration.json of calibrate on the seed-1 camera run, synthesized at the reference laws."""
+    camera_run(1, workdir / "camera.csv")
+    res = invoke(["--seed", 1, "--out", workdir / "camera", "calibrate", workdir / "camera.csv"])
+    assert res.exit_code == 0, res.output
+    return workdir / "camera" / "calibration.json"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_calibration_json_is_strict_and_carries_each_modes_blur_law(calibrated):
+    report = json.loads(calibrated.read_text(), parse_constant=reject_constant)
+    for mode in ("minus", "plus"):
+        fit = report["modes"][mode]
+        assert fit["peak_sigma_errs"][-1] is None  # the last width is pinned to the noise law, so it has no error
+        assert all(e > 0 for e in fit["peak_sigma_errs"][:-1])
+        assert fit["blur"] == {k: fit[k] for k in ("sigma0", "c1", "g", "b")}
+        law = channel.BlurLaw(**fit["blur"])  # the keys the noise config's blur takes
+        assert law.to_json() == fit["blur"]
+        assert fit["detection_fidelity_12"] == detector.detection_fidelity(12, law)
+
+
+def model_quantities(out: Path, noise) -> np.ndarray:
+    """F per N and s of ``fisher --exact model`` under ``noise``, then the theta = 0 Var(Jz) per N of the channel."""
+    out.mkdir()
+    config = out / "config.json"
+    config.write_text(json.dumps({"noise": noise}))
+    res = invoke(["--config", config, "--out", out, "fisher", "--exact", "model"])
+    assert res.exit_code == 0, res.output
+    fisher = json.loads((out / "fisher.json").read_text())
+    cfg = RunConfig(noise=noise)
+    zero = cli._predicted(cfg, 0.0)
+    return np.array([fisher["aggregated"][str(n)]["F"] for n in cfg.n_values] + [fisher["scaling"]["s"]]
+                    + [fock.collective_moments(zero.fixed_n(n)).var_jz for n in cfg.n_values])
+
+
+def test_calibrated_blur_reproduces_the_reference_model_within_its_errors(tmp_path, calibrated):
+    # the camera run is drawn at the reference laws; the calibrated ones, pasted into the noise config's blur,
+    # must give the reference model's F, s and Var(Jz) within the errors propagated from sigma0 and c1.
+    # Measured on the camera runs of seeds 1-8: |z| <= 3.05 on F and Var(Jz), 3.42 on s (seed 1: 3.26)
+    modes = json.loads(calibrated.read_text())["modes"]
+    rates = {k: v for k, v in channel.REFERENCE_PARAMS.to_json().items() if k != "blur"}
+    noise = {**rates, "blur": {mode: modes[mode]["blur"] for mode in ("minus", "plus")}}
+    reference = model_quantities(tmp_path / "reference", "reference")
+    got = model_quantities(tmp_path / "calibrated", noise)
+    variance = np.zeros_like(got)
+    for mode in ("minus", "plus"):
+        for name in ("sigma0", "c1"):
+            h = 0.01 * modes[mode][name]
+            law = {**modes[mode]["blur"], name: modes[mode][name] + h}
+            slope = (model_quantities(tmp_path / f"{mode}-{name}", {**noise, "blur": {**noise["blur"], mode: law}})
+                     - got) / h
+            variance += (slope * modes[mode][f"{name}_err"]) ** 2
+    z = (got - reference) / np.sqrt(variance)
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 def stage_failure(stage: str, m: int, rng) -> np.ndarray:
@@ -668,7 +710,7 @@ def test_calibrate_error_names_the_mode(tmp_path, mode, stage, message):
     sig = detector.synthesize_signals(shots, drift=detector.DriftSpec(peak_to_peak=0.0),
                                       crosstalk={"minus": 0.0, "plus": 0.0}, seed=6)
     csv_path = tmp_path / "signals.csv"
-    oracles.signals_to_csv(replace(sig, **{f"s_{mode}": stage_failure(stage, m, rng)}), csv_path)
+    signals_to_csv(replace(sig, **{f"s_{mode}": stage_failure(stage, m, rng)}), csv_path)
     res = invoke(["--out", tmp_path / "cal", "calibrate", csv_path])
     assert res.exit_code == 2, res.output
     assert f"mode {mode}" in res.output and message in res.output, res.output

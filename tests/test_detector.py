@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import oracles
-from homsim import cli, detector, metrology, stats
+from homsim import detector, metrology, stats
+from shared import camera_run, signals_to_csv
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
 CAL_P = detector.DEFAULT_CALIBRATION_PLUS
@@ -67,7 +68,7 @@ def test_signal_table_csv_round_trip(tmp_path):
     shots = poisson_shots(50, seed=2)
     table = detector.synthesize_signals(shots, seed=1)
     path = tmp_path / "signals.csv"
-    oracles.signals_to_csv(table, path)
+    signals_to_csv(table, path)
     back = detector.SignalTable.from_csv(path)
     np.testing.assert_array_equal(back.shot_index, table.shot_index)
     np.testing.assert_allclose(back.s_plus, table.s_plus, atol=1e-5)
@@ -77,7 +78,7 @@ def test_signal_table_csv_single_row_column_order_and_missing_column(tmp_path):
     one = detector.SignalTable(shot_index=np.array([7]), s_minus=np.array([1.25]), s_zero=np.array([2.5]),
                                s_plus=np.array([3.75]))
     path = tmp_path / "one.csv"
-    oracles.signals_to_csv(one, path)
+    signals_to_csv(one, path)
     back = detector.SignalTable.from_csv(path)
     np.testing.assert_array_equal(back.shot_index, [7])
     np.testing.assert_array_equal(back.s_plus, [3.75])
@@ -253,7 +254,12 @@ def test_quantize_mode_midpoints_and_clamp():
 
 
 def test_detection_fidelity_frozen_values():
-    assert detector.detection_fidelity(0, CAL_M) == pytest.approx(0.9993518968357167, abs=1e-15)
+    # nothing is counted below 0, so P(0 | 0) is the whole Gaussian mass below the first midpoint: Phi(0.5 / sigma0)
+    for calib in (CAL_M, CAL_P):
+        phi = 0.5 * math.erfc(-0.5 / calib.sigma0 / math.sqrt(2.0))
+        assert detector.detection_fidelity(0, calib) == pytest.approx(phi, abs=1e-15)
+    assert detector.detection_fidelity(0, CAL_M) == pytest.approx(0.9996759484178583, abs=1e-15)
+    assert detector.detection_fidelity(0, CAL_P) == pytest.approx(0.9985407323545384, abs=1e-15)
     assert detector.detection_fidelity(12, CAL_M) == pytest.approx(0.9990096273287542, abs=1e-15)
     assert detector.detection_fidelity(12, CAL_P) == pytest.approx(0.990687408095312, abs=1e-15)
     with pytest.raises(ValueError):
@@ -337,33 +343,6 @@ def test_calibration_json_is_serializable(fitted_minus):
     back = json.loads(blob)
     assert back["g"] == pytest.approx(fitted_minus.g)
     assert len(back["peak_sigmas"]) == fitted_minus.n_max_fit + 1
-
-
-def camera_run(seed: int, path) -> detector.SignalTable:
-    """The raw camera signals of one 26,712-shot run, as the benchmark synthesizes them.
-
-    The shots are those of ``simulate --seed SEED`` over seven angles.  The
-    signals follow the forward model of the module docstring at the default
-    calibrations, drift and crosstalk, drawn from ``default_rng(seed)``, and
-    are read back from a signal CSV, whose six decimals are what
-    ``calibrate`` sees.
-    """
-    angles = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
-    cfg = cli.RunConfig(angles=angles)
-    tables = [metrology.ShotTable.sample(cli._predicted(cfg, t), cfg.shots_per_angle,
-                                         seed=stats.stream_key(seed, i), theta=t)
-              for i, t in enumerate(angles)]
-    rng = np.random.default_rng(seed)
-    idx = np.arange(len(angles) * cfg.shots_per_angle)
-    s_zero = rng.normal(detector.COMPANION_MEAN, detector.COMPANION_SPREAD, size=len(idx))
-    drift = detector.DriftSpec().offsets(idx)
-    signals = {}
-    for mode, calib in (("minus", CAL_M), ("plus", CAL_P)):
-        n = np.concatenate([getattr(t, f"n_{mode}") for t in tables])
-        noise = rng.normal(0.0, calib.sigma(n) * calib.g)
-        signals[f"s_{mode}"] = n * calib.g + calib.b + drift + detector.DEFAULT_CROSSTALK[mode] * s_zero + noise
-    oracles.signals_to_csv(detector.SignalTable(shot_index=idx, s_zero=s_zero, **signals), path)
-    return detector.SignalTable.from_csv(path)
 
 
 def test_histogram_fit_converges_on_the_seed_409_run(tmp_path):

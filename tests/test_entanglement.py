@@ -11,7 +11,7 @@ import oracles
 from homsim import entanglement as ent
 from homsim import fock, stats
 from homsim.fock import DomainError
-from test_acceptance import TABLE_ROWS, _script
+from shared import TABLE_ROWS, load_script
 
 
 def table_data():
@@ -30,7 +30,7 @@ def stack_data(p0, ph, plan):
 
 def resampled_depths(data):
     """Per-resample (parity, variance) depths of the stack ``depth_with_resampling`` reads."""
-    parity_k, variance_k, _ = ent._criteria(data)
+    parity_k, variance_k, _, _ = ent._criteria(data)
     return np.where(parity_k >= 0, parity_k, variance_k) + 1, variance_k + 1
 
 
@@ -147,7 +147,7 @@ def test_boundary_equals_the_max_over_all_lines_bit_for_bit(two_j):
 
 
 def test_generator_and_stored_table_agree():
-    gen = _script("boundary_table")
+    gen = load_script("boundary_table")
     table = np.load(ent.BOUNDARY_TABLE, allow_pickle=False)
     assert table.dtype == np.float64
     np.testing.assert_array_equal(table[0], np.logspace(-3, 3, 512))
@@ -397,12 +397,13 @@ def test_batched_criteria_match_scalar_reference():
         on_edge += len(edge)
         jxjy2, var, parity_z = (np.array(c) for c in zip(*rows, *edge))
         batched = zip(*(a.tolist() for a in ent._criteria(ent.CollectiveData(n, jxjy2, var, parity_z))))
-        for (p, v, applies), s, vz, pz in zip(batched, jxjy2.tolist(), var.tolist(), parity_z.tolist()):
+        for (p, v, applies, unevaluated), s, vz, pz in zip(batched, jxjy2.tolist(), var.tolist(), parity_z.tolist()):
             ref_p = oracles.parity_depth_k(n, s, pz)
             ref_v, ref_clamped = oracles.variance_depth_k(n, s, vz, _scalar_boundary)
             assert p == (-1 if ref_p is None else ref_p)
             assert v == ref_v
             assert [k for k, a in enumerate(applies, start=2) if not a] == ref_clamped
+            assert not any(unevaluated)  # every boundary up to 2j + 1 = 14 is in the table
             clamped_all += n > 2 and len(ref_clamped) == n - 2
         total += len(jxjy2)
     assert total >= 20000

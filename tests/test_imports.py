@@ -15,9 +15,7 @@ from pathlib import Path
 import pytest
 
 from homsim import cli
-from test_acceptance import TABLE_ROWS
-from test_cli import NOISE_OFF, invoke, noise_off_config, simulated, workdir  # noqa: F401 (fixtures)
-from test_detector import camera_run
+from shared import NOISE_OFF, TABLE_ROWS, camera_run, invoke, noise_off_config, simulated, workdir  # noqa: F401
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
