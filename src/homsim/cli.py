@@ -4,15 +4,15 @@ Commands are batch-style: read a config plus input files, write CSV tables
 and JSON reports into the output directory.  Every JSON artifact embeds the
 config hash and seed that produced it.  ``COMMANDS`` names each command's
 function and arguments, and ``main`` builds the argparse front end from it.
-``_guarded`` reads the config when a command runs, so ``--help`` needs no
-valid config, and maps failures to exit codes: 0 success, 2 invalid input,
-config or usage, 3 fit or optimizer non-convergence.
+``main`` parses argv before it reads the config, so ``--help`` needs no valid
+config; it then calls the command with one ``Run`` and is the one place that
+maps failures to exit codes: 0 success, 2 invalid input, config or usage,
+3 fit or optimizer non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from pathlib import Path
@@ -63,6 +63,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
         if self.shots_per_angle < 1:
             raise ValueError("shots_per_angle must be positive")
+        if not self.angles:
+            raise ValueError("angles must list at least one angle")
         if any(not 0 <= a <= math.pi for a in self.angles):
             raise ValueError("angles must lie in [0, pi]")
         keys = [stats.angle_key(a) for a in self.angles]  # each names one shot table
@@ -78,7 +80,7 @@ class RunConfig:
             raise ValueError(f"n_values repeats {repeated}")
         if isinstance(self.noise, dict):
             self.noise_params()  # only a noise object loads the channel
-        elif self.noise not in (None, "none", "reference"):
+        elif self.noise not in ("none", "reference"):
             raise ValueError(f"noise must be none, reference or an object, not {self.noise!r}")
         self.source()  # the owners check the ranges of xi, xi_jitter, resample_samples and confidence_level
         stats.ResamplePlan(self.resample_samples, seed=0)
@@ -86,7 +88,7 @@ class RunConfig:
 
     def noise_params(self) -> channel.NoiseModelParams | None:
         from . import channel
-        if self.noise in (None, "none"):
+        if self.noise == "none":
             return None
         return channel.REFERENCE_PARAMS if self.noise == "reference" else channel.NoiseModelParams.from_json(self.noise)
 
@@ -131,31 +133,20 @@ class RunConfig:
         return cls(**data)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(obj, *args, **kwargs):
-        from . import stats
-        try:
-            obj["cfg"] = RunConfig.from_file(obj["config"]) if obj["config"] else RunConfig()
-            return fn(obj, *args, **kwargs)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(2)
-        except stats.FitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(3)
+class Run:
+    """One command's run: the loaded config, the master seed and the output directory."""
 
-    return wrapper
+    def __init__(self, cfg: RunConfig, seed: int, out: Path):
+        self.cfg, self.seed, self.out = cfg, seed, out
 
-
-def _dump_json(obj, name: str, payload: dict) -> None:
-    """Write payload to the output directory as ``name``, stamped with the config hash and seed."""
-    import json
-    path = obj["out"] / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"config_hash": obj["cfg"].hash(), "seed": obj["seed"], **payload}, fh, indent=2)
-        fh.write("\n")
+    def dump_json(self, name: str, payload: dict) -> None:
+        """Write payload to the output directory as ``name``, stamped with the config hash and seed."""
+        import json
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump({"config_hash": self.cfg.hash(), "seed": self.seed, **payload}, fh, indent=2)
+            fh.write("\n")
 
 
 def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
@@ -167,38 +158,35 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
     return channel.predict(src, theta, params)
 
 
-@_guarded
-def simulate(obj):
+def simulate(run: Run):
     """Sample per-angle shot tables from the modelled channel."""
     from . import metrology, stats
-    cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
-    params = cfg.noise_params()
+    params = run.cfg.noise_params()
     files, tails = {}, {}
-    for i, theta in enumerate(cfg.angles):
-        dist = _predicted(cfg, theta)
-        table = metrology.ShotTable.sample(dist, cfg.shots_per_angle, seed=stats.stream_key(seed, i), theta=theta)
+    for i, theta in enumerate(run.cfg.angles):
+        dist = _predicted(run.cfg, theta)
+        table = metrology.ShotTable.sample(dist, run.cfg.shots_per_angle, seed=stats.stream_key(run.seed, i),
+                                           theta=theta)
         name = f"shots_theta{theta:.6f}.csv"
-        table.to_csv(out / name)
+        table.to_csv(run.out / name)
         files[f"{theta:.6f}"] = name
         tails[f"{theta:.6f}"] = dist.tail_mass
-    _dump_json(obj, "metadata.json", {
+    run.dump_json("metadata.json", {
         "command": "simulate",
-        "shots_per_angle": cfg.shots_per_angle,
-        "xi": cfg.xi,
-        "xi_jitter": cfg.xi_jitter,
-        "n_max": cfg.n_max,
+        "shots_per_angle": run.cfg.shots_per_angle,
+        "xi": run.cfg.xi,
+        "xi_jitter": run.cfg.xi_jitter,
+        "n_max": run.cfg.n_max,
         "noise": None if params is None else params.to_json(),
         "files": files,
         "tail_mass": tails,
     })
-    print(f"wrote {len(files)} shot tables to {out}")
+    print(f"wrote {len(files)} shot tables to {run.out}")
 
 
-@_guarded
-def calibrate(obj, signals_csv):
+def calibrate(run: Run, signals_csv):
     """Run the signal-correction chain on each side mode and fit its detector calibration."""
     from . import detector, metrology
-    out = obj["out"]
     raw = detector.SignalTable.from_csv(signals_csv)
     report = {"command": "calibrate", "crosstalk": {}, "modes": {}}
     chains = {}  # both modes calibrate before any file is written, so a failure leaves none
@@ -212,16 +200,16 @@ def calibrate(obj, signals_csv):
     for mode, (signal, drift, calib) in chains.items():
         report["modes"][mode] = calib.to_json()
         centers, counts, model = detector.histogram_table(signal, calib)
-        metrology.write_csv(out / f"histogram_{mode}.csv", ["signal", "count", "model"],
+        metrology.write_csv(run.out / f"histogram_{mode}.csv", ["signal", "count", "model"],
                             [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
-        metrology.write_csv(out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
+        metrology.write_csv(run.out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
                             [(n, f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
                              for n, (s, e) in enumerate(zip(calib.peak_sigmas, calib.peak_sigma_errs))])
-        metrology.write_csv(out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
+        metrology.write_csv(run.out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
                             [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
-    _dump_json(obj, "calibration.json", report)
-    print(f"calibration written to {out / 'calibration.json'}")
+    run.dump_json("calibration.json", report)
+    print(f"calibration written to {run.out / 'calibration.json'}")
 
 
 def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
@@ -244,15 +232,13 @@ def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
     return tables
 
 
-@_guarded
-def analyze(obj, dataset_dir):
+def analyze(run: Run, dataset_dir):
     """Per-N state quality, squeezing, witnesses, and depth from a dataset."""
     import numpy as np
     from . import entanglement, fock, metrology, stats
-    cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     tables = _load_dataset(Path(dataset_dir))
     zero, hom = (tables.get(stats.angle_key(theta)) for theta in (0.0, HOM_ANGLE))
-    plan = stats.ResamplePlan(n_samples=cfg.resample_samples, seed=seed)
+    plan = stats.ResamplePlan(n_samples=run.cfg.resample_samples, seed=run.seed)
 
     report = {"command": "analyze", "per_n": {}, "notices": []}
     if hom is None:
@@ -262,7 +248,7 @@ def analyze(obj, dataset_dir):
 
     collective_rows, weights = [], []
     parity_rows, squeeze_rows, depth_rows = [], [], []
-    for n in cfg.n_values:
+    for n in run.cfg.n_values:
         entry: dict = {}
         p0 = ph = None
         if hom is not None:
@@ -294,12 +280,12 @@ def analyze(obj, dataset_dir):
             point_v = entanglement.depth_variance(data)
             m0_stack = fock.moments(stats.resample_histogram(p0, plan, zero.theta))
             conf_p, conf_v = entanglement.depth_with_resampling(
-                entanglement.collective_data(n, m0_stack, mh_stack), cfg.confidence_level)
+                entanglement.collective_data(n, m0_stack, mh_stack), run.cfg.confidence_level)
             entry["depth"] = {
                 "parity_point": point_p.depth, "parity_method": point_p.method,
                 "variance_point": point_v.depth,
                 "parity_confident": conf_p.depth, "variance_confident": conf_v.depth,
-                "level": cfg.confidence_level,
+                "level": run.cfg.confidence_level,
                 "unevaluated_k": sorted({*point_v.unevaluated_k, *conf_v.unevaluated_k}),  # the parity route's too
             }
             depth_rows.append((n, point_p.depth, conf_p.depth, point_v.depth, conf_v.depth))
@@ -312,70 +298,68 @@ def analyze(obj, dataset_dir):
             "per_n": {str(k): v for k, v in wit.per_n.items()},
             "weights": {str(d.n_total): w / sum(weights) for d, w in zip(collective_rows, weights)},
         }
-        dbs = {n: report["per_n"][str(n)].get("squeezing", {}).get("db") for n in cfg.n_values}
+        dbs = {n: report["per_n"][str(n)].get("squeezing", {}).get("db") for n in run.cfg.n_values}
         finite = [n for n, d in dbs.items() if isinstance(d, float) and math.isfinite(d)]
         if finite:
             report["squeezing_db_mean"] = float(np.mean([dbs[n] for n in finite]))
         report["squeezing_db_mean_of_n"] = finite
-        report["squeezing_db_mean_omits_n"] = [n for n in cfg.n_values if n not in finite]
-        metrology.write_csv(out / "collective.csv",
+        report["squeezing_db_mean_omits_n"] = [n for n in run.cfg.n_values if n not in finite]
+        metrology.write_csv(run.out / "collective.csv",
                             ["N", "var_jz", "jxjy2", "parity_z", "parity_x", "symmetry_J"],
                             [(d.n_total, f"{d.var_jz:.5f}", f"{d.jxjy2:.4f}", f"{d.parity_z:.4f}",
                               f"{d.parity_x:.4f}", f"{d.symmetry_J:.4f}") for d in collective_rows])
     if parity_rows:
-        metrology.write_csv(out / "parity.csv", ["N", "parity_x", "err_minus", "err_plus"], parity_rows)
+        metrology.write_csv(run.out / "parity.csv", ["N", "parity_x", "err_minus", "err_plus"], parity_rows)
     if squeeze_rows:
-        metrology.write_csv(out / "squeezing.csv", ["N", "xi2_gen", "xi2_gen_db"], squeeze_rows)
+        metrology.write_csv(run.out / "squeezing.csv", ["N", "xi2_gen", "xi2_gen_db"], squeeze_rows)
     if depth_rows:
-        metrology.write_csv(out / "depth.csv",
+        metrology.write_csv(run.out / "depth.csv",
                             ["N", "parity_point", "parity_confident", "variance_point", "variance_confident"],
                             depth_rows)
-    _dump_json(obj, "report.json", report)
-    print(f"report written to {out / 'report.json'}")
+    run.dump_json("report.json", report)
+    print(f"report written to {run.out / 'report.json'}")
 
 
-@_guarded
-def fisher(obj, exact, dataset_dir):
+def fisher(run: Run, exact, dataset_dir):
     """Statistical-distance Fisher information and its N-scaling."""
     from . import fock, metrology, stats
-    cfg, seed, out = obj["cfg"], obj["seed"], obj["out"]
     if (exact is None) == (dataset_dir is None):
         raise ValueError("choose exactly one of --exact or --dataset")
     tables = {} if exact else {t: tab for t, tab in _load_dataset(Path(dataset_dir)).items() if t < 1.0}
-    angles = [a for a in cfg.angles if a < 1.0] if exact else list(tables)  # the probe angles of the source
+    angles = [a for a in run.cfg.angles if a < 1.0] if exact else list(tables)  # the probe angles of the source
     if len(angles) < 3:
         raise ValueError("need at least three small probe angles")
-    exclusions = metrology.DEFAULT_EXCLUSIONS if cfg.exclude_beyond_node else {}
+    exclusions = metrology.DEFAULT_EXCLUSIONS if run.cfg.exclude_beyond_node else {}
     if exact is not None:
         dists: dict[int, dict[float, np.ndarray]] = {}
         if exact == "ideal":
-            for n in cfg.n_values:
+            for n in run.cfg.n_values:
                 dists[n] = {t: fock.twin_fock_output(n, t).probs for t in angles}
         else:
-            per_theta = {t: _predicted(cfg, t) for t in angles}
-            for n in cfg.n_values:
+            per_theta = {t: _predicted(run.cfg, t) for t in angles}
+            for n in run.cfg.n_values:
                 dists[n] = {t: per_theta[t].fixed_n(n).probs for t in angles}
-        est = metrology.fisher_from_distributions(dists, angles=angles, quartic=cfg.quartic,
+        est = metrology.fisher_from_distributions(dists, angles=angles, quartic=run.cfg.quartic,
                                                   exclusions=exclusions)
         source = f"exact-{exact}"
     else:
-        plan = stats.ResamplePlan(n_samples=min(cfg.resample_samples, 500), seed=seed)
-        est = metrology.fisher_from_shots(tables, cfg.n_values, plan=plan,
-                                          quartic=cfg.quartic, exclusions=exclusions)
+        plan = stats.ResamplePlan(n_samples=min(run.cfg.resample_samples, 500), seed=run.seed)
+        est = metrology.fisher_from_shots(tables, run.cfg.n_values, plan=plan,
+                                          quartic=run.cfg.quartic, exclusions=exclusions)
         source = f"sampled:{dataset_dir}"
     payload = est.to_json()
     payload["source"] = source
-    _dump_json(obj, "fisher.json", payload)
+    run.dump_json("fisher.json", payload)
     rows = []
     for n in sorted(est.aggregated):
         fbar, dfbar = est.aggregated[n]
         fit_val = est.scaling.predict(n) if est.scaling else float("nan")
         rows.append((n, f"{fbar:.4f}", f"{dfbar:.4f}", f"{float(fit_val):.4f}"))
-    metrology.write_csv(out / "fisher_scaling.csv", ["N", "F_mean", "F_err", "F_fit"], rows)
+    metrology.write_csv(run.out / "fisher_scaling.csv", ["N", "F_mean", "F_err", "F_fit"], rows)
     if est.scaling:
         print(f"scaling: r={est.scaling.r:.4f}+-{est.scaling.r_err:.4f} "
               f"s={est.scaling.s:.4f}+-{est.scaling.s_err:.4f}")
-    print(f"fisher results written to {out / 'fisher.json'}")
+    print(f"fisher results written to {run.out / 'fisher.json'}")
 
 
 def _load_rows(path: Path):
@@ -385,26 +369,26 @@ def _load_rows(path: Path):
     payload = json.loads(Path(path).read_text())
     if not (isinstance(payload, dict) and isinstance(payload.get("rows"), list)):
         raise ValueError(f"{path}: expected an object with a list under \"rows\"")
+    if not payload["rows"]:
+        raise ValueError(f"{path}: no data rows")
     weights = payload.get("weights")
     if not (weights is None or isinstance(weights, list) and all(map(metrology.is_number, weights))):
         raise ValueError(f"{path}: \"weights\" must be a list of finite numbers, not {weights!r}")
     return [entanglement.CollectiveData.from_json(r) for r in payload["rows"]], weights
 
 
-@_guarded
-def depth(obj, rows_json):
+def depth(run: Run, rows_json):
     """Point-estimate entanglement depth for stored collective-moment rows."""
     from dataclasses import asdict
     from . import entanglement, metrology
-    out = obj["out"]
     rows, _ = _load_rows(Path(rows_json))
     results = []
     for data in rows:
         rp = entanglement.depth_parity(data)
         rv = entanglement.depth_variance(data)
         results.append({"n_total": data.n_total, "parity": asdict(rp), "variance": asdict(rv)})
-    _dump_json(obj, "depth.json", {"command": "depth", "results": results})
-    metrology.write_csv(out / "depth.csv", ["N", "depth_parity", "parity_method", "depth_variance"],
+    run.dump_json("depth.json", {"command": "depth", "results": results})
+    metrology.write_csv(run.out / "depth.csv", ["N", "depth_parity", "parity_method", "depth_variance"],
                         [(r["n_total"], r["parity"]["depth"], r["parity"]["method"], r["variance"]["depth"])
                          for r in results])
     for r in results:
@@ -412,8 +396,7 @@ def depth(obj, rows_json):
               f"variance depth {r['variance']['depth']}")
 
 
-@_guarded
-def witness(obj, rows_json):
+def witness(run: Run, rows_json):
     """Entanglement witnesses for stored collective-moment rows."""
     from . import entanglement
     rows, weights = _load_rows(Path(rows_json))
@@ -427,7 +410,7 @@ def witness(obj, rows_json):
     for data in rows:
         pw = entanglement.parity_witness_xyz(data)
         payload["parity_xyz"].append({"n_total": data.n_total, "value": pw.value, "entangled": pw.entangled})
-    _dump_json(obj, "witness.json", payload)
+    run.dump_json("witness.json", payload)
     print(f"indefinite-N witness: {total.value:.4f} ({'entangled' if total.entangled else 'not certified'})")
 
 
@@ -474,8 +457,14 @@ def main(args=None, prog_name: str = "homsim") -> int:
         for flag, keywords in arguments.items():
             sub.add_argument(flag, **keywords)
     opts = vars(ap.parse_args(args))
-    obj = {"config": opts.pop("config"), "seed": opts.pop("seed"), "out": Path(opts.pop("out"))}
-    COMMANDS[opts.pop("command")][0](obj, **opts)
+    config, seed, out, command = (opts.pop(key) for key in ("config", "seed", "out", "command"))
+    from . import stats
+    try:
+        cfg = RunConfig.from_file(config) if config else RunConfig()
+        COMMANDS[command][0](Run(cfg, seed, Path(out)), **opts)
+    except (ValueError, OSError, KeyError, stats.FitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3 if isinstance(exc, stats.FitError) else 2)
     return 0
 
 

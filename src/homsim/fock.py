@@ -51,12 +51,11 @@ class TwoModeDistribution:
         object.__setattr__(self, "grid", g)
 
     def fixed_n(self, n_total: int) -> "FixedNDistribution":
-        """Renormalized distribution on the anti-diagonal n_plus + n_minus = n_total."""
-        if not 0 <= n_total <= 2 * self.n_max:
-            raise CapacityError(f"N={n_total} outside grid")
-        idx = _antidiagonal_indices(n_total, self.n_max)
-        probs = np.zeros(n_total + 1)
-        probs[idx] = self.grid[idx, n_total - idx]
+        """Renormalized distribution on the anti-diagonal n_plus + n_minus = n_total, which must lie on the grid."""
+        if not 0 <= n_total <= self.n_max:  # above n_max, renormalizing the on-grid part would misstate the slice
+            raise CapacityError(f"N={n_total} outside 0..n_max={self.n_max}: part of its anti-diagonal is off the grid")
+        idx = np.arange(n_total + 1)
+        probs = self.grid[idx, n_total - idx]
         s = probs.sum()
         if s <= 0:
             raise ValueError(f"no probability mass at N={n_total}")

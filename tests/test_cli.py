@@ -132,9 +132,10 @@ def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "fisher --exact model"])
-@pytest.mark.parametrize("noise", ["off", "ideal"])
+@pytest.mark.parametrize("noise", ["off", "ideal", None])
 def test_undocumented_noise_alias_exits_2(tmp_path, noise, command):
-    # both used to mean no noise; the documented spellings are none, reference and a rate object
+    # each used to mean no noise (null with its own config hash); the documented spellings are none, reference
+    # and a rate object
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": noise}))
     res = invoke(["--config", config, "--out", tmp_path / "o", *command.split()])
@@ -746,6 +747,7 @@ MALFORMED_ROWS = {
     "-row-not-object": ({"rows": [5]}, "not an object: 5"),
     "-string-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": "5"}]}, "non-numeric jxjy2"),
     "-bare-list": ([TABLE_ROWS[0]], 'a list under "rows"'),
+    "-empty": ({"rows": []}, "no data rows"),  # depth wrote an empty depth.json and exited 0
     "-bool-moment": ({"rows": [{**TABLE_ROWS[0], "jxjy2": True, "var_jz": False}]}, "non-numeric jxjy2, var_jz"),
     # NaN and Infinity as Python's json writes and reads them
     "-nan-moment": ({"rows": [{**TABLE_ROWS[0], "var_jz": math.nan}]}, "non-numeric var_jz"),
@@ -846,6 +848,29 @@ def test_switch_that_is_not_a_boolean_exits_2(tmp_path, key, text):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_angle_list_exits_2(tmp_path):
+    # simulate wrote no shot table and exited 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"angles": []}))
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert "angles must list at least one angle" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_exact_model_above_n_max_exits_2_and_names_both(tmp_path):
+    # fixed_n renormalized the on-grid part of each anti-diagonal: F_12, F_14, F_16 read 84.574, 112.537, 170.112
+    # where the exact ideal run gives 84.572, 112.311, 144.476
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_max": 10, "noise": "none", "n_values": list(range(2, 17, 2))}))
+    res = invoke(["--config", config, "--out", tmp_path / "model", "fisher", "--exact", "model"])
+    assert res.exit_code == 2, res.output
+    assert "N=12 outside 0..n_max=10" in res.output
+    assert not (tmp_path / "model").exists()
+    res = invoke(["--config", config, "--out", tmp_path / "ideal", "fisher", "--exact", "ideal"])
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize("angles, pair", [
     ([0.0, 0.1, 0.1000001, 0.2, HOM], "0.1 and 0.1000001"),
     ([0.0, 0.2, HOM, 0.2], "0.2 and 0.2"),  # an exact duplicate too
@@ -904,15 +929,13 @@ def test_missing_path_exits_2_and_names_its_argument(tmp_path, args, name):
     assert not (tmp_path / "o").exists()
 
 
-def test_guarded_maps_exceptions_to_exit_codes():
+def test_main_maps_exceptions_to_exit_codes(tmp_path, monkeypatch):
     def trip(exc):
-        @cli._guarded
-        def boom(obj):
+        def boom(run):
             raise exc
 
-        with pytest.raises(SystemExit) as err:
-            boom({"config": None})
-        return err.value.code
+        monkeypatch.setitem(cli.COMMANDS, "simulate", (boom, {}))
+        return invoke(["--out", tmp_path / "o", "simulate"]).exit_code
 
     assert trip(ValueError("bad input")) == 2
     assert trip(detector.CalibrationError("no peaks")) == 2

@@ -189,6 +189,8 @@ def test_fixed_n_slices_and_errors():
     assert sub.probs[2] == 1.0
     with pytest.raises(fock.CapacityError):
         d.fixed_n(13)
+    with pytest.raises(fock.CapacityError, match="N=8 outside 0..n_max=6"):
+        d.fixed_n(8)  # on a 6-atom grid (8, 0) and (0, 8) are cut off
     with pytest.raises(ValueError):
         d.fixed_n(3)  # no mass at odd totals
 
