@@ -21,12 +21,12 @@ from homsim import channel, detector, fock, metrology
 ANGLES = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/roundtrip"))
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     src = fock.tmsv_distribution(fock.SqueezedSource(xi=math.asinh(math.sqrt(3.75))), n_max=20)
     tables = [
@@ -42,15 +42,13 @@ def main() -> None:
     signals = detector.synthesize_signals(union, seed=args.seed)
     print(f"{len(union.n_plus)} shots")
 
+    truth = {"minus": channel.DEFAULT_BLUR_MINUS, "plus": channel.DEFAULT_BLUR_PLUS}
     rows, laws = [], {}
-    for mode, ref in (("minus", channel.DEFAULT_BLUR_MINUS), ("plus", channel.DEFAULT_BLUR_PLUS)):
-        corrected, kappa = detector.correct_crosstalk(getattr(signals, f"s_{mode}"), signals.s_zero)
-        corrected, _ = detector.correct_drift(corrected)
-        calib = detector.fit_histogram(corrected)
+    for mode, (corrected, kappa, _, calib) in detector.calibrate(signals).items():
         occ = detector.quantize_mode(corrected, calib)
         agree = float(np.mean(occ == getattr(union, f"n_{mode}")))
-        print(f"{mode}: crosstalk {kappa:.2e}, g {calib.g:.2f} (truth {ref.g}), sigma0 {calib.sigma0:.4f} "
-              f"(truth {ref.sigma0}), c1 {calib.c1:.4f} (truth {ref.c1}), "
+        print(f"{mode}: crosstalk {kappa:.2e}, g {calib.g:.2f} (truth {truth[mode].g}), sigma0 {calib.sigma0:.4f} "
+              f"(truth {truth[mode].sigma0}), c1 {calib.c1:.4f} (truth {truth[mode].c1}), "
               f"exact recovery {agree:.4f}")
         rows.append((mode, f"{calib.g:.3f}", f"{calib.sigma0:.5f}", f"{calib.c1:.5f}",
                      f"{kappa:.3e}", f"{agree:.5f}"))

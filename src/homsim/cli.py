@@ -187,18 +187,8 @@ def simulate(run: Run):
 def calibrate(run: Run, signals_csv):
     """Run the signal-correction chain on each side mode and fit its detector calibration."""
     from . import detector, metrology
-    raw = detector.SignalTable.from_csv(signals_csv)
-    report = {"command": "calibrate", "crosstalk": {}, "modes": {}}
-    chains = {}  # both modes calibrate before any file is written, so a failure leaves none
-    for mode in ("minus", "plus"):
-        try:
-            signal, report["crosstalk"][mode] = detector.correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
-            signal, drift = detector.correct_drift(signal)
-            chains[mode] = signal, drift, detector.fit_histogram(signal)
-        except detector.CalibrationError as exc:
-            raise detector.CalibrationError(f"mode {mode}: {exc}") from None
-    for mode, (signal, drift, calib) in chains.items():
-        report["modes"][mode] = calib.to_json()
+    chains = detector.calibrate(detector.SignalTable.from_csv(signals_csv))  # both modes, or a failure and no file
+    for mode, (signal, _, drift, calib) in chains.items():
         centers, counts, model = detector.histogram_table(signal, calib)
         metrology.write_csv(run.out / f"histogram_{mode}.csv", ["signal", "count", "model"],
                             [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
@@ -208,7 +198,8 @@ def calibrate(run: Run, signals_csv):
         metrology.write_csv(run.out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
                             [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])
-    run.dump_json("calibration.json", report)
+    run.dump_json("calibration.json", {"command": "calibrate", "crosstalk": {m: c[1] for m, c in chains.items()},
+                                       "modes": {m: c[3].to_json() for m, c in chains.items()}})
     print(f"calibration written to {run.out / 'calibration.json'}")
 
 

@@ -8,9 +8,9 @@ is modelled as
 with ``g`` counts per atom, ``b`` the zero-atom offset, a slow drift of the
 background level, optical crosstalk proportional to the companion-mode signal
 ``s0``, and a per-occupation Gaussian width sigma_n^2 = sigma0^2 + c1^2 * n in
-atom units.  Calibration inverts this chain in the order crosstalk -> drift
--> histogram fit -> noise-law fit, after which signals quantize to the
-nearest-peak integer occupation.
+atom units.  :func:`calibrate` inverts this chain on each side mode in the
+order crosstalk -> drift -> histogram fit -> noise-law fit, after which
+signals quantize to the nearest-peak integer occupation.
 """
 
 from __future__ import annotations
@@ -169,15 +169,13 @@ def _peaks(x: np.ndarray, distance: int) -> tuple[np.ndarray, np.ndarray]:
             keep[near] = False
     peaks = peaks[keep]
 
-    prominence = np.empty(len(peaks))
-    for i, p in enumerate(peaks):
-        higher = np.flatnonzero(x > x[p])
-        lo = higher[higher < p]
-        hi = higher[higher > p]
-        left = x[(lo[-1] + 1 if len(lo) else 0): p + 1].min()
-        right = x[p: (hi[0] if len(hi) else len(x))].min()
-        prominence[i] = x[p] - max(left, right)
-    return peaks, prominence
+    xx = np.append(x, np.inf)  # a higher bin past the last for every peak, and a bound reduceat takes
+    higher = xx > x[peaks, None]  # one row per peak
+    right = higher & (np.arange(len(xx)) > peaks[:, None])
+    left = (higher & ~right)[:, ::-1]  # reversed, so argmax finds the nearest higher bin here as on the right
+    left_start = np.where(left.any(axis=1), len(xx) - left.argmax(axis=1), 0)
+    mins = np.minimum.reduceat(xx, np.column_stack([left_start, peaks + 1, peaks, right.argmax(axis=1)]).ravel())
+    return peaks, x[peaks] - np.maximum(mins[0::4], mins[2::4])  # minima over [left_start, p] and [p, next higher bin)
 
 
 def _order_stats(values: np.ndarray, percents=None) -> np.ndarray:
@@ -447,6 +445,19 @@ def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) ->
     sigma0_err = s0sq_err / (2 * sigma0) if sigma0 > 0 else math.sqrt(s0sq_err)
     c1_err = c1sq_err / (2 * c1) if c1 > 0 else math.sqrt(c1sq_err)
     return DetectorCalibration(sigma0=sigma0, c1=c1, sigma0_err=float(sigma0_err), c1_err=float(c1_err))
+
+
+def calibrate(raw: SignalTable) -> dict:
+    """Each side mode's chain, ``{mode: (signal, kappa, drift, calibration)}``, or CalibrationError naming the mode."""
+    chains = {}
+    for mode in ("minus", "plus"):
+        try:
+            signal, kappa = correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
+            signal, drift = correct_drift(signal)
+            chains[mode] = signal, kappa, drift, fit_histogram(signal)
+        except CalibrationError as exc:
+            raise CalibrationError(f"mode {mode}: {exc}") from None
+    return chains
 
 
 def histogram_table(values: np.ndarray, calib: DetectorCalibration):

@@ -165,11 +165,10 @@ def test_criterion_7_detector_round_trip(source):
     signals = detector.synthesize_signals(union, seed=seed)  # default drift and crosstalk
     ok = True
     parts = []
+    chains = detector.calibrate(signals)
     for mode, ref in (("minus", detector.DEFAULT_CALIBRATION_MINUS),
                       ("plus", detector.DEFAULT_CALIBRATION_PLUS)):
-        corrected, _ = detector.correct_crosstalk(getattr(signals, f"s_{mode}"), signals.s_zero)
-        corrected, _ = detector.correct_drift(corrected)
-        calib = detector.fit_histogram(corrected)
+        corrected, _, _, calib = chains[mode]
         dg = abs(calib.g - ref.g) / ref.g
         z_s = abs(calib.sigma0 - ref.sigma0) / max(calib.sigma0_err, 1e-12)
         z_c = abs(calib.c1 - ref.c1) / max(calib.c1_err, 1e-12)

@@ -1,6 +1,9 @@
 """Signal synthesis, calibration chain, and quantization checks."""
 
+import csv
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import oracles
-from homsim import detector, metrology, stats
-from shared import camera_run, signals_to_csv
+from homsim import channel, detector, metrology, stats
+from shared import camera_run, load_script, signals_to_csv
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
 CAL_P = detector.DEFAULT_CALIBRATION_PLUS
@@ -369,3 +372,38 @@ def test_histogram_fit_takes_twelve_bins_per_peak(tmp_path, monkeypatch):
     detector.histogram_table(corrected, calib)  # the plotted histogram takes the same bins
     assert calib.n_max_fit == 20
     assert bins[-2:] == [12 * calib.n_max_fit + 18] * 2
+
+
+def chain_values(chain):
+    """The signal, kappa and every field of the drift correction and the calibration, in order."""
+    signal, kappa, drift, calib = chain
+    return [signal, kappa, *vars(drift).values(), *vars(calib).values()]
+
+
+def test_calibrate_is_the_three_steps_in_turn(tmp_path):
+    raw = camera_run(1, tmp_path / "signals.csv")
+    chains = detector.calibrate(raw)
+    assert list(chains) == ["minus", "plus"]
+    for mode, chain in chains.items():
+        signal, kappa = detector.correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
+        signal, drift = detector.correct_drift(signal)
+        steps = signal, kappa, drift, detector.fit_histogram(signal)
+        for got, want in zip(chain_values(chain), chain_values(steps), strict=True):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_calibrate_names_the_failing_mode(flat_signals):
+    _, table = flat_signals
+    one_peak = np.random.default_rng(3).normal(250.0, 8.0, len(table.s_plus))
+    with pytest.raises(detector.CalibrationError, match="^mode plus: .*two peaks"):
+        detector.calibrate(replace(table, s_plus=one_peak))
+
+
+def test_detector_roundtrip_script(tmp_path):
+    load_script("detector_roundtrip").main(["--seed", "5", "--out", str(tmp_path)])
+    with open(tmp_path / "roundtrip.csv", newline="") as fh:
+        recovery = {row["mode"]: float(row["exact_recovery"]) for row in csv.DictReader(fh)}
+    assert list(recovery) == ["minus", "plus"] and min(recovery.values()) >= 0.99, recovery
+    blur = json.loads((tmp_path / "blur.json").read_text())["blur"]
+    params = channel.NoiseModelParams.from_json({**channel.REFERENCE_PARAMS.to_json(), "blur": blur})
+    assert {mode: getattr(params, f"blur_{mode}").to_json() for mode in blur} == blur
