@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Detector round trip: synthesize raw signals, recalibrate, and quantize.
 
-Draws model shot tables over the standard angle set, converts them to camera
-counts with the default drift/crosstalk/noise settings, then runs the full
-correction chain and compares the recovered calibration and the per-shot
-occupations against the ground truth, the channel's default blur laws.  The
-recovered laws go to ``blur.json`` in the shape of the noise config's
-``blur``, ready to paste into a config.
+Draws the shot tables of ``simulate`` over its default angles plus pi,
+converts them to camera counts with the default drift/crosstalk/noise
+settings, then runs the full correction chain and compares the recovered
+calibration and the per-shot occupations against the ground truth, the
+channel's default blur laws.  The recovered laws go to ``blur.json`` in the
+shape of the noise config's ``blur``, ready to paste into a config.
 """
 
 import argparse
@@ -16,9 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from homsim import channel, detector, fock, metrology
+from homsim import channel, cli, detector, metrology
 
-ANGLES = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
+ANGLES = cli.RunConfig().angles + [math.pi]
+
+
+def round_trip(seed: int, shots: int = 3816):
+    """The shots of ``simulate --seed SEED`` over ANGLES, joined, and ``detector.calibrate`` of their signals."""
+    tables = [table for table, _ in cli.shot_tables(cli.RunConfig(angles=ANGLES, shots_per_angle=shots), seed)]
+    union = metrology.ShotTable(n_plus=np.concatenate([t.n_plus for t in tables]),
+                                n_minus=np.concatenate([t.n_minus for t in tables]))
+    return union, detector.calibrate(detector.synthesize_signals(union, seed=seed))
 
 
 def main(argv=None) -> None:
@@ -28,23 +36,12 @@ def main(argv=None) -> None:
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
     args = ap.parse_args(argv)
 
-    src = fock.tmsv_distribution(fock.SqueezedSource(xi=math.asinh(math.sqrt(3.75))), n_max=20)
-    tables = [
-        metrology.ShotTable.sample(channel.predict(src, th, channel.REFERENCE_PARAMS),
-                                   args.shots, seed=args.seed * 1000 + i, theta=th)
-        for i, th in enumerate(ANGLES)
-    ]
-    union = metrology.ShotTable(
-        n_plus=np.concatenate([t.n_plus for t in tables]),
-        n_minus=np.concatenate([t.n_minus for t in tables]),
-        theta=None,
-    )
-    signals = detector.synthesize_signals(union, seed=args.seed)
+    union, chains = round_trip(args.seed, args.shots)
     print(f"{len(union.n_plus)} shots")
 
     truth = {"minus": channel.DEFAULT_BLUR_MINUS, "plus": channel.DEFAULT_BLUR_PLUS}
     rows, laws = [], {}
-    for mode, (corrected, kappa, _, calib) in detector.calibrate(signals).items():
+    for mode, (corrected, kappa, _, calib) in chains.items():
         occ = detector.quantize_mode(corrected, calib)
         agree = float(np.mean(occ == getattr(union, f"n_{mode}")))
         print(f"{mode}: crosstalk {kappa:.2e}, g {calib.g:.2f} (truth {truth[mode].g}), sigma0 {calib.sigma0:.4f} "

@@ -12,12 +12,12 @@ from pathlib import Path
 from homsim import cli
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/analysis"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
     cfg_path = args.out / "config.json"

@@ -20,11 +20,11 @@ VARIANTS = {
 }
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/fisher"))
     ap.add_argument("--nmax", type=int, default=14, help="largest atom number")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     n_values = list(range(2, args.nmax + 1, 2))
     for state in ("ideal", "model"):

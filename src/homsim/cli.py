@@ -39,6 +39,16 @@ FIELDS = {"xi": DEFAULT_XI, "xi_jitter": 0.0, "n_max": 20, "angles": _default_an
           "confidence_level": 0.68, "quartic": True, "exclude_beyond_node": True}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``' object_pairs_hook for a config: the object's pairs as a dict, and no key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"config key {key} given twice")
+        data[key] = value
+    return data
+
+
 class RunConfig:
     """Run-level knobs shared by the pipeline commands, one attribute per ``FIELDS`` entry."""
 
@@ -112,7 +122,7 @@ class RunConfig:
         import json
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         else:
             data = {}
             for lineno, line in enumerate(text.splitlines(), 1):
@@ -122,8 +132,10 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"config line is not key=value: {line!r}")
                 key, raw = (s.strip() for s in line.split("=", 1))
+                if key in data:
+                    raise ValueError(f"config line {lineno}: key {key} given twice")
                 try:
-                    data[key] = json.loads(raw)
+                    data[key] = json.loads(raw, object_pairs_hook=_unique_keys)
                 except json.JSONDecodeError:
                     try:
                         data[key] = [json.loads(v) for v in raw.split(",")] if "," in raw else raw
@@ -158,19 +170,22 @@ def _predicted(cfg: RunConfig, theta: float) -> fock.TwoModeDistribution:
     return channel.predict(src, theta, params)
 
 
+def shot_tables(cfg: RunConfig, seed: int):
+    """Yield each configured angle's shot table, drawn with the key ``stats.stream_key(seed, i)``, and its tail mass."""
+    from . import metrology, stats
+    for i, theta in enumerate(cfg.angles):
+        dist = _predicted(cfg, theta)
+        yield metrology.ShotTable.sample(dist, cfg.shots_per_angle, stats.stream_key(seed, i), theta), dist.tail_mass
+
+
 def simulate(run: Run):
     """Sample per-angle shot tables from the modelled channel."""
-    from . import metrology, stats
     params = run.cfg.noise_params()
     files, tails = {}, {}
-    for i, theta in enumerate(run.cfg.angles):
-        dist = _predicted(run.cfg, theta)
-        table = metrology.ShotTable.sample(dist, run.cfg.shots_per_angle, seed=stats.stream_key(run.seed, i),
-                                           theta=theta)
-        name = f"shots_theta{theta:.6f}.csv"
-        table.to_csv(run.out / name)
-        files[f"{theta:.6f}"] = name
-        tails[f"{theta:.6f}"] = dist.tail_mass
+    for table, tail in shot_tables(run.cfg, run.seed):
+        key = f"{table.theta:.6f}"
+        files[key], tails[key] = f"shots_theta{key}.csv", tail
+        table.to_csv(run.out / files[key])
     run.dump_json("metadata.json", {
         "command": "simulate",
         "shots_per_angle": run.cfg.shots_per_angle,

@@ -39,6 +39,9 @@ def read_csv_columns(path, names, dtype=float) -> list[np.ndarray]:
         missing = [n for n in names if n not in header]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)} in header {header}")
+        repeated = [n for n in names if header.count(n) > 1]
+        if repeated:
+            raise ValueError(f"{path}: column {', '.join(repeated)} appears more than once in header {header}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty body is reported below
             data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=dtype)

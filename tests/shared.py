@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from homsim import cli, detector, metrology, stats
+from homsim import cli, detector, metrology
 
 HOM = math.pi / 2.0
 
@@ -42,6 +42,9 @@ def load_script(name: str):
 # central values of the measured collective-moment table, kept once in the
 # script that reproduces the depth tables
 TABLE_ROWS = load_script("reproduce_depth_tables").ROWS
+
+# the detector round trip: its angles and round_trip(seed), the draw and calibration criterion 7 checks
+ROUND_TRIP = load_script("detector_roundtrip")
 
 
 def invoke(args):
@@ -86,19 +89,16 @@ def signals_to_csv(table, path) -> None:
 def camera_run(seed: int, path) -> detector.SignalTable:
     """The raw camera signals of one 26,712-shot run, as the benchmark synthesizes them.
 
-    The shots are those of ``simulate --seed SEED`` over seven angles.  The
-    signals follow the detector module's forward model at the default
-    calibrations, drift and crosstalk, drawn from ``default_rng(seed)``, and
-    are read back from a signal CSV, whose six decimals are what
-    ``calibrate`` sees.
+    The shots are those of ``simulate --seed SEED`` over the round trip's
+    seven angles (``cli.shot_tables``).  The signals follow the detector
+    module's forward model at the default calibrations, drift and crosstalk,
+    drawn from ``default_rng(seed)``, and are read back from a signal CSV,
+    whose six decimals are what ``calibrate`` sees.
     """
-    angles = [0.0, 0.14, 0.20, 0.28, 0.35, HOM, math.pi]
-    cfg = cli.RunConfig(angles=angles)
-    tables = [metrology.ShotTable.sample(cli._predicted(cfg, t), cfg.shots_per_angle,
-                                         seed=stats.stream_key(seed, i), theta=t)
-              for i, t in enumerate(angles)]
+    cfg = cli.RunConfig(angles=ROUND_TRIP.ANGLES)
+    tables = [table for table, _ in cli.shot_tables(cfg, seed)]
     rng = np.random.default_rng(seed)
-    idx = np.arange(len(angles) * cfg.shots_per_angle)
+    idx = np.arange(len(cfg.angles) * cfg.shots_per_angle)
     s_zero = rng.normal(detector.COMPANION_MEAN, detector.COMPANION_SPREAD, size=len(idx))
     drift = detector.DriftSpec().offsets(idx)
     signals = {}

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from homsim import channel, detector, entanglement, fock, metrology, stats
-from shared import TABLE_ROWS
+from shared import ROUND_TRIP, TABLE_ROWS
 
 XI = math.asinh(math.sqrt(3.75))  # 7.5 atoms per shot on average
 EVEN_N = (2, 4, 6, 8, 10, 12)
@@ -153,19 +153,11 @@ def test_criterion_6_indefinite_n_witness(product_cloud):
                    f"equal-weight table value {table_value:.4f} vs soft target -0.3433+-0.0095 (not asserted)")
 
 
-def test_criterion_7_detector_round_trip(source):
+def test_criterion_7_detector_round_trip():
     t0 = time.perf_counter()
-    seed = 5
-    angles = [0.0, 0.14, 0.20, 0.28, 0.35, math.pi / 2, math.pi]
-    tables = [metrology.ShotTable.sample(channel.predict(source, th, channel.REFERENCE_PARAMS),
-                                         3816, seed=seed * 1000 + i, theta=th)
-              for i, th in enumerate(angles)]
-    union = metrology.ShotTable(n_plus=np.concatenate([t.n_plus for t in tables]),
-                                n_minus=np.concatenate([t.n_minus for t in tables]), theta=None)
-    signals = detector.synthesize_signals(union, seed=seed)  # default drift and crosstalk
+    union, chains = ROUND_TRIP.round_trip(5)  # simulate --seed 5's shots, default drift and crosstalk
     ok = True
     parts = []
-    chains = detector.calibrate(signals)
     for mode, ref in (("minus", detector.DEFAULT_CALIBRATION_MINUS),
                       ("plus", detector.DEFAULT_CALIBRATION_PLUS)):
         corrected, _, _, calib = chains[mode]

@@ -14,8 +14,8 @@ import pytest
 
 from homsim import channel, cli, detector, entanglement, fock, metrology, stats
 from homsim.cli import RunConfig
-from shared import (HOM, NOISE_OFF, TABLE_ROWS, camera_run, invoke, noise_off_config, signals_to_csv,  # noqa: F401
-                    simulated, workdir)
+from shared import (HOM, NOISE_OFF, ROUND_TRIP, TABLE_ROWS, camera_run, invoke, load_script,  # noqa: F401
+                    noise_off_config, signals_to_csv, simulated, workdir)
 
 
 # ---------------------------------------------------------------- config
@@ -172,6 +172,24 @@ def test_out_of_range_config_value_exits_2_on_every_command(tmp_path, command, k
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n_max = 20\nxi = 1.2\nn_max = 30\n", "config line 3: key n_max given twice"),
+    ('{"n_max": 20, "n_max": 30}', "config key n_max given twice"),
+    ('{"noise": {"a_plus": 0.05, "a_minus": 0.02, "l_plus": 0.0, "l_minus": 0.01, "a_plus": 0.06}}',
+     "config key a_plus given twice"),
+    ('noise = {"a_plus": 0.05, "a_minus": 0.02, "l_plus": 0.0, "l_minus": 0.01, '
+     '"blur": {"minus": {"sigma0": 0.1, "sigma0": 0.2}}}', "config key sigma0 given twice"),
+], ids=["key-value", "json", "json-noise", "key-value-blur"])
+def test_config_key_given_twice_exits_2(tmp_path, text, message):
+    # the last value was taken, and the command exited 0
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_2(tmp_path):
     res = invoke(["--config", tmp_path, "--out", tmp_path / "o", "simulate"])  # a directory
     assert res.exit_code == 2, res.output
@@ -210,6 +228,35 @@ def test_simulate_is_byte_deterministic(workdir, noise_off_config, simulated):
     assert res.exit_code == 0
     for name in ("shots_theta0.000000.csv", "shots_theta1.570796.csv", "metadata.json"):
         assert (out2 / name).read_bytes() == (simulated / name).read_bytes()
+
+
+def simulate_tables(out: Path, seed: int, angles=None) -> tuple[dict, list]:
+    """metadata.json of ``simulate --seed SEED`` (over ``angles``, else the default ones) and its tables read back."""
+    config = out / "config.json"
+    config.write_text(json.dumps({} if angles is None else {"angles": angles}))
+    res = invoke(["--config", config, "--seed", seed, "--out", out, "simulate"])
+    assert res.exit_code == 0, res.output
+    meta = json.loads((out / "metadata.json").read_text())
+    return meta, [metrology.ShotTable.from_csv(out / name) for name in meta["files"].values()]
+
+
+@pytest.mark.parametrize("angles", [None, ROUND_TRIP.ANGLES], ids=["default", "seven-angle"])
+def test_shot_tables_are_the_tables_simulate_writes(tmp_path, angles):
+    meta, written = simulate_tables(tmp_path, 1, angles)
+    drawn = list(cli.shot_tables(RunConfig() if angles is None else RunConfig(angles=angles), 1))
+    assert list(meta["files"]) == [f"{table.theta:.6f}" for table, _ in drawn]
+    assert list(meta["tail_mass"].values()) == [tail for _, tail in drawn]
+    for (table, _), got in zip(drawn, written, strict=True):
+        np.testing.assert_array_equal(table.n_plus, got.n_plus)
+        np.testing.assert_array_equal(table.n_minus, got.n_minus)
+
+
+def test_round_trip_shots_are_simulates_over_its_angles(tmp_path):
+    # the round trip once keyed angle i's table seed * 1000 + i, not stats.stream_key(seed, i) as simulate does
+    _, written = simulate_tables(tmp_path, 5, ROUND_TRIP.ANGLES)
+    union, _ = ROUND_TRIP.round_trip(5)
+    np.testing.assert_array_equal(union.n_plus, np.concatenate([t.n_plus for t in written]))
+    np.testing.assert_array_equal(union.n_minus, np.concatenate([t.n_minus for t in written]))
 
 
 def test_noise_free_hom_shots_are_all_even(simulated):
@@ -594,6 +641,23 @@ def test_depth_tables_script_writes_its_tables(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_analysis_script_writes_its_tables(tmp_path):
+    load_script("reproduce_analysis").main(["--out", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["collective.csv", "config.json", "dataset", "depth.csv",
+                                                         "parity.csv", "report.json", "squeezing.csv"]
+    assert len(json.loads((tmp_path / "dataset" / "metadata.json").read_text())["files"]) == 6
+
+
+def test_fisher_scaling_script_fits_every_table(tmp_path):
+    script = load_script("reproduce_fisher_scaling")
+    script.main(["--out", str(tmp_path)])
+    for state in ("ideal", "model"):
+        for variant in script.VARIANTS:
+            run = tmp_path / state / variant
+            assert sorted(p.name for p in run.iterdir()) == ["config.json", "fisher.json", "fisher_scaling.csv"]
+            assert json.loads((run / "fisher.json").read_text())["scaling"] is not None, run
+
+
 # ---------------------------------------------------------------- calibrate
 
 
@@ -739,6 +803,25 @@ def test_malformed_csv_exits_2(tmp_path, command, body):
     assert res.exit_code == 2, res.output
     assert str(path) in res.output
     assert "columns" in res.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "calibrate"])
+def test_csv_header_naming_a_column_twice_exits_2(tmp_path, noise_off_config, simulated, command):
+    # the first of the two columns was read, and the command exited 0
+    if command == "calibrate":
+        path, column = tmp_path / "signals.csv", "s_minus"
+        camera_run(1, path)
+        args = ["calibrate", path]
+    else:
+        shutil.copytree(simulated, tmp_path / "dataset")
+        path, column = tmp_path / "dataset" / f"shots_theta{HOM:.6f}.csv", "N_plus"
+        args = ["--config", noise_off_config, "analyze", tmp_path / "dataset"]
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([f"{header},{column}", *(f"{row},0" for row in rows)]) + "\n")
+    res = invoke(["--out", tmp_path / "o", *args])
+    assert res.exit_code == 2, res.output
+    assert f"column {column} appears more than once" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 # id suffix -> (rows.json payload, what the error message must name)
