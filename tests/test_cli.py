@@ -252,7 +252,7 @@ def test_shot_tables_are_the_tables_simulate_writes(tmp_path, angles):
 
 
 def test_round_trip_shots_are_simulates_over_its_angles(tmp_path):
-    # the round trip once keyed angle i's table seed * 1000 + i, not stats.stream_key(seed, i) as simulate does
+    # the round trip once keyed its tables by a rule of its own, not stats.stream_key(seed, i) as simulate does
     _, written = simulate_tables(tmp_path, 5, ROUND_TRIP.ANGLES)
     union, _ = ROUND_TRIP.round_trip(5)
     np.testing.assert_array_equal(union.n_plus, np.concatenate([t.n_plus for t in written]))
