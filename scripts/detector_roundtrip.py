@@ -32,7 +32,7 @@ def round_trip(seed: int, shots: int = 3816):
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/roundtrip"))
-    ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--seed", type=cli._seed, default=5, help="master seed, as simulate's --seed")
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
     args = ap.parse_args(argv)
 

@@ -207,9 +207,6 @@ def calibrate(run: Run, signals_csv):
         centers, counts, model = detector.histogram_table(signal, calib)
         metrology.write_csv(run.out / f"histogram_{mode}.csv", ["signal", "count", "model"],
                             [(f"{c:.3f}", int(k), f"{m:.4f}") for c, k, m in zip(centers, counts, model)])
-        metrology.write_csv(run.out / f"noise_curve_{mode}.csv", ["n", "sigma_fit", "sigma_err", "sigma_law"],
-                            [(n, f"{s:.5f}", f"{e:.5f}", f"{calib.sigma(n):.5f}")
-                             for n, (s, e) in enumerate(zip(calib.peak_sigmas, calib.peak_sigma_errs))])
         metrology.write_csv(run.out / f"drift_{mode}.csv", ["window_start", "center", "correction", "center_stderr"],
                             [(int(s), f"{c:.3f}", f"{k:.3f}", f"{e:.3f}") for s, c, k, e
                              in zip(drift.starts, drift.centers, drift.corrections, drift.center_stderr)])

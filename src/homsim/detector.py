@@ -9,19 +9,19 @@ with ``g`` counts per atom, ``b`` the zero-atom offset, a slow drift of the
 background level, optical crosstalk proportional to the companion-mode signal
 ``s0``, and a per-occupation Gaussian width sigma_n^2 = sigma0^2 + c1^2 * n in
 atom units.  :func:`calibrate` inverts this chain on each side mode in the
-order crosstalk -> drift -> histogram fit -> noise-law fit, after which
-signals quantize to the nearest-peak integer occupation.
+order crosstalk -> drift -> fit of the law to the peak histogram, after
+which signals quantize to the nearest-peak integer occupation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stats
-from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, BlurLaw
+from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, BlurLaw, normal_cdf, sigma_law
 from .metrology import read_csv_columns
 
 
@@ -31,18 +31,16 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorCalibration(BlurLaw):
-    """Result of the histogram and noise-law fits for one mode: its blur law, with the fit's errors and peaks.
+    """Result of the histogram fit for one mode: its blur law, with the fit's errors and peak heights.
 
     Widths are kept in atom units; peak n sits at ``b + n * g`` counts and has
     rms width ``sigma(n) * g`` counts.  Quantization intervals are the
     midpoints between adjacent peaks, extended indefinitely beyond the last
-    fitted peak by the even spacing.
+    fitted peak by the even spacing.  ``peak_heights`` are the fitted events of each peak.
     """
 
     n_max_fit: int = 12
     peak_heights: np.ndarray | None = None
-    peak_sigmas: np.ndarray | None = None
-    peak_sigma_errs: np.ndarray | None = None
     g_err: float = float("nan")
     b_err: float = float("nan")
     sigma0_err: float = float("nan")
@@ -51,7 +49,7 @@ class DetectorCalibration(BlurLaw):
     def to_json(self) -> dict:
         """The mode object of ``calibration.json``, a missing or non-finite value as null; ``blur`` holds the law."""
         out = {k: getattr(self, k) for k in ("g", "b", "sigma0", "c1", "n_max_fit")}
-        for k in ("g_err", "b_err", "sigma0_err", "c1_err", "peak_heights", "peak_sigmas", "peak_sigma_errs"):
+        for k in ("g_err", "b_err", "sigma0_err", "c1_err", "peak_heights"):
             v = np.asarray(getattr(self, k), dtype=float)  # None reads as NaN
             out[k] = np.where(np.isfinite(v), v, None).tolist()
         return {**out, "detection_fidelity_12": detection_fidelity(12, self), "blur": super().to_json()}
@@ -108,6 +106,9 @@ class DriftSpec:
         return 0.5 * self.peak_to_peak * np.sin(2 * np.pi * i / self.period)
 
 
+# The coordinates of the signal stream under the master seed (stats.stream_key): four, where a shot table has
+# one and a resample stack three.
+SIGNAL_STREAM = (0, 0, 0, 1)
 # Shot-to-shot mean and spread of the central-mode signal, the crosstalk source.
 COMPANION_MEAN = 2.0e5
 COMPANION_SPREAD = 3.0e4
@@ -126,7 +127,7 @@ def synthesize_signals(
     real data enters through :class:`SignalTable` CSV files instead.
     """
     crosstalk = crosstalk if crosstalk is not None else dict(DEFAULT_CROSSTALK)
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.default_rng(np.random.Philox(key=stats.stream_key(seed, *SIGNAL_STREAM)))
     m = len(shots.n_minus)
     idx = np.arange(m)
     s_zero = rng.normal(COMPANION_MEAN, COMPANION_SPREAD, size=m)
@@ -309,38 +310,41 @@ def correct_drift(s: np.ndarray) -> tuple[np.ndarray, DriftCorrection]:
 
 
 def _comb_histogram(values: np.ndarray, g: float, b: float, n_max_fit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin centers and counts from 3/4 of a spacing below peak 0 to 3/4 above the last, 12 bins per peak."""
+    """Bin edges and counts from 3/4 of a spacing below peak 0 to 3/4 above the last, 12 bins per peak."""
     lo = b - 0.75 * g
     hi = b + (n_max_fit + 0.75) * g
     # 12 bins per peak: (hi - lo) / (g / 12) without its round-off
     counts, edges = np.histogram(values[(values >= lo) & (values <= hi)], bins=12 * n_max_fit + 18, range=(lo, hi))
-    return 0.5 * (edges[:-1] + edges[1:]), counts
+    return edges, counts
 
 
-def _peak_shapes(x, g, b, sigmas):
-    """Unit-height Gaussians, one column per peak: peak n at b + n g with rms sigmas[n] g."""
-    return np.exp(-0.5 * ((x[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)) ** 2)
+def _peak_shapes(edges, g, b, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-area Gaussians integrated over each bin, one column per peak, and z at the edges.
+
+    Peak n sits at b + n g with rms sigmas[n] g; z = (edge - b - n g) / (sigmas[n] g), and a bin holds Phi(z) at its
+    upper edge less Phi(z) at its lower, as :func:`channel._blur_matrix` integrates over count intervals.
+    """
+    z = (edges[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)
+    return np.diff(normal_cdf(z), axis=0), z
 
 
-def _projected_comb(p, x, y, weights, sigma_last):
+def _projected_comb(p, edges, y, weights, n_max_fit):
     """The comb S h, its Jacobian d(S h)/dp, and its heights h >= 0 fitted to ``y`` at ``weights`` W.
 
-    p = (g, b, log sigma_0 .. log sigma_{n-1}); the last peak's width is
-    ``sigma_last``.  d(S h) = dS h + S dh, with dh = (A^T A)^-1 (dS^T W (y - S h)
-    - A^T sqrt(W) dS h) and A = sqrt(W) S over the positive heights (Golub &
-    Pereyra).  With u the standardized offset from peak n: dS/db = S u /
-    (sigma_n g), dS/dg = S u (n + u sigma_n) / (sigma_n g), dS/d(log sigma_n) = S u^2.
+    p = (g, b, sigma0^2, c1^2), so peak n has sigma_n^2 = sigma0^2 + c1^2 n.  d(S h) = dS h + S dh, with dh =
+    (A^T A)^-1 (dS^T W (y - S h) - A^T sqrt(W) dS h) and A = sqrt(W) S over the positive heights (Golub & Pereyra).
+    dS is the difference over each bin's edges of phi(z) dz/dp, with phi the normal density: dz/db = -1 / (sigma_n g),
+    dz/dg = (n + z sigma_n) dz/db, dz/d(sigma0^2) = -z / (2 sigma_n^2) and dz/d(c1^2) = n dz/d(sigma0^2).
     """
-    sw, sigmas, n = np.sqrt(weights), np.append(np.exp(p[2:]), sigma_last), np.arange(len(p) - 1)
-    s = _peak_shapes(x, p[0], p[1], sigmas)
+    n = np.arange(n_max_fit + 1)
+    sw, sigmas = np.sqrt(weights), sigma_law(math.sqrt(p[2]), math.sqrt(p[3]), n)
+    s, z = _peak_shapes(edges, p[0], p[1], sigmas)
     h = stats.nnls(sw[:, None] * s, sw * y)
-    u = (x[:, None] - p[1] - n * p[0]) / (sigmas * p[0])
-    d_b = s * u / (sigmas * p[0])
-    d_g, d_width = d_b * (n + u * sigmas), (s * u**2)[:, :-1]
-    ds_h = np.column_stack([d_g @ h, d_b @ h, d_width * h[:-1]])
-    resid = weights * (y - s @ h)
-    ds_resid = np.zeros((len(n), len(p)))
-    ds_resid[:, 0], ds_resid[:, 1], ds_resid[n[:-1], n[:-1] + 2] = d_g.T @ resid, d_b.T @ resid, d_width.T @ resid
+    d_b = -np.exp(-0.5 * z**2) / (math.sqrt(2 * math.pi) * sigmas * p[0])  # phi(z) dz/db at each edge
+    d_sq = 0.5 * d_b * z * p[0] / sigmas
+    ds = np.diff([d_b * (n + z * sigmas), d_b, d_sq, d_sq * n], axis=1)  # dS/dp, one (bin, peak) matrix per p
+    ds_h = (ds @ h).T
+    ds_resid = (weights * (y - s @ h) @ ds).T
     a = sw[:, None] * s[:, h > 0]
     dh = np.zeros_like(ds_resid)
     dh[h > 0] = np.linalg.solve(a.T @ a, ds_resid[h > 0] - a.T @ (sw[:, None] * ds_h))
@@ -348,19 +352,16 @@ def _projected_comb(p, x, y, weights, sigma_last):
 
 
 def fit_histogram(values: np.ndarray) -> DetectorCalibration:
-    """Fit the comb of per-occupation Gaussian peaks to a signal histogram.
+    """Fit the detector law to a signal histogram: the comb of per-occupation Gaussian peaks, integrated over each bin.
 
-    Bins are weighted by the inverse of the number of detection events in the
-    peak they belong to, so sparse high-occupation peaks are not drowned out.
-    The peak heights enter the comb linearly and are projected out (variable
-    projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for
-    each trial (g, b, log widths) they are the weighted non-negative
-    least-squares solution, so the search covers only g, b and the widths.
-    The search and the covariance use the exact Jacobian of this projected
-    model (Kaufman, BIT 15, 49 (1975)).  The last fitted peak's width is not
-    free: it is pinned to the noise-law prediction extrapolated from the
-    lower peaks.  Fit and noise law alternate for three passes, starting
-    from sigma0 = 0.15, c1 = 0.02.
+    Peak n sits at b + n g with rms sigma_n g, sigma_n^2 = sigma0^2 + c1^2 n, and each bin holds the peak's mass
+    between its edges, so the bin width biases no width (as Sheppard's correction would have to undo at bin
+    centres).  Bins are weighted by the inverse of the number of detection events in the peak they belong to, so
+    sparse high-occupation peaks are not drowned out.  The peak heights enter the comb linearly and are projected out
+    (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for each trial (g, b, sigma0^2,
+    c1^2) they are the weighted non-negative least-squares solution, so one search covers the four law parameters.
+    The search and the covariance use the exact Jacobian of this projected model (Kaufman, BIT 15, 49 (1975)).  The
+    squared widths stay regular where c1 reaches 0; sigma0, c1 and their errors follow by the delta method.
     """
     values = np.asarray(values, dtype=float)
     g0, b0 = _coarse_scale(values)
@@ -369,101 +370,47 @@ def fit_histogram(values: np.ndarray) -> DetectorCalibration:
     eligible = np.nonzero(counts_per_peak >= 25)[0]
     n_max_fit = max(2, min(int(eligible.max()) if len(eligible) else 1, 30))
 
-    x, y = _comb_histogram(values, g0, b0, n_max_fit)
+    edges, y = _comb_histogram(values, g0, b0, n_max_fit)
+    x = 0.5 * (edges[:-1] + edges[1:])
 
     # inverse-per-peak-event weights for each bin
     bin_peak = np.clip(np.round((x - b0) / g0), 0, n_max_fit).astype(int)
     events = np.array([max(counts_per_peak[n] if n < len(counts_per_peak) else 0, 1) for n in range(n_max_fit + 1)])
     weights = 1.0 / events[bin_peak]
 
-    # (g, b, log sigma_n); box bounds keep sparse-peak widths from collapsing onto single bins
-    p = np.concatenate([[g0, b0], np.full(n_max_fit, math.log(0.15))])
-    lower = np.concatenate([[0.5 * g0, b0 - g0], np.full(n_max_fit, math.log(0.02))])
-    upper = np.concatenate([[1.5 * g0, b0 + g0], np.full(n_max_fit, math.log(1.5))])
-
-    law = DetectorCalibration(sigma0=0.15, c1=0.02)
-    for _ in range(3):
-        sigma_last = law.sigma(n_max_fit)
-
-        p, cov = stats.weighted_least_squares(lambda xx, pp: _projected_comb(pp, x, y, weights, sigma_last)[:2],
-                                              x, y, p, weights=weights, bounds=(lower, upper))
-        # the n_max_fit + 1 projected heights were fitted too: take them off the degrees of freedom
-        cov *= (len(y) - len(p)) / (len(y) - len(p) - (n_max_fit + 1))
-        free_sigmas = np.exp(p[2:])
-        # delta method: err(sigma) = sigma * err(log sigma)
-        sigma_errs = free_sigmas * np.sqrt(np.diag(cov)[2:])
-        law = fit_noise_curve(free_sigmas, sigma_errs=sigma_errs)
-
-    err = np.sqrt(np.diag(cov))
-    return replace(
-        law,
-        g=float(p[0]),
-        b=float(p[1]),
-        n_max_fit=n_max_fit,
-        peak_heights=_projected_comb(p, x, y, weights, sigma_last)[2],
-        peak_sigmas=np.concatenate([free_sigmas, [law.sigma(n_max_fit)]]),
-        peak_sigma_errs=np.concatenate([sigma_errs, [float("nan")]]),
-        g_err=float(err[0]),
-        b_err=float(err[1]),
-    )
-
-
-def fit_noise_curve(widths: np.ndarray, sigma_errs: np.ndarray | None = None) -> DetectorCalibration:
-    """Weighted linear fit of sigma_n^2 = sigma0^2 + c1^2 * n: the noise law alone, in atom units (g 1, b 0).
-
-    Linear in the squared parameters; their standard errors propagate to
-    sigma0 and c1 by the delta method.  A negative fitted sigma0^2 is
-    non-physical and raises; a slightly negative slope clamps c1 to zero.
-    """
-    widths = np.asarray(widths, dtype=float)
-    if len(widths) < 3:
-        raise CalibrationError("need at least three peak widths")
-    n = np.arange(len(widths), dtype=float)
-    y = widths**2
-    if sigma_errs is not None and np.all(np.isfinite(sigma_errs)) and np.all(sigma_errs > 0):
-        w = 1.0 / (2.0 * widths * sigma_errs) ** 2
-    else:
-        w = np.ones_like(y)
-    a = np.stack([np.ones_like(n), n], axis=1)
-    aw = a * w[:, None]
-    normal = a.T @ aw
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise CalibrationError("singular noise-curve fit") from exc
-    params = cov @ (aw.T @ y)
-    resid = y - a @ params
-    dof = max(len(y) - 2, 1)
-    cov = cov * float(resid @ (w * resid)) / dof
-    s0sq, c1sq = params
-    if s0sq < 0:
-        raise CalibrationError(f"fitted sigma0^2 = {s0sq:.3g} is negative")
-    c1sq = max(c1sq, 0.0)
-    sigma0 = math.sqrt(s0sq)
-    c1 = math.sqrt(c1sq)
-    s0sq_err, c1sq_err = np.sqrt(np.diag(cov))
-    sigma0_err = s0sq_err / (2 * sigma0) if sigma0 > 0 else math.sqrt(s0sq_err)
-    c1_err = c1sq_err / (2 * c1) if c1 > 0 else math.sqrt(c1sq_err)
-    return DetectorCalibration(sigma0=sigma0, c1=c1, sigma0_err=float(sigma0_err), c1_err=float(c1_err))
+    # (g, b, sigma0^2, c1^2) from sigma0 = 0.15 and c1 = 0.02; sigma0 stays in [0.02, 1.5], c1 in [0, 1.5]
+    lower, upper = [0.5 * g0, b0 - g0, 0.02**2, 0.0], [1.5 * g0, b0 + g0, 1.5**2, 1.5**2]
+    p, cov = stats.weighted_least_squares(lambda _, pp: _projected_comb(pp, edges, y, weights, n_max_fit)[:2],
+                                          x, y, [g0, b0, 0.15**2, 0.02**2], weights=weights, bounds=(lower, upper))
+    # the n_max_fit + 1 projected heights were fitted too: take them off the degrees of freedom
+    err = np.sqrt(np.diag(cov) * (len(y) - len(p)) / (len(y) - len(p) - (n_max_fit + 1)))
+    sigma0, c1 = math.sqrt(p[2]), math.sqrt(p[3])
+    return DetectorCalibration(
+        g=float(p[0]), b=float(p[1]), sigma0=sigma0, c1=c1, n_max_fit=n_max_fit,
+        peak_heights=_projected_comb(p, edges, y, weights, n_max_fit)[2], g_err=float(err[0]), b_err=float(err[1]),
+        # delta method, err(sqrt v) = err(v) / (2 sqrt v); at c1 = 0, c1 is known to within sqrt(err(c1^2))
+        sigma0_err=float(err[2] / (2 * sigma0)), c1_err=float(err[3] / (2 * c1) if c1 > 0 else math.sqrt(err[3])))
 
 
 def calibrate(raw: SignalTable) -> dict:
-    """Each side mode's chain, ``{mode: (signal, kappa, drift, calibration)}``, or CalibrationError naming the mode."""
+    """Each side mode's chain, ``{mode: (signal, kappa, drift, calibration)}``, or a CalibrationError or
+    ``stats.FitError`` naming the mode."""
     chains = {}
     for mode in ("minus", "plus"):
         try:
             signal, kappa = correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
             signal, drift = correct_drift(signal)
             chains[mode] = signal, kappa, drift, fit_histogram(signal)
-        except CalibrationError as exc:
-            raise CalibrationError(f"mode {mode}: {exc}") from None
+        except (CalibrationError, stats.FitError) as exc:
+            raise type(exc)(f"mode {mode}: {exc}") from None
     return chains
 
 
 def histogram_table(values: np.ndarray, calib: DetectorCalibration):
-    """Binned signal histogram plus the peak-comb curve of a fitted calibration, for plotting."""
-    centers, counts = _comb_histogram(np.asarray(values, dtype=float), calib.g, calib.b, calib.n_max_fit)
-    return centers, counts, _peak_shapes(centers, calib.g, calib.b, calib.peak_sigmas) @ calib.peak_heights
+    """Binned signal histogram and each bin's content under the fitted comb, for plotting."""
+    edges, counts = _comb_histogram(np.asarray(values, dtype=float), calib.g, calib.b, calib.n_max_fit)
+    shapes = _peak_shapes(edges, calib.g, calib.b, calib.sigma(np.arange(calib.n_max_fit + 1)))[0]
+    return 0.5 * (edges[:-1] + edges[1:]), counts, shapes @ calib.peak_heights
 
 
 def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:

@@ -57,8 +57,9 @@ def multinomial_resample(probs: np.ndarray, n_shots: int, plan: ResamplePlan) ->
 def stream_key(seed: int, *coords: int) -> int:
     """The Philox key of the stream at ``coords`` under the master seed: ``SeedSequence([seed, *coords])``.
 
-    Shot tables sit at (angle index,), resample stacks at (angle, N, side): a ``SeedSequence`` ignores
-    the trailing zeros of up to four words, so an N >= 1 keeps every stack's key off every shot key.
+    Shot tables sit at (angle index,), resample stacks at (angle, N, side), camera signals at
+    ``detector.SIGNAL_STREAM``: a ``SeedSequence`` ignores the trailing zeros of up to four words, so an N >= 1
+    keeps every stack's key off every shot key.
     """
     return int(np.random.SeedSequence([seed, *coords]).generate_state(1)[0])
 

@@ -687,8 +687,8 @@ def test_calibrate_smoke(tmp_path):
         assert fit["g"] == pytest.approx(truth.g, rel=0.01)
         assert fit["sigma0"] == pytest.approx(truth.sigma0, rel=0.15)
         assert 0.9 < fit["detection_fidelity_12"] <= 1.0
-        for stem in ("histogram", "noise_curve", "drift"):
-            assert (out / f"{stem}_{mode}.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["calibration.json", "drift_minus.csv", "drift_plus.csv",
+                                                     "histogram_minus.csv", "histogram_plus.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -708,8 +708,7 @@ def test_calibration_json_is_strict_and_carries_each_modes_blur_law(calibrated):
     report = json.loads(calibrated.read_text(), parse_constant=reject_constant)
     for mode in ("minus", "plus"):
         fit = report["modes"][mode]
-        assert fit["peak_sigma_errs"][-1] is None  # the last width is pinned to the noise law, so it has no error
-        assert all(e > 0 for e in fit["peak_sigma_errs"][:-1])
+        assert all(fit[f"{k}_err"] > 0 for k in ("g", "b", "sigma0", "c1"))
         assert fit["blur"] == {k: fit[k] for k in ("sigma0", "c1", "g", "b")}
         law = channel.BlurLaw(**fit["blur"])  # the keys the noise config's blur takes
         assert law.to_json() == fit["blur"]

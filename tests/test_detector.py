@@ -13,7 +13,7 @@ from scipy.signal import find_peaks
 
 import oracles
 from homsim import channel, detector, metrology, stats
-from shared import camera_run, load_script, signals_to_csv
+from shared import ROUND_TRIP, camera_run, invoke, load_script, signals_to_csv
 
 CAL_M = detector.DEFAULT_CALIBRATION_MINUS
 CAL_P = detector.DEFAULT_CALIBRATION_PLUS
@@ -30,7 +30,7 @@ def poisson_shots(m: int, seed: int, mean: float = 2.0) -> metrology.ShotTable:
 
 @pytest.fixture(scope="module")
 def flat_signals():
-    # no drift, no crosstalk: isolates the histogram and noise-law fits
+    # no drift, no crosstalk: isolates the histogram fit
     shots = poisson_shots(12000, seed=11)
     table = detector.synthesize_signals(
         shots,
@@ -45,6 +45,18 @@ def flat_signals():
 def fitted_minus(flat_signals):
     _, table = flat_signals
     return detector.fit_histogram(table.s_minus)
+
+
+def test_signal_stream_is_no_shot_or_resample_stream():
+    # a bare stream_key(seed) is stream_key(seed, 0), the first angle's shot table
+    key = stats.stream_key(5, *detector.SIGNAL_STREAM)
+    assert stats.stream_key(5) == stats.stream_key(5, 0)
+    assert key not in {stats.stream_key(5, i) for i in range(len(ROUND_TRIP.ANGLES))}
+    assert key not in {stats.stream_key(5, 0, n, side) for n in range(1, 41) for side in (0, 1)}
+    shots = poisson_shots(50, seed=0)
+    rng = np.random.default_rng(np.random.Philox(key=key))
+    np.testing.assert_array_equal(detector.synthesize_signals(shots, seed=5).s_zero,
+                                  rng.normal(detector.COMPANION_MEAN, detector.COMPANION_SPREAD, 50))
 
 
 def test_synthesis_is_deterministic():
@@ -224,30 +236,28 @@ def test_histogram_fit_recovers_scale(flat_signals, fitted_minus):
     assert len(calib.peak_heights) == calib.n_max_fit + 1
 
 
+def test_histogram_fit_reads_the_law_unbiased_with_errors_that_match_the_spread():
+    # 40 combs at the plus mode's law, no drift or crosstalk.  Fitted at bin centres, sigma0 read +5.3 standard
+    # errors of the mean high here, and c1 -2.2: Sheppard's correction for a g/12 bin is -0.0017 at sigma 0.168
+    g, b, sigma0, c1 = CAL_P.g, CAL_P.b, CAL_P.sigma0, CAL_P.c1
+    fits = []
+    for seed in range(1, 41):
+        rng = np.random.default_rng(seed)
+        n = rng.poisson(3.75, 26712)
+        calib = detector.fit_histogram(b + n * g + rng.normal(0.0, CAL_P.sigma(n) * g))
+        fits.append((calib.sigma0, calib.sigma0_err, calib.c1, calib.c1_err))
+    fits = np.array(fits)
+    for i, truth in ((0, sigma0), (2, c1)):
+        spread = fits[:, i].std(ddof=1)
+        assert abs(fits[:, i].mean() - truth) <= 3 * spread / math.sqrt(len(fits)), (i, fits[:, i].mean())
+        assert 0.8 <= fits[:, i + 1].mean() / spread <= 1.25, (i, fits[:, i + 1].mean(), spread)
+
+
 def test_round_trip_quantization(flat_signals, fitted_minus):
     shots, table = flat_signals
     occ = detector.quantize_mode(table.s_minus, fitted_minus)
     agree = np.mean(occ == shots.n_minus)
     assert agree > 0.995
-
-
-def test_fit_noise_curve_exact():
-    widths = np.sqrt(0.15**2 + 0.02**2 * np.arange(6))
-    curve = detector.fit_noise_curve(widths)
-    assert curve.sigma0 == pytest.approx(0.15, abs=1e-12)
-    assert curve.c1 == pytest.approx(0.02, abs=1e-12)
-
-
-def test_fit_noise_curve_guards():
-    with pytest.raises(detector.CalibrationError):
-        detector.fit_noise_curve(np.array([0.1, 0.2]))
-    # strongly rising line through a tiny first width forces a negative intercept
-    with pytest.raises(detector.CalibrationError):
-        detector.fit_noise_curve(np.array([0.002, 0.3, 0.42, 0.52]))
-    # slightly falling widths clamp the slope at zero instead of failing
-    curve = detector.fit_noise_curve(np.array([0.2, 0.199, 0.198]))
-    assert curve.c1 == 0.0
-    assert curve.sigma0 > 0
 
 
 def test_quantize_mode_midpoints_and_clamp():
@@ -280,28 +290,27 @@ def test_histogram_table_shapes(flat_signals, fitted_minus):
 
 @pytest.mark.parametrize("at_bound", [None, 3])
 def test_comb_jacobian_matches_finite_differences(flat_signals, at_bound):
-    # an interior point, then one with the width of peak 3 on its lower bound
-    # of 0.02, where the search can only widen it and the difference is one-sided
+    # an interior point, then one with c1^2 (parameter 3) on its lower bound of 0,
+    # where the search can only raise it and the difference is one-sided
     _, table = flat_signals
     n_max_fit = 8
-    x, y = detector._comb_histogram(table.s_minus, CAL_M.g, CAL_M.b, n_max_fit)
+    edges, y = detector._comb_histogram(table.s_minus, CAL_M.g, CAL_M.b, n_max_fit)
     y = y.astype(float)
     weights = 1.0 / (1.0 + y)
-    widths = np.log(CAL_M.sigma(np.arange(n_max_fit)))
+    p = np.array([1.002 * CAL_M.g, CAL_M.b + 5.0, 1.1 * CAL_M.sigma0**2, 0.9 * CAL_M.c1**2])
     if at_bound is not None:
-        widths[at_bound] = math.log(0.02)
-    p = np.concatenate([[1.002 * CAL_M.g, CAL_M.b + 5.0], widths])
+        p[at_bound] = 0.0
 
     def comb(pp):
-        return detector._projected_comb(pp, x, y, weights, CAL_M.sigma(n_max_fit))[0]
+        return detector._projected_comb(pp, edges, y, weights, n_max_fit)[0]
 
-    values, jac, _ = detector._projected_comb(p, x, y, weights, CAL_M.sigma(n_max_fit))
-    assert jac.shape == (len(x), len(p))
+    values, jac, _ = detector._projected_comb(p, edges, y, weights, n_max_fit)
+    assert jac.shape == (len(y), len(p))
     np.testing.assert_array_equal(values, comb(p))
     for i in range(len(p)):
         h = 1e-6 * max(1.0, abs(p[i]))
         step = h * np.eye(len(p))[i]
-        if at_bound is not None and i == 2 + at_bound:
+        if i == at_bound:
             slope = (-3 * comb(p) + 4 * comb(p + step) - comb(p + 2 * step)) / (2 * h)
         else:
             slope = (comb(p + step) - comb(p - step)) / (2 * h)
@@ -325,18 +334,21 @@ def test_histogram_fit_is_one_comb_pass_per_solver_evaluation(flat_signals, monk
     monkeypatch.setattr(detector, "_projected_comb", counting)
     monkeypatch.setattr(stats, "least_squares", recording)
     detector.fit_histogram(table.s_minus)
-    assert len(evaluations) == 3  # the fit alternates with the noise law three times
+    assert len(evaluations) == 1  # one solve fits the law
     assert len(passes) == sum(evaluations) + 1  # and one more pass gives the final heights
 
 
 def test_peak_shapes_times_heights_is_the_comb_summed_peak_by_peak(fitted_minus):
     c = fitted_minus
-    x = np.linspace(c.b - c.g, c.b + (c.n_max_fit + 1) * c.g, 301)
-    comb = np.zeros_like(x)
-    for n, (h, s) in enumerate(zip(c.peak_heights, c.peak_sigmas)):
-        comb += h * np.exp(-0.5 * ((x - c.b - n * c.g) / (s * c.g)) ** 2)
-    np.testing.assert_allclose(detector._peak_shapes(x, c.g, c.b, c.peak_sigmas) @ c.peak_heights, comb,
-                               rtol=1e-12, atol=1e-12 * comb.max())
+    edges = np.linspace(c.b - c.g, c.b + (c.n_max_fit + 1) * c.g, 301)
+    comb = np.zeros(len(edges) - 1)
+    for n, h in enumerate(c.peak_heights):
+        width = c.sigma(n) * c.g
+        comb += h * np.array([0.5 * (math.erf((hi - c.b - n * c.g) / (width * math.sqrt(2)))
+                                     - math.erf((lo - c.b - n * c.g) / (width * math.sqrt(2))))
+                              for lo, hi in zip(edges[:-1], edges[1:])])
+    shapes = detector._peak_shapes(edges, c.g, c.b, c.sigma(np.arange(c.n_max_fit + 1)))[0]
+    np.testing.assert_allclose(shapes @ c.peak_heights, comb, rtol=1e-12, atol=1e-12 * comb.max())
 
 
 def test_calibration_json_is_serializable(fitted_minus):
@@ -345,7 +357,8 @@ def test_calibration_json_is_serializable(fitted_minus):
     blob = json.dumps(fitted_minus.to_json())
     back = json.loads(blob)
     assert back["g"] == pytest.approx(fitted_minus.g)
-    assert len(back["peak_sigmas"]) == fitted_minus.n_max_fit + 1
+    assert len(back["peak_heights"]) == fitted_minus.n_max_fit + 1
+    assert not {"peak_sigmas", "peak_sigma_errs"} & set(back)  # one law gives every width
 
 
 def test_histogram_fit_converges_on_the_seed_409_run(tmp_path):
@@ -399,6 +412,26 @@ def test_calibrate_names_the_failing_mode(flat_signals):
         detector.calibrate(replace(table, s_plus=one_peak))
 
 
+def test_calibrate_names_the_mode_of_a_failed_solve(flat_signals, monkeypatch, tmp_path):
+    # the minus mode's solve runs, the plus mode's raises; calibrate then exits 3 and writes nothing
+    _, table = flat_signals
+    solve, calls = stats.weighted_least_squares, []
+
+    def plus_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise stats.FitError("least squares did not converge in 10000 model calls")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "weighted_least_squares", plus_fails)
+    with pytest.raises(stats.FitError, match="^mode plus: least squares did not converge"):
+        detector.calibrate(table)
+    signals_to_csv(table, tmp_path / "signals.csv")
+    res = invoke(["--out", tmp_path / "cal", "calibrate", tmp_path / "signals.csv"])
+    assert res.exit_code == 3 and "error: mode plus: least squares" in res.output, res.output
+    assert not (tmp_path / "cal").exists()
+
+
 def test_detector_roundtrip_script(tmp_path):
     load_script("detector_roundtrip").main(["--seed", "5", "--out", str(tmp_path)])
     with open(tmp_path / "roundtrip.csv", newline="") as fh:
@@ -407,3 +440,12 @@ def test_detector_roundtrip_script(tmp_path):
     blur = json.loads((tmp_path / "blur.json").read_text())["blur"]
     params = channel.NoiseModelParams.from_json({**channel.REFERENCE_PARAMS.to_json(), "blur": blur})
     assert {mode: getattr(params, f"blur_{mode}").to_json() for mode in blur} == blur
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_detector_roundtrip_script_takes_the_seeds_simulate_takes(tmp_path, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        ROUND_TRIP.main(["--seed", seed, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{seed!r} is not an integer in [0, 2**64 - 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
