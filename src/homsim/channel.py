@@ -51,16 +51,6 @@ class ConvergenceError(stats.FitError):
         self.best = best
 
 
-def sigma_law(sigma0: float, c1: float, n) -> np.ndarray:
-    """Detection width sigma_n = sqrt(sigma0^2 + c1^2 * n) of n atoms, in atom units."""
-    return np.sqrt(sigma0**2 + c1**2 * np.asarray(n, dtype=float))
-
-
-def normal_cdf(x) -> np.ndarray:
-    """Standard normal CDF Phi(x) = erfc(-x / sqrt 2) / 2, elementwise."""
-    return np.vectorize(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), otypes=[float])(x)
-
-
 @dataclass(frozen=True)
 class BlurLaw:
     """Per-mode detection-noise law sigma_n^2 = sigma0^2 + c1^2 * n (atom units).
@@ -82,7 +72,19 @@ class BlurLaw:
                 raise ValueError(f"blur law: {name} must be non-negative")
 
     def sigma(self, n) -> np.ndarray:
-        return sigma_law(self.sigma0, self.c1, n)
+        """Detection width sigma_n = sqrt(sigma0^2 + c1^2 * n) of n atoms, in atom units."""
+        return np.sqrt(self.sigma0**2 + self.c1**2 * np.asarray(n, dtype=float))
+
+    def masses(self, edges, peaks: int) -> tuple[np.ndarray, np.ndarray]:
+        """The mass of peaks 0..peaks-1 between consecutive ``edges``, one column per peak, and z at the edges.
+
+        Peak n sits at b + n g with rms sigma_n g, so z = (edge - b - n g) / (sigma_n g), and an interval holds
+        Phi(z) = erfc(-z / sqrt 2) / 2 at its upper edge less Phi(z) at its lower; an infinite edge is an open end.
+        """
+        n = np.arange(peaks)
+        z = (np.asarray(edges, dtype=float)[:, None] - self.b - n * self.g) / (self.sigma(n) * self.g)
+        cdf = 0.5 * np.array([math.erfc(t) for t in (-z / math.sqrt(2.0)).ravel().tolist()]).reshape(z.shape)
+        return np.diff(cdf, axis=0), z
 
     def matrix(self, n_max: int) -> np.ndarray:
         """P(count m | n atoms) at [m, n] on the counts 0..n_max (:func:`_blur_matrix`)."""
@@ -284,15 +286,10 @@ def _blur_matrix(n_max: int, sigma0: float, c1: float) -> np.ndarray:
     """Column-stochastic reassignment matrix B[m, n] = P(count m | true n).
 
     Gaussian of width sigma_n centred on n, integrated over the unit
-    quantization interval of m; the first and last intervals are open so each
-    column sums to one exactly.
+    quantization interval of m (:meth:`BlurLaw.masses`); the first and last
+    intervals are open so each column sums to one exactly.
     """
-    n = np.arange(n_max + 1)
-    edges = np.arange(n_max + 2) - 0.5
-    cdf = normal_cdf(np.subtract.outer(edges, n) / sigma_law(sigma0, c1, n))
-    cdf[0] = 0.0
-    cdf[-1] = 1.0
-    b = np.diff(cdf, axis=0)
+    b = BlurLaw(sigma0, c1).masses([-math.inf, *np.arange(n_max) + 0.5, math.inf], n_max + 1)[0]
     b.flags.writeable = False
     return b
 

@@ -427,9 +427,9 @@ def _existing(metavar: str, directory: bool = False) -> dict:
 
 
 def _seed(text: str) -> int:
-    """One uint64, the first entry of every stream's SeedSequence (``stats.stream_key``)."""
-    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**64 - 1]")
+    """One 32-bit word, the first entry of every stream's SeedSequence (``stats.stream_key``)."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**32):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**32 - 1]")
     return int(text)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, BlurLaw, normal_cdf, sigma_law
+from .channel import DEFAULT_BLUR_MINUS, DEFAULT_BLUR_PLUS, BlurLaw
 from .metrology import read_csv_columns
 
 
@@ -87,6 +87,9 @@ class SignalTable:
     @classmethod
     def from_csv(cls, path) -> "SignalTable":
         shot_index, s_minus, s_zero, s_plus = read_csv_columns(path, ("shot_index", "s_minus", "s_zero", "s_plus"))
+        bad = shot_index[~(np.isfinite(shot_index) & (shot_index == np.floor(shot_index)))]
+        if len(bad):
+            raise ValueError(f"{path}: column shot_index holds {float(bad[0])}, not an integer")
         return cls(shot_index=shot_index.astype(int), s_minus=s_minus, s_zero=s_zero, s_plus=s_plus)
 
 
@@ -318,27 +321,20 @@ def _comb_histogram(values: np.ndarray, g: float, b: float, n_max_fit: int) -> t
     return edges, counts
 
 
-def _peak_shapes(edges, g, b, sigmas) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-area Gaussians integrated over each bin, one column per peak, and z at the edges.
-
-    Peak n sits at b + n g with rms sigmas[n] g; z = (edge - b - n g) / (sigmas[n] g), and a bin holds Phi(z) at its
-    upper edge less Phi(z) at its lower, as :func:`channel._blur_matrix` integrates over count intervals.
-    """
-    z = (edges[:, None] - b - np.arange(len(sigmas)) * g) / (sigmas * g)
-    return np.diff(normal_cdf(z), axis=0), z
-
-
 def _projected_comb(p, edges, y, weights, n_max_fit):
     """The comb S h, its Jacobian d(S h)/dp, and its heights h >= 0 fitted to ``y`` at ``weights`` W.
 
-    p = (g, b, sigma0^2, c1^2), so peak n has sigma_n^2 = sigma0^2 + c1^2 n.  d(S h) = dS h + S dh, with dh =
-    (A^T A)^-1 (dS^T W (y - S h) - A^T sqrt(W) dS h) and A = sqrt(W) S over the positive heights (Golub & Pereyra).
+    p = (g, b, sigma0^2, c1^2), and S holds each bin's peak masses (:meth:`channel.BlurLaw.masses`) under the trial
+    law BlurLaw(sqrt(sigma0^2), sqrt(c1^2), g, b): peak n at b + n g with rms sigma_n g, sigma_n^2 = sigma0^2 + c1^2 n.
+    d(S h) = dS h + S dh, with dh = (A^T A)^-1 (dS^T W (y - S h) - A^T sqrt(W) dS h) and A = sqrt(W) S over the
+    positive heights (Golub & Pereyra).
     dS is the difference over each bin's edges of phi(z) dz/dp, with phi the normal density: dz/db = -1 / (sigma_n g),
     dz/dg = (n + z sigma_n) dz/db, dz/d(sigma0^2) = -z / (2 sigma_n^2) and dz/d(c1^2) = n dz/d(sigma0^2).
     """
     n = np.arange(n_max_fit + 1)
-    sw, sigmas = np.sqrt(weights), sigma_law(math.sqrt(p[2]), math.sqrt(p[3]), n)
-    s, z = _peak_shapes(edges, p[0], p[1], sigmas)
+    law = BlurLaw(math.sqrt(p[2]), math.sqrt(p[3]), p[0], p[1])
+    sw, sigmas = np.sqrt(weights), law.sigma(n)
+    s, z = law.masses(edges, n_max_fit + 1)
     h = stats.nnls(sw[:, None] * s, sw * y)
     d_b = -np.exp(-0.5 * z**2) / (math.sqrt(2 * math.pi) * sigmas * p[0])  # phi(z) dz/db at each edge
     d_sq = 0.5 * d_b * z * p[0] / sigmas
@@ -409,8 +405,7 @@ def calibrate(raw: SignalTable) -> dict:
 def histogram_table(values: np.ndarray, calib: DetectorCalibration):
     """Binned signal histogram and each bin's content under the fitted comb, for plotting."""
     edges, counts = _comb_histogram(np.asarray(values, dtype=float), calib.g, calib.b, calib.n_max_fit)
-    shapes = _peak_shapes(edges, calib.g, calib.b, calib.sigma(np.arange(calib.n_max_fit + 1)))[0]
-    return 0.5 * (edges[:-1] + edges[1:]), counts, shapes @ calib.peak_heights
+    return 0.5 * (edges[:-1] + edges[1:]), counts, calib.masses(edges, calib.n_max_fit + 1)[0] @ calib.peak_heights
 
 
 def quantize_mode(values: np.ndarray, calib: DetectorCalibration) -> np.ndarray:

@@ -59,8 +59,11 @@ def stream_key(seed: int, *coords: int) -> int:
 
     Shot tables sit at (angle index,), resample stacks at (angle, N, side), camera signals at
     ``detector.SIGNAL_STREAM``: a ``SeedSequence`` ignores the trailing zeros of up to four words, so an N >= 1
-    keeps every stack's key off every shot key.
+    keeps every stack's key off every shot key.  It splits an integer of 2**32 or more into 32-bit words, so a
+    larger master seed would share keys with a smaller one (2**32 with (0, 1)) and raises ValueError.
     """
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"master seed {seed!r} is not an integer in [0, 2**32 - 1]")
     return int(np.random.SeedSequence([seed, *coords]).generate_state(1)[0])
 
 

@@ -209,7 +209,7 @@ def test_noise_matrices_are_exact_at_the_edge_rates(size):
 def test_blur_matrix_matches_normal_cdf_differences(n_max, sigma0, c1):
     b = channel._blur_matrix(n_max, sigma0, c1)
     n = np.arange(n_max + 1)
-    cdf = norm.cdf(np.arange(n_max + 2)[:, None] - 0.5, n, channel.sigma_law(sigma0, c1, n))
+    cdf = norm.cdf(np.arange(n_max + 2)[:, None] - 0.5, n, channel.BlurLaw(sigma0, c1).sigma(n))
     cdf[0], cdf[-1] = 0.0, 1.0
     np.testing.assert_allclose(b, np.diff(cdf, axis=0), rtol=0, atol=1e-14)
     assert b.min() >= 0.0

@@ -823,6 +823,17 @@ def test_csv_header_naming_a_column_twice_exits_2(tmp_path, noise_off_config, si
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("index", ["4.5", "nan", "inf"])
+def test_signal_csv_with_a_non_integer_shot_index_exits_2(tmp_path, index):
+    # the index was cast to int, so 4.5 between 3 and 5 read as 4 and calibrate exited 0
+    path = tmp_path / "signals.csv"
+    path.write_text("shot_index,s_minus,s_zero,s_plus\n" + "".join(f"{i},1.0,2.0,3.0\n" for i in ("3", index, "5")))
+    res = invoke(["--out", tmp_path / "o", "calibrate", path])
+    assert res.exit_code == 2, res.output
+    assert f"{path}: column shot_index holds {float(index)}, not an integer" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 # id suffix -> (rows.json payload, what the error message must name)
 MALFORMED_ROWS = {
     "": ({"rows": [TABLE_ROWS[0], {"n_total": 4, "parity_z": 0.5}]}, "jxjy2, var_jz"),
@@ -967,10 +978,10 @@ def test_angles_sharing_a_shot_table_name_exit_2(tmp_path, angles, pair):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "fisher --dataset"])
 def test_seed_outside_the_philox_key_range_exits_2(tmp_path, simulated, command, seed):
-    # the master seed is one uint64, the first word of every stream key
+    # the master seed is one 32-bit word, the first word of every stream key; 2**32 would split into (0, 1)
     args = command.split() + ([] if command == "simulate" else [simulated])
     res = invoke(["--seed", seed, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
@@ -979,10 +990,10 @@ def test_seed_outside_the_philox_key_range_exits_2(tmp_path, simulated, command,
 
 
 def test_largest_seed_runs_analyze(tmp_path, noise_off_config, simulated):
-    res = invoke(["--config", noise_off_config, "--seed", 2**64 - 1, "--out", tmp_path / "o",
+    res = invoke(["--config", noise_off_config, "--seed", 2**32 - 1, "--out", tmp_path / "o",
                           "analyze", simulated])
     assert res.exit_code == 0, res.output
-    assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**64 - 1
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 2**32 - 1
 
 
 # ---------------------------------------------------------------- exit codes

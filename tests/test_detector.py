@@ -347,7 +347,7 @@ def test_peak_shapes_times_heights_is_the_comb_summed_peak_by_peak(fitted_minus)
         comb += h * np.array([0.5 * (math.erf((hi - c.b - n * c.g) / (width * math.sqrt(2)))
                                      - math.erf((lo - c.b - n * c.g) / (width * math.sqrt(2))))
                               for lo, hi in zip(edges[:-1], edges[1:])])
-    shapes = detector._peak_shapes(edges, c.g, c.b, c.sigma(np.arange(c.n_max_fit + 1)))[0]
+    shapes = c.masses(edges, c.n_max_fit + 1)[0]
     np.testing.assert_allclose(shapes @ c.peak_heights, comb, rtol=1e-12, atol=1e-12 * comb.max())
 
 
@@ -393,9 +393,15 @@ def chain_values(chain):
     return [signal, kappa, *vars(drift).values(), *vars(calib).values()]
 
 
-def test_calibrate_is_the_three_steps_in_turn(tmp_path):
-    raw = camera_run(1, tmp_path / "signals.csv")
-    chains = detector.calibrate(raw)
+@pytest.fixture(scope="module")
+def camera_one(tmp_path_factory):
+    """``camera_run(1)`` and its calibration chains."""
+    raw = camera_run(1, tmp_path_factory.mktemp("camera") / "signals.csv")
+    return raw, detector.calibrate(raw)
+
+
+def test_calibrate_is_the_three_steps_in_turn(camera_one):
+    raw, chains = camera_one
     assert list(chains) == ["minus", "plus"]
     for mode, chain in chains.items():
         signal, kappa = detector.correct_crosstalk(getattr(raw, f"s_{mode}"), raw.s_zero)
@@ -403,6 +409,23 @@ def test_calibrate_is_the_three_steps_in_turn(tmp_path):
         steps = signal, kappa, drift, detector.fit_histogram(signal)
         for got, want in zip(chain_values(chain), chain_values(steps), strict=True):
             np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_blur_law_masses_equal_the_per_element_erfc_loop_bit_for_bit(camera_one):
+    # the reference takes one math.erfc per edge and peak in scalar arithmetic; the array path must round alike
+    cases = [(calib, detector._comb_histogram(signal, calib.g, calib.b, calib.n_max_fit)[0], calib.n_max_fit + 1)
+             for signal, _, _, calib in camera_one[1].values()]
+    for n_max, law in ((20, channel.DEFAULT_BLUR_MINUS), (40, channel.DEFAULT_BLUR_PLUS)):
+        unit = channel.BlurLaw(law.sigma0, law.c1)  # the blur matrix's law, in atom units
+        edges = [-math.inf, *np.arange(n_max) + 0.5, math.inf]
+        assert np.array_equal(bits(unit.masses(edges, n_max + 1)[0]), bits(law.matrix(n_max)))
+        cases.append((unit, edges, n_max + 1))
+    for law, edges, peaks in cases:
+        z = np.array([[(e - law.b - n * law.g) / (law.sigma(n) * law.g) for n in range(peaks)] for e in edges])
+        cdf = np.array([[0.5 * math.erfc(-t / math.sqrt(2.0)) for t in row] for row in z])
+        masses, z_edges = law.masses(edges, peaks)
+        np.testing.assert_array_equal(bits(z_edges), bits(z))
+        np.testing.assert_array_equal(bits(masses), bits(np.diff(cdf, axis=0)))
 
 
 def test_calibrate_names_the_failing_mode(flat_signals):
@@ -442,10 +465,10 @@ def test_detector_roundtrip_script(tmp_path):
     assert {mode: getattr(params, f"blur_{mode}").to_json() for mode in blur} == blur
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("seed", ["-1", str(2**32), str(2**64)])
 def test_detector_roundtrip_script_takes_the_seeds_simulate_takes(tmp_path, seed, capsys):
     with pytest.raises(SystemExit) as exc:
         ROUND_TRIP.main(["--seed", seed, "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert f"{seed!r} is not an integer in [0, 2**64 - 1]" in capsys.readouterr().err
+    assert f"{seed!r} is not an integer in [0, 2**32 - 1]" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -15,6 +15,13 @@ def test_resample_plan_validation():
         stats.ResamplePlan(n_samples=0, seed=0)
 
 
+def test_stream_key_takes_only_one_word_master_seeds():
+    # SeedSequence splits 2**32 + 5 into the words (5, 1): it would key the stream (5, 1, 2)
+    for seed in (-1, 2**32, 2**32 + 5, 2**64):
+        with pytest.raises(ValueError, match=rf"master seed {seed} is not an integer in \[0, 2\*\*32 - 1\]"):
+            stats.stream_key(seed, 2)
+
+
 def test_angle_key_is_the_digits_of_the_file_name():
     rng = np.random.default_rng(11)
     angles = [*rng.uniform(0.0, math.pi, 20000), *((rng.integers(0, 3141593, 2000) + 0.5) / 1e6),  # half-micro ties
