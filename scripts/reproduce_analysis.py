@@ -15,7 +15,7 @@ from homsim import cli
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/analysis"))
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=cli._seed, default=0, help="master seed, as simulate's --seed")
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
     args = ap.parse_args(argv)
 

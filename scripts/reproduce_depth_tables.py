@@ -22,10 +22,10 @@ ROWS = [
 ]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/depth"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows_path = args.out / "rows.json"

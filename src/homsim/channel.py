@@ -10,7 +10,7 @@ Rotation maps a TwoModeDistribution, renormalizes it and adds the mass it
 pushes off the (N+1)x(N+1) grid to ``tail_mass``.  The four noise stages
 map a raw grid (its last two axes, a leading stack allowed) linearly and do
 not renormalize; ``_noise_forward`` composes them for ``predict`` and
-``fit``, renormalizes after each stage and reports the off-grid mass.  Only
+``fit``, normalizes their image once and reports the off-grid mass.  Only
 the influx and loss rates are free; the skew and blur settings are fixed
 properties of the calibration.  ``fit`` recovers the free rates from
 counting data by a bounded least-squares fit of the squared Hellinger
@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import TwoModeDistribution, _antidiagonal_indices, _kernel
+from .fock import CapacityError, TwoModeDistribution, _antidiagonal_indices, _kernel
 from .metrology import ShotTable, is_number
 from . import stats
 
@@ -308,24 +308,14 @@ def _noise_forward(grid: np.ndarray, x, params: NoiseModelParams, jac: bool = Fa
     Only the skew and blur of ``params`` are read.  Returns the detected grid
     p, the mass the stages pushed off the grid and, with ``jac``, the
     derivatives dp/dx stacked on a leading axis of length 4 (else None).
-    Each stage maps the grid stacked on its derivatives, and its output is
-    renormalized.  Loss, skew and blur conserve mass for every rate, so
-    their normalizations are constants in the chain rule; the influx's is
-    not: dG = (dU - G sum(dU)) / sum(U).
+    The stages map the grid stacked on its derivatives raw, and their image
+    U is normalized once: p = U / sum(U), dp = (dU - p sum(dU)) / sum(U).
     """
-    u = convolve_poisson_influx(grid[None], x[0], x[1], jac)
-    g, s1 = _normalize(u[0])
-    du = u[1:]
-    u = convolve_binomial_loss(np.concatenate([g[None], (du - g * du.sum(axis=(1, 2))[:, None, None]) / s1]),
-                               x[2], x[3], jac)
-    s2 = u[0].sum()
-    u = apply_calibration_skew(u / s2, params.skew)
-    s3 = u[0].sum()
-    u = apply_detection_blur(u / s3, params.blur_minus, params.blur_plus)
-    s4 = u[0].sum()
-    p = u / s4
-    leak = sum(max(0.0, 1.0 - s) for s in (s1, s2, s3, s4))
-    return p[0], leak, p[1:] if jac else None
+    u = convolve_binomial_loss(convolve_poisson_influx(grid[None], x[0], x[1], jac), x[2], x[3], jac)
+    u = apply_detection_blur(apply_calibration_skew(u, params.skew), params.blur_minus, params.blur_plus)
+    p, total = _normalize(u[0])
+    dp = (u[1:] - p * u[1:].sum(axis=(1, 2))[:, None, None]) / total if jac else None
+    return p, max(0.0, 1.0 - total), dp
 
 
 def predict(dist_ideal: TwoModeDistribution, theta: float, params: NoiseModelParams) -> TwoModeDistribution:
@@ -336,9 +326,13 @@ def predict(dist_ideal: TwoModeDistribution, theta: float, params: NoiseModelPar
 
 
 def empirical_grid(n_plus, n_minus, n_max: int) -> TwoModeDistribution:
-    """Relative frequencies of joint outcomes, odd totals included."""
+    """Relative frequencies of joint outcomes, odd totals included; CapacityError counts the shots off the grid."""
+    shots = np.array([n_plus, n_minus])
+    off = int(np.count_nonzero(((shots < 0) | (shots > n_max)).any(axis=0)))
+    if off:
+        raise CapacityError(f"{off} of {shots.shape[1]} shots lie off the grid 0..n_max={n_max}")
     grid = np.zeros((n_max + 1, n_max + 1))
-    np.add.at(grid, (np.clip(n_plus, 0, n_max), np.clip(n_minus, 0, n_max)), 1.0)
+    np.add.at(grid, tuple(shots), 1.0)
     return TwoModeDistribution(grid=grid / grid.sum(), n_max=n_max)
 
 
@@ -392,10 +386,10 @@ def fit(
     one :func:`homsim.stats.least_squares` solve with the analytic Jacobian
     of the noise stages, from the rates of ``params0`` clipped into the
     bounds.  ``budget`` caps the model evaluations of that solve, each one
-    noise pass that yields the residual and its Jacobian.  Rotation, skew,
-    and blur do not depend on the free parameters, so the rotated source is
-    computed once per angle.  Raises :class:`ConvergenceError` carrying the
-    whole fit if the solve of any angle hit its cap.
+    noise pass that yields the residual and its Jacobian.  The rotated source
+    is computed once per angle.  Raises CapacityError if a shot lies off the
+    source's grid, and :class:`ConvergenceError` carrying the whole fit if
+    the solve of any angle hit its cap.
     """
     if not data:
         raise ValueError("need at least one dataset")
@@ -417,10 +411,7 @@ def fit(
     converged = all(s > 0 for s in status.values())
     fit_result = ChannelFit(per_theta=per_theta, objectives=objectives, nfev=nfev, status=status, converged=converged)
     if not converged:
-        stuck = [t for t, s in status.items() if s <= 0]
-        raise ConvergenceError(
-            f"noise fit reached its cap of {budget} evaluations per angle without converging "
-            f"at theta = {', '.join(f'{t:.6g}' for t in stuck)}",
-            best=fit_result,
-        )
+        stuck = ", ".join(f"{t:.6g}" for t, s in status.items() if s <= 0)
+        raise ConvergenceError(f"noise fit reached its cap of {budget} evaluations per angle without converging "
+                               f"at theta = {stuck}", best=fit_result)
     return fit_result

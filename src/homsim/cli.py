@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # --help loads no numerics: each function imports what it runs
-    import numpy as np
     from . import channel, fock, metrology
 
 # pair amplitude giving 7.5 atoms on average across both side modes
@@ -215,13 +214,13 @@ def calibrate(run: Run, signals_csv):
     print(f"calibration written to {run.out / 'calibration.json'}")
 
 
-def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
-    """The shot tables of a simulate output directory, each under its angle's key (``stats.angle_key``)."""
+def _load_dataset(run: Run, dataset_dir) -> dict[float, metrology.ShotTable]:
+    """A simulate output's shot tables under their angle keys; each N of ``n_values`` must fit its ``n_max``, if any."""
     import json
-    from . import metrology, stats
-    meta_path = dataset_dir / "metadata.json"
+    from . import fock, metrology, stats
+    meta_path = Path(dataset_dir) / "metadata.json"
     if not meta_path.exists():
-        raise ValueError(f"no metadata.json in {dataset_dir}")
+        raise ValueError(f"no metadata.json in {meta_path.parent}")
     meta = json.loads(meta_path.read_text())
     files = meta.get("files") if isinstance(meta, dict) else None
     if not (isinstance(files, dict) and all(isinstance(name, str) for name in files.values())):
@@ -231,7 +230,12 @@ def _load_dataset(dataset_dir: Path) -> dict[float, metrology.ShotTable]:
         theta = stats.angle_key(float(key))
         if theta in tables:
             raise ValueError(f"{meta_path}: {key!r} shares the angle key {theta:.6f} with an earlier file")
-        tables[theta] = metrology.ShotTable.from_csv(dataset_dir / name, theta=theta)
+        tables[theta] = metrology.ShotTable.from_csv(meta_path.parent / name, theta=theta)
+    if "n_max" in meta:  # measured data gives no grid
+        if not (metrology.is_number(meta["n_max"]) and isinstance(meta["n_max"], int)):
+            raise ValueError(f"{meta_path}: n_max must be an integer, not {meta['n_max']!r}")
+        for n in run.cfg.n_values:
+            fock.check_capacity(n, meta["n_max"])
     return tables
 
 
@@ -239,7 +243,7 @@ def analyze(run: Run, dataset_dir):
     """Per-N state quality, squeezing, witnesses, and depth from a dataset."""
     import numpy as np
     from . import entanglement, fock, metrology, stats
-    tables = _load_dataset(Path(dataset_dir))
+    tables = _load_dataset(run, dataset_dir)
     zero, hom = (tables.get(stats.angle_key(theta)) for theta in (0.0, HOM_ANGLE))
     plan = stats.ResamplePlan(n_samples=run.cfg.resample_samples, seed=run.seed)
 
@@ -328,20 +332,17 @@ def fisher(run: Run, exact, dataset_dir):
     from . import fock, metrology, stats
     if (exact is None) == (dataset_dir is None):
         raise ValueError("choose exactly one of --exact or --dataset")
-    tables = {} if exact else {t: tab for t, tab in _load_dataset(Path(dataset_dir)).items() if t < 1.0}
+    tables = {} if exact else {t: tab for t, tab in _load_dataset(run, dataset_dir).items() if t < 1.0}
     angles = [a for a in run.cfg.angles if a < 1.0] if exact else list(tables)  # the probe angles of the source
     if len(angles) < 3:
         raise ValueError("need at least three small probe angles")
     exclusions = metrology.DEFAULT_EXCLUSIONS if run.cfg.exclude_beyond_node else {}
     if exact is not None:
-        dists: dict[int, dict[float, np.ndarray]] = {}
         if exact == "ideal":
-            for n in run.cfg.n_values:
-                dists[n] = {t: fock.twin_fock_output(n, t).probs for t in angles}
+            dists = {n: {t: fock.twin_fock_output(n, t).probs for t in angles} for n in run.cfg.n_values}
         else:
             per_theta = {t: _predicted(run.cfg, t) for t in angles}
-            for n in run.cfg.n_values:
-                dists[n] = {t: per_theta[t].fixed_n(n).probs for t in angles}
+            dists = {n: {t: per_theta[t].fixed_n(n).probs for t in angles} for n in run.cfg.n_values}
         est = metrology.fisher_from_distributions(dists, angles=angles, quartic=run.cfg.quartic,
                                                   exclusions=exclusions)
         source = f"exact-{exact}"

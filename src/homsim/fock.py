@@ -52,14 +52,19 @@ class TwoModeDistribution:
 
     def fixed_n(self, n_total: int) -> "FixedNDistribution":
         """Renormalized distribution on the anti-diagonal n_plus + n_minus = n_total, which must lie on the grid."""
-        if not 0 <= n_total <= self.n_max:  # above n_max, renormalizing the on-grid part would misstate the slice
-            raise CapacityError(f"N={n_total} outside 0..n_max={self.n_max}: part of its anti-diagonal is off the grid")
+        check_capacity(n_total, self.n_max)  # above n_max, renormalizing the on-grid part would misstate the slice
         idx = np.arange(n_total + 1)
         probs = self.grid[idx, n_total - idx]
         s = probs.sum()
         if s <= 0:
             raise ValueError(f"no probability mass at N={n_total}")
         return FixedNDistribution(n_total=n_total, probs=probs / s)
+
+
+def check_capacity(n_total: int, n_max: int) -> None:
+    """Raise CapacityError unless the anti-diagonal n_plus + n_minus = n_total lies on the 0..n_max grid."""
+    if not 0 <= n_total <= n_max:
+        raise CapacityError(f"N={n_total} outside 0..n_max={n_max}: part of its anti-diagonal is off the grid")
 
 
 def _antidiagonal_indices(n_total: int, n_max: int) -> np.ndarray:

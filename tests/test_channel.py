@@ -299,11 +299,28 @@ def test_noise_pass_runs_each_stage_once(monkeypatch, jac):
     assert (dp is not None) == jac
 
 
-def test_empirical_grid_counts_and_clips():
-    d = channel.empirical_grid([0, 1, 7], [0, 2, 9], n_max=4)
+@pytest.mark.parametrize("theta", [0.0, 0.14, 0.35, math.pi / 2])
+def test_noise_pass_normalizes_once(default_source, theta):
+    # U composes the four public stages without normalizing; the pass divides it by its mass once, at the end
+    grid = channel.apply_rotation(default_source, theta).grid
+    u = channel.convolve_binomial_loss(channel.convolve_poisson_influx(grid, REF.a_plus, REF.a_minus),
+                                       REF.l_plus, REF.l_minus)
+    u = channel.apply_detection_blur(channel.apply_calibration_skew(u, REF.skew), REF.blur_minus, REF.blur_plus)
+    p, leak, _ = channel._noise_forward(grid, [REF.a_plus, REF.a_minus, REF.l_plus, REF.l_minus], REF)
+    assert np.array_equal(p, u / u.sum())
+    assert leak == 1.0 - u.sum()
+
+
+def test_empirical_grid_counts_and_rejects_off_grid_shots():
+    d = channel.empirical_grid([0, 1, 4], [0, 2, 4], n_max=4)
     assert d.grid[0, 0] == pytest.approx(1 / 3)
     assert d.grid[1, 2] == pytest.approx(1 / 3)
-    assert d.grid[4, 4] == pytest.approx(1 / 3)  # out-of-range pulled to the edge
+    assert d.grid[4, 4] == pytest.approx(1 / 3)
+    # clipping piled off-grid shots onto the edge, where the model, renormalized on its grid, puts no such pile
+    with pytest.raises(fock.CapacityError, match=r"2 of 3 shots lie off the grid 0\.\.n_max=4"):
+        channel.empirical_grid([0, 1, 7], [5, 2, 9], n_max=4)
+    with pytest.raises(fock.CapacityError, match="2 of 3 shots"):
+        channel.fit(REF, {0.0: metrology.ShotTable(n_plus=[0, 1, 7], n_minus=[5, 2, 9])}, random_dist(4, n_max=4))
 
 
 @settings(max_examples=25, deadline=None)

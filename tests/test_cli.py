@@ -2,10 +2,7 @@
 
 import json
 import math
-import os
 import shutil
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -455,6 +452,39 @@ def test_fisher_dataset_checks_the_probe_angles_of_its_tables(tmp_path, default_
     assert list(per_theta["2"]) == ["0", "0.14", "0.2", "0.28", "0.35"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "fisher --dataset"])
+def test_atom_number_above_the_datasets_grid_exits_2(tmp_path, default_dataset, command):
+    # N = 22 is cut off at n_max = 20: analyze read its pi/2 fidelity as 0.56 (0.98 at N = 20), and fisher --dataset
+    # fitted an F at N = 22 below the one at N = 20
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_values": [2, 4, 6, 20, 22, 24]}))
+    res = invoke(["--config", config, "--out", tmp_path / "o", *command.split(), default_dataset])
+    assert res.exit_code == 2, res.output
+    assert "N=22 outside 0..n_max=20" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_max", [20.5, True, "20", None, "absent"])
+def test_dataset_grid_must_be_an_integer_where_given(tmp_path, default_dataset, n_max):
+    meta = json.loads((default_dataset / "metadata.json").read_text())
+    if n_max == "absent":  # measured data carries no grid, and is read without the capacity check
+        del meta["n_max"]
+    else:
+        meta["n_max"] = n_max
+    dataset = tmp_path / "dataset"
+    shutil.copytree(default_dataset, dataset)
+    (dataset / "metadata.json").write_text(json.dumps(meta))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"resample_samples": 20}))
+    res = invoke(["--config", config, "--out", tmp_path / "o", "analyze", dataset])
+    if n_max == "absent":
+        assert res.exit_code == 0, res.output
+        return
+    assert res.exit_code == 2, res.output
+    assert f"n_max must be an integer, not {n_max!r}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- random streams
 
 
@@ -632,11 +662,7 @@ def test_witness_command_frozen_value(workdir, rows_json):
 
 def test_depth_tables_script_writes_its_tables(tmp_path):
     # the script calls cli.main twice in one process, so main returns after a command instead of exiting
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_depth_tables.py"), "--out", str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
+    load_script("reproduce_depth_tables").main(["--out", str(tmp_path)])
     for name in ("rows.json", "depth.json", "depth.csv", "witness.json"):
         assert (tmp_path / name).exists()
 
@@ -646,6 +672,16 @@ def test_analysis_script_writes_its_tables(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["collective.csv", "config.json", "dataset", "depth.csv",
                                                          "parity.csv", "report.json", "squeezing.csv"]
     assert len(json.loads((tmp_path / "dataset" / "metadata.json").read_text())["files"]) == 6
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_analysis_script_takes_the_seeds_simulate_takes(tmp_path, seed, capsys):
+    # -1 wrote config.json, then stopped inside cli.main with homsim's own usage line
+    with pytest.raises(SystemExit) as exc:
+        load_script("reproduce_analysis").main(["--seed", seed, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{seed!r} is not an integer in [0, 2**32 - 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fisher_scaling_script_fits_every_table(tmp_path):
