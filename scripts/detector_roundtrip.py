@@ -35,6 +35,10 @@ def main(argv=None) -> None:
     ap.add_argument("--seed", type=cli._seed, default=5, help="master seed, as simulate's --seed")
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
     args = ap.parse_args(argv)
+    try:
+        cli.RunConfig(angles=ANGLES, shots_per_angle=args.shots)  # the config round_trip draws with
+    except ValueError as exc:
+        ap.error(str(exc))
 
     union, chains = round_trip(args.seed, args.shots)
     print(f"{len(union.n_plus)} shots")

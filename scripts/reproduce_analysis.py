@@ -18,10 +18,15 @@ def main(argv=None) -> None:
     ap.add_argument("--seed", type=cli._seed, default=0, help="master seed, as simulate's --seed")
     ap.add_argument("--shots", type=int, default=3816, help="shots per angle")
     args = ap.parse_args(argv)
+    config = {"shots_per_angle": args.shots, "noise": "reference"}
+    try:
+        cli.RunConfig(**config)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     args.out.mkdir(parents=True, exist_ok=True)
     cfg_path = args.out / "config.json"
-    cfg_path.write_text(json.dumps({"shots_per_angle": args.shots, "noise": "reference"}))
+    cfg_path.write_text(json.dumps(config))
 
     common = ["--config", str(cfg_path), "--seed", str(args.seed)]
     sim_dir = args.out / "dataset"

@@ -11,7 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-from homsim import cli
+from homsim import cli, fock
 
 VARIANTS = {
     "quadratic": {"quartic": False, "exclude_beyond_node": False},
@@ -27,6 +27,15 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
 
     n_values = list(range(2, args.nmax + 1, 2))
+    try:
+        configs = [cli.RunConfig(n_values=n_values, **flags) for flags in VARIANTS.values()]
+        if len(n_values) < 3:
+            raise ValueError(f"--nmax {args.nmax} gives the atom numbers {n_values}; the scaling fit needs three")
+        for cfg in configs:  # fisher --exact model needs every N on the grid
+            fock.check_capacity(n_values[-1], cfg.n_max)
+    except ValueError as exc:
+        ap.error(str(exc))
+
     for state in ("ideal", "model"):
         for name, flags in VARIANTS.items():
             run_dir = args.out / state / name

@@ -16,11 +16,13 @@ properties of the calibration.  ``fit`` recovers the free rates from
 counting data by a bounded least-squares fit of the squared Hellinger
 distance over the whole grid, odd totals included, one solve per angle.
 
-The influx, loss and blur matrices are built in one broadcast each from
-closed forms; numpy's 0.0 ** 0 == 1 keeps the rates 0 and 1 exact:
+Each noise stage maps a grid to M+ grid M-^T with per-mode influx, loss,
+skew or blur matrices M from closed forms (numpy's 0.0 ** 0 == 1 keeps the
+rates 0 and 1 exact); the skew's plus matrix is its minus matrix mirrored:
 
     influx  P[m, k] = a^(m-k) e^(-a) / (m-k)!               (m >= k)
     loss    B[m, k] = C(k, m) (1-l)^m l^(k-m)               (m <= k)
+    skew    S[m, k] = (1-q) [m = k] + q [m = k+1]          (S[n_max, n_max] = 1)
     blur    B[m, n] = Phi((m+1/2-n)/sigma_n) - Phi((m-1/2-n)/sigma_n)
 
 Their rate derivatives are closed forms too:
@@ -261,24 +263,15 @@ def convolve_binomial_loss(grid: np.ndarray, l_plus: float, l_minus: float, jac:
 
 
 def apply_calibration_skew(grid: np.ndarray, skew: float) -> np.ndarray:
-    """Single-count miscalibration: minus over-counted, plus under-counted.
+    """Single-count miscalibration, minus over-counted and plus under-counted: S[::-1, ::-1] grid S^T.
 
-    Two independent coins per shot, each with probability
-    :func:`skew_shift_probability`; shifts that would leave the grid are
-    clamped in place so probability is conserved exactly.
+    Two independent coins per shot, each with probability :func:`skew_shift_probability`;
+    a shift that would leave the grid is held at its edge, so probability is conserved exactly.
     """
     q = skew_shift_probability(skew)
-    # minus coin: n_minus -> n_minus + 1, clamped at the top edge
-    tmp = (1 - q) * grid
-    shifted = q * grid
-    tmp[..., :, 1:] += shifted[..., :, :-1]
-    tmp[..., :, -1] += shifted[..., :, -1]
-    # plus coin: n_plus -> n_plus - 1, clamped at the bottom edge
-    out = (1 - q) * tmp
-    shifted = q * tmp
-    out[..., :-1, :] += shifted[..., 1:, :]
-    out[..., 0, :] += shifted[..., 0, :]
-    return out
+    s = (1 - q) * np.eye(grid.shape[-1]) + q * np.eye(grid.shape[-1], k=-1)
+    s[-1, -1] = 1.0
+    return s[::-1, ::-1] @ grid @ s.T
 
 
 @lru_cache(maxsize=64)

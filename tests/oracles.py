@@ -10,7 +10,7 @@ import math
 from math import lgamma
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import comb, eval_legendre
 from scipy.stats import binom, norm, poisson
 
 from homsim.entanglement import CollectiveData
@@ -76,6 +76,17 @@ def kernel_factorial(n_total: int, theta: float) -> np.ndarray:
         for i_out in range(n + 1):
             out[i_in, i_out] = wigner_d_factorial(n, 2 * i_out - n, 2 * i_in - n, theta) ** 2
     return out
+
+
+def twin_balanced_legendre(n_total: int, theta: float) -> float:
+    """P(n_plus = N/2) of the twin-Fock output at theta: d^j_00(theta) = P_j(cos theta), squared, with j = N/2."""
+    return float(eval_legendre(n_total // 2, math.cos(theta)) ** 2)
+
+
+def twin_parity_legendre(n_total: int, theta: float) -> float:
+    """Occupation parity of the twin-Fock output at theta: (-1)^j P_j(cos 2 theta), with j = N/2."""
+    j = n_total // 2
+    return float((-1) ** j * eval_legendre(j, math.cos(2 * theta)))
 
 
 def arcsine_row(n_total: int) -> np.ndarray:

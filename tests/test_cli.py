@@ -684,6 +684,21 @@ def test_analysis_script_takes_the_seeds_simulate_takes(tmp_path, seed, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("script, argv, message", [
+    ("reproduce_analysis", ["--shots", "0"], "shots_per_angle must be positive"),
+    ("reproduce_fisher_scaling", ["--nmax", "1"], "n_values must list even atom numbers"),
+    ("reproduce_fisher_scaling", ["--nmax", "3"], "the scaling fit needs three"),
+    ("reproduce_fisher_scaling", ["--nmax", "22"], "N=22 outside 0..n_max=20"),
+], ids=["analysis-shots-0", "fisher-nmax-1", "fisher-nmax-3", "fisher-nmax-22"])
+def test_scripts_check_their_config_before_writing(tmp_path, script, argv, message, capsys):
+    # each wrote a config.json or whole runs first, then stopped inside cli.main or on a null scaling fit
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fisher_scaling_script_fits_every_table(tmp_path):
     script = load_script("reproduce_fisher_scaling")
     script.main(["--out", str(tmp_path)])

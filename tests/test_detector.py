@@ -465,6 +465,15 @@ def test_detector_roundtrip_script(tmp_path):
     assert {mode: getattr(params, f"blur_{mode}").to_json() for mode in blur} == blur
 
 
+def test_detector_roundtrip_script_checks_its_config(tmp_path, capsys):
+    # --shots 0 ended in a ValueError traceback from the draw
+    with pytest.raises(SystemExit) as exc:
+        ROUND_TRIP.main(["--shots", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "shots_per_angle must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**32), str(2**64)])
 def test_detector_roundtrip_script_takes_the_seeds_simulate_takes(tmp_path, seed, capsys):
     with pytest.raises(SystemExit) as exc:

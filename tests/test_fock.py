@@ -72,6 +72,26 @@ def test_kernel_matches_factorial_route_for_every_total(totals, bound):
             assert np.abs(ours - oracles.kernel_factorial(n_total, theta)).max() < bound
 
 
+def test_twin_fock_output_matches_legendre_identities_to_120():
+    # the factorial route reaches N = 40; the Legendre forms hold to round-off at the outlook scale
+    for n_total in range(2, 121, 2):
+        for theta in np.linspace(0.0, math.pi, 25):
+            out = fock.twin_fock_output(n_total, theta)
+            assert abs(out.probs[n_total // 2] - oracles.twin_balanced_legendre(n_total, theta)) < 1e-12
+            assert abs(fock.collective_moments(out).parity - oracles.twin_parity_legendre(n_total, theta)) < 1e-12
+
+
+def test_every_kernel_to_121_is_a_symmetric_doubly_stochastic_matrix():
+    # odd totals included: the noise pipeline rotates them with half-integer spin
+    for n_total in range(41, 122):
+        rows = np.arange(n_total + 1)
+        for theta in (0.14, 1.0, math.pi / 2, 2.5):
+            k = fock._kernel(n_total, theta, rows)
+            assert np.abs(k.sum(axis=0) - 1).max() < 1e-12 and np.abs(k.sum(axis=1) - 1).max() < 1e-12
+            assert np.abs(k - k.T).max() < 1e-14
+        assert np.abs(fock._kernel(n_total, math.pi, rows) - np.eye(n_total + 1)[::-1]).max() < 1e-12
+
+
 def test_rotation_kernel_is_doubly_stochastic():
     k = fock._kernel(10, 0.7, np.arange(11))
     np.testing.assert_allclose(k.sum(axis=0), 1.0, atol=1e-12)
