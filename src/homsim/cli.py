@@ -118,29 +118,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """The config in ``path``: one JSON object, no key given twice at any depth."""
         import json
-        text = Path(path).read_text()
-        if text.lstrip().startswith("{"):
-            data = json.loads(text, object_pairs_hook=_unique_keys)
-        else:
-            data = {}
-            for lineno, line in enumerate(text.splitlines(), 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"config line is not key=value: {line!r}")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                if key in data:
-                    raise ValueError(f"config line {lineno}: key {key} given twice")
-                try:
-                    data[key] = json.loads(raw, object_pairs_hook=_unique_keys)
-                except json.JSONDecodeError:
-                    try:
-                        data[key] = [json.loads(v) for v in raw.split(",")] if "," in raw else raw
-                    except json.JSONDecodeError:
-                        raise ValueError(f"config line {lineno}: {key} = {raw} is not a comma-separated list "
-                                         "of JSON values") from None
+        try:
+            data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"config {path} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} is not one JSON object")
         return cls(**data)
 
 
@@ -452,7 +437,7 @@ COMMANDS = {
 def main(args=None, prog_name: str = "homsim") -> int:
     """Number-resolved two-mode interference pipeline."""
     ap = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
-    ap.add_argument("--config", **_existing("PATH"), help="JSON or key=value config file.")
+    ap.add_argument("--config", **_existing("PATH"), help="JSON config file.")
     ap.add_argument("--seed", type=_seed, default=0, help="Master seed; all randomness derives from it (default: 0).")
     ap.add_argument("--out", default="out", help="Output directory (default: out).")
     commands = ap.add_subparsers(dest="command", required=True, metavar="<command>")

@@ -32,30 +32,40 @@ def test_config_from_json_file(noise_off_config):
     assert cfg.hash() == "acc5e3b6dc237bb0"
 
 
-def test_config_from_key_value_file(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text(
-        "# comment lines and blanks are skipped\n"
-        "\n"
-        "xi = 1.2\n"
-        "noise = none   # trailing comment\n"
-        "n_values = 2,4\n"
-        "shots_per_angle = 100\n"
-    )
-    cfg = RunConfig.from_file(p)
-    assert cfg.xi == 1.2
-    assert cfg.noise == "none"
-    assert cfg.n_values == [2, 4]
-    assert cfg.shots_per_angle == 100
+def test_readme_example_config_states_its_values(tmp_path):
+    # the one documented example config, read by the one parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = tmp_path / "example.json"
+    example.write_text(readme.split("Example config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = RunConfig.from_file(example)
+    assert cfg.xi == math.asinh(math.sqrt(2.0))  # 2 sinh^2(xi) = 4 atoms per shot on average
+    assert cfg.noise == "reference"
+    assert cfg.shots_per_angle == 3816
+    assert cfg.n_values == [2, 4, 6, 8, 10, 12]
+    assert cfg.canonical() == {**RunConfig().canonical(), "xi": cfg.xi}  # the other fields keep their defaults
+
+
+@pytest.mark.parametrize("text", [b"", b"[1, 2]", b"null", b"xi = 1.2\n", b"# a comment\n", b"\xff\xfe"],
+                         ids=["empty", "list", "null", "key-value", "comment", "not-utf8"])
+@pytest.mark.parametrize("command", ["simulate", "fisher --exact ideal"])
+def test_config_that_is_not_one_json_object_exits_2(tmp_path, text, command):
+    # an empty or comment-only file ran the command at the defaults and exited 0; [1, 2] and null were
+    # reported as "config line is not key=value"
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    res = invoke(["--config", config, "--out", tmp_path / "o", *command.split()])
+    assert res.exit_code == 2, res.output
+    assert f"config {config} is not" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_unknown_keys_and_junk(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus_key = 3\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bogus_key": 3}')
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_file(bad)
-    bad.write_text("no equals sign here\n")
-    with pytest.raises(ValueError, match="key=value"):
+    bad.write_text("no JSON here\n")
+    with pytest.raises(ValueError, match="is not JSON"):
         RunConfig.from_file(bad)
 
 
@@ -76,18 +86,18 @@ def test_config_validation():
 
 
 def test_unknown_config_key_exits_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus_key = 3\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bogus_key": 3}')
     res = invoke(["--config", bad, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2
     assert "unknown config keys" in res.output
 
 
 @pytest.mark.parametrize("text, key", [('{"n_values": 5}', "n_values"), ('{"n_values": null}', "n_values"),
-                                       ("angles = 0.1", "angles")])
+                                       ('{"angles": 0.1}', "angles")])
 def test_scalar_for_a_list_field_exits_2(tmp_path, text, key):
     # iterating the scalar used to fail with "'int' object is not iterable", naming no field
-    config = tmp_path / "config.cfg"
+    config = tmp_path / "config.json"
     config.write_text(text)
     res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
@@ -115,16 +125,6 @@ def test_atom_numbers_that_are_not_even_and_at_least_2_exit_2(tmp_path, simulate
     res = invoke(["--config", config, "--out", tmp_path / "o", *args])
     assert res.exit_code == 2, res.output
     assert "n_values must list even atom numbers" in res.output
-    assert not (tmp_path / "o").exists()
-
-
-def test_key_value_list_entry_that_is_not_json_names_its_key_and_line(tmp_path):
-    # the bare JSON error read "Expecting value: line 1 column 2 (char 1)", naming neither
-    config = tmp_path / "run.cfg"
-    config.write_text("xi = 1.2\nn_values = 2, 4, x\n")
-    res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
-    assert res.exit_code == 2, res.output
-    assert "config line 2: n_values = 2, 4, x is not a comma-separated list" in res.output
     assert not (tmp_path / "o").exists()
 
 
@@ -170,16 +170,13 @@ def test_out_of_range_config_value_exits_2_on_every_command(tmp_path, command, k
 
 
 @pytest.mark.parametrize("text, message", [
-    ("n_max = 20\nxi = 1.2\nn_max = 30\n", "config line 3: key n_max given twice"),
     ('{"n_max": 20, "n_max": 30}', "config key n_max given twice"),
     ('{"noise": {"a_plus": 0.05, "a_minus": 0.02, "l_plus": 0.0, "l_minus": 0.01, "a_plus": 0.06}}',
      "config key a_plus given twice"),
-    ('noise = {"a_plus": 0.05, "a_minus": 0.02, "l_plus": 0.0, "l_minus": 0.01, '
-     '"blur": {"minus": {"sigma0": 0.1, "sigma0": 0.2}}}', "config key sigma0 given twice"),
-], ids=["key-value", "json", "json-noise", "key-value-blur"])
+], ids=["json", "json-noise"])
 def test_config_key_given_twice_exits_2(tmp_path, text, message):
     # the last value was taken, and the command exited 0
-    config = tmp_path / "run.cfg"
+    config = tmp_path / "config.json"
     config.write_text(text)
     res = invoke(["--config", config, "--out", tmp_path / "o", "simulate"])
     assert res.exit_code == 2, res.output
@@ -981,10 +978,10 @@ def test_boolean_number_in_config_exits_2(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("key", ["quartic", "exclude_beyond_node"])
-@pytest.mark.parametrize("text", ['{"KEY": "false"}', '{"KEY": 1}', '{"KEY": null}', "KEY = False"])
+@pytest.mark.parametrize("text", ['{"KEY": "false"}', '{"KEY": 1}', '{"KEY": null}'])
 def test_switch_that_is_not_a_boolean_exits_2(tmp_path, key, text):
     # a truthy string or number used to switch the fit on and be recorded in fisher.json as given
-    config = tmp_path / "config.cfg"
+    config = tmp_path / "config.json"
     config.write_text(text.replace("KEY", key))
     res = invoke(["--config", config, "--out", tmp_path / "o", "fisher", "--exact", "ideal"])
     assert res.exit_code == 2, res.output
